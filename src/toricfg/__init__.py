@@ -1,7 +1,9 @@
 """Exact-arithmetic toolkit for valuation semigroups of ample divisors on
 toric surfaces with non-toric one-parameter-subgroup flags: colon
-polytopes, Newton-Okounkov bodies, Hilbert-basis decomposability tests,
+polytopes, Newton-Okounkov bodies, pairing-one decomposability tests,
 and finite-generation verdicts, cross-checked by brute-force oracles."""
+
+from types import ModuleType as _ModuleType
 
 from .cones import (
     Cone2,
@@ -22,6 +24,7 @@ from .criterion import (
     FGVerdict,
     SegmentData,
     construct_bad_divisor,
+    failing_cones,
     fg_for_all_divisors,
     is_finitely_generated,
     lifting_table,
@@ -46,14 +49,12 @@ from .fans import (
     normal_fan,
 )
 from .geometry import (
-    NEG_INF,
     DegeneratePolygon,
     RatPolygon,
     UnboundedRegion,
     colon,
     lattice_points,
     minkowski_sum,
-    polygon_from_halfplanes,
     project_interval,
     width,
 )
@@ -76,4 +77,7 @@ from .semigroup import (
     xi_interval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

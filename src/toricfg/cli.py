@@ -308,18 +308,18 @@ def cmd_scan(problem: Problem, bound: int) -> list:
 
 
 def cmd_construct_bad(problem: Problem) -> dict:
-    res = crit.fg_for_all_divisors(problem.fan, problem.direction)
-    if res.holds:
+    failures = crit.failing_cones(problem.fan, problem.direction)
+    first = next(failures, None)
+    if first is None:
         return {
             "constructed": False,
             "reason": "no ray-spanned cone decomposes the direction; "
             "every ample divisor yields a finitely generated semigroup",
         }
-    sigma, direction = res.failing_cone, res.failing_direction
-    if sigma.kind != "cone":
-        pointed = _pointed_failing_cone(problem.fan, problem.direction)
-        if pointed is not None:
-            sigma, direction = pointed
+    if first[0].kind != "cone":
+        # prefer a pointed cone; the halfplane construction is the fallback
+        first = next((f for f in failures if f[0].kind == "cone"), first)
+    sigma, direction, _ = first
     out = crit.construct_bad_divisor(problem.fan, sigma, direction)
     from .fans import divisor_polytope
 
@@ -335,23 +335,6 @@ def cmd_construct_bad(problem: Problem) -> dict:
         "theta": [_point_out(p) for p in out.theta.vertices],
         "finitely_generated": False,
     }
-
-
-def _pointed_failing_cone(fan, v):
-    import itertools
-
-    from .cones import cone, is_strongly_decomposable
-    from .geometry import det, neg
-
-    for i, j in itertools.combinations(range(len(fan.rays)), 2):
-        ri, rj = fan.rays[i], fan.rays[j]
-        if det(ri, rj) == 0:
-            continue
-        c = cone("N", ri, rj)
-        for w in (v, neg(v)):
-            if c.strictly_contains(w) and is_strongly_decomposable(w, c)[0]:
-                return c, w
-    return None
 
 
 _THETA_RE = re.compile(r"theta\((-?\d+),(-?\d+)\)")

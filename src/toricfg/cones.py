@@ -1,6 +1,6 @@
 """Rational cones in a rank-2 lattice: duals, Hilbert bases, the
-Hilbert-basis test for strong decomposability, and exact search for
-lattice points with a prescribed pairing value.
+strong-decomposability test, and exact search for lattice points with a
+prescribed pairing value.
 
 A cone knows which lattice it lives in ("M" or "N"); dualizing swaps the
 tag.  Halfplanes are supported because maximal-cross-section cones of
@@ -9,7 +9,6 @@ polygons with parallel edges degenerate to halfplanes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -124,13 +123,13 @@ def dual_cone(c: Cone2) -> Cone2:
     return cone(lat, (g2[1], -g2[0]), (-g1[1], g1[0]))
 
 
-@functools.lru_cache(maxsize=None)
 def hilbert_basis(c: Cone2) -> tuple:
     """The unique minimal generating set of c intersected with the lattice.
 
     Rank-2 recipe: lattice points of the half-open fundamental
     parallelogram of the generators, together with the generators, then
-    pairwise-subtraction minimalization.
+    pairwise-subtraction minimalization.  Kept as the test oracle for
+    the pairing-one route of is_strongly_decomposable.
     """
     if c.kind == "halfplane":
         raise NotPointed("halfplane semigroup has no finite Hilbert basis")
@@ -164,32 +163,22 @@ def hilbert_basis(c: Cone2) -> tuple:
     return tuple(basis)
 
 
-def _is_lattice_vector(x) -> bool:
-    return all(isinstance(t, int) or Fraction(t).denominator == 1 for t in x)
-
-
-def lattice_distance_to_boundary(c: Cone2, w) -> int:
-    if c.kind != "halfplane":
-        raise ValueError("boundary distance is a halfplane notion")
-    return int(det(c.generators[0], w))
-
-
 def is_strongly_decomposable(w, c: Cone2):
     """Decide whether w = w' + w'' with both summands interior lattice
     points of c.  Returns (verdict, witness-or-None).
 
-    Pointed cones use the Hilbert-basis pairing test on the dual cone; a
-    halfplane reduces to lattice distance > 1 from its boundary line.
-    Witnesses come from the independent brute-force search.
+    In a pointed cone, w is indecomposable iff it is primitive and some
+    lattice point of the dual cone pairs to 1 with it (the pairing-one
+    search); a halfplane reduces to lattice distance > 1 from its boundary
+    line.  Witnesses come from the independent brute-force search.
     """
     w = (int(w[0]), int(w[1]))
     if not c.strictly_contains(w):
         raise NotInInterior(f"{w} is not an interior lattice point of the cone")
     if c.kind == "halfplane":
-        decomposable = lattice_distance_to_boundary(c, w) > 1
+        decomposable = det(c.generators[0], w) > 1
     else:
-        pairings = {dot(h, w) for h in hilbert_basis(dual_cone(c))}
-        decomposable = 1 not in pairings
+        decomposable = gcd(*w) > 1 or not exists_pairing_one(dual_cone(c), w)
     witness = None
     if decomposable:
         from .oracles import brute_decompose
@@ -242,27 +231,15 @@ def exists_pairing_one(c: Cone2, v) -> bool:
         else:
             b = Fraction(-base, step)
             hi = b if hi is None or b < hi else hi
-    if lo is not None and hi is not None and lo > hi:
-        return False
-    tlo = ceil_frac(lo) if lo is not None else None
-    thi = floor_frac(hi) if hi is not None else None
-    if tlo is None and thi is None:
-        return True
-    if tlo is None or thi is None:
-        return True
-    return tlo <= thi
+    return lo is None or hi is None or ceil_frac(lo) <= floor_frac(hi)
 
 
 def _solve_pairing_one(v):
-    """Some integer vector u with <u, v> = 1 (v primitive)."""
-    x, y = _xgcd(v[0], v[1])
-    return (x, y)
-
-
-def _xgcd(a, b):
+    """Some integer vector u with <u, v> = 1 (v primitive), by the
+    extended Euclidean algorithm."""
     x, nx = 1, 0
     y, ny = 0, 1
-    g, ng = a, b
+    g, ng = v
     while ng:
         q = g // ng
         x, nx = nx, x - q * nx
@@ -270,4 +247,4 @@ def _xgcd(a, b):
         g, ng = ng, g - q * ng
     if g < 0:
         x, y = -x, -y
-    return x, y
+    return (x, y)

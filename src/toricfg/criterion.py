@@ -27,6 +27,7 @@ from .fans import (
     cprime_divisor,
     divisor_from_polytope,
     divisor_polytope,
+    edge_rays,
     flag_data,
     is_ample,
     is_primitive,
@@ -265,31 +266,32 @@ class FGAllResult:
     witness: tuple | None
 
 
-def fg_for_all_divisors(fan: Fan2, v) -> FGAllResult:
-    """True iff neither v nor -v is strongly decomposable in any cone
-    spanned by a pair of rays (antiparallel pairs contribute the two
-    bounded halfplanes).  Returns the first failing cone otherwise."""
+def failing_cones(fan: Fan2, v):
+    """Lazily yield (cone, w, witness) for every cone spanned by a pair of
+    rays in which w = v or w = -v is strongly decomposable, in ray-pair
+    order.  Antiparallel pairs contribute the two halfplanes they bound."""
     v = (int(v[0]), int(v[1]))
     if not is_primitive(v):
         raise ValueError("direction must be primitive")
-    rays = fan.rays
-    for i, j in itertools.combinations(range(len(rays)), 2):
-        ri, rj = rays[i], rays[j]
+    for ri, rj in itertools.combinations(fan.rays, 2):
         if det(ri, rj) != 0:
             c = cone("N", ri, rj)
-            for w in (v, neg(v)):
-                if c.strictly_contains(w):
-                    dec, wit = is_strongly_decomposable(w, c)
-                    if dec:
-                        return FGAllResult(False, c, w, wit)
-        elif rj == neg(ri):
-            if det(ri, v) == 0:
-                continue
-            for w in (v, neg(v)):
-                h = halfplane("N", ri, w)
-                dec, wit = is_strongly_decomposable(w, h)
-                if dec:
-                    return FGAllResult(False, h, w, wit)
+            candidates = [(c, w) for w in (v, neg(v)) if c.strictly_contains(w)]
+        elif rj == neg(ri) and det(ri, v) != 0:
+            candidates = [(halfplane("N", ri, w), w) for w in (v, neg(v))]
+        else:
+            continue
+        for c, w in candidates:
+            dec, wit = is_strongly_decomposable(w, c)
+            if dec:
+                yield c, w, wit
+
+
+def fg_for_all_divisors(fan: Fan2, v) -> FGAllResult:
+    """True iff neither v nor -v is strongly decomposable in any cone
+    spanned by a pair of rays.  Returns the first failing cone otherwise."""
+    for c, w, wit in failing_cones(fan, v):
+        return FGAllResult(False, c, w, wit)
     return FGAllResult(True, None, None, None)
 
 
@@ -345,7 +347,8 @@ def construct_bad_divisor(
             continue
         processed.add(r)
         idx = fan.index_of(r)
-        if _edge_positive(fan, coeffs, r):
+        p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, coeffs)])
+        if r in edge_rays(p, fan.rays, coeffs):
             continue
         coeffs[idx] = _lower_coefficient(fan, coeffs, idx, target, processed)
     divisor = ToricDivisor(fan, tuple(coeffs))
@@ -373,30 +376,13 @@ def _synthesize_d_theta(fan: Fan2, interior, outer) -> ToricDivisor:
 
 
 def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
-    from .geometry import primitivize
-
-    lo = theta0.support_min(v)
-    face = [p for p in theta0.vertices if dot(p, v) == lo]
+    face = theta0.face(v)
     if len(face) != 1:
         raise ConstructionFailed("v-minimal face of the model polytope is not a vertex")
-    r = face[0]
-    idx = theta0.vertices.index(r)
-    nv = len(theta0.vertices)
-    d1 = primitivize(vsub(theta0.vertices[(idx - 1) % nv], r))
-    d2 = primitivize(vsub(theta0.vertices[(idx + 1) % nv], r))
-    if cone("M", d1, d2) != dual_cone(sigma):
+    if cone("M", *theta0.vertex_directions(face[0])) != dual_cone(sigma):
         raise ConstructionFailed(
             "model polytope does not have the dual cone as tangent cone"
         )
-
-
-def _edge_positive(fan, coeffs, r) -> bool:
-    p = RatPolygon.from_halfplanes(
-        [(rr, -a) for rr, a in zip(fan.rays, coeffs)]
-    )
-    if p.dim < 2:
-        return False
-    return dict(p.halfplanes).get(r) == -coeffs[fan.index_of(r)]
 
 
 def _lower_coefficient(fan, coeffs, idx, target, processed):
@@ -426,13 +412,9 @@ def _lowering_ok(fan, coeffs, idx, cand, target, processed):
     trial = list(coeffs)
     trial[idx] = cand
     p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, trial)])
-    if p.dim < 2 or not p.contains_polygon(target):
-        return False
-    edge_offsets = dict(p.halfplanes)
-    for rr in processed | {fan.rays[idx]}:
-        if edge_offsets.get(rr) != -trial[fan.index_of(rr)]:
-            return False
-    return True
+    return p.contains_polygon(target) and (
+        processed | {fan.rays[idx]} <= edge_rays(p, fan.rays, trial)
+    )
 
 
 def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstruction:

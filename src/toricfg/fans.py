@@ -17,9 +17,7 @@ from .geometry import (
     dot,
     is_primitive,
     neg,
-    primitivize,
     rot90,
-    vsub,
 )
 
 
@@ -138,13 +136,16 @@ def is_ample(d: ToricDivisor) -> bool:
         p = divisor_polytope(d)
     except UnboundedPolytope:
         return False
+    return len(edge_rays(p, d.fan.rays, d.coeffs)) == len(d.fan.rays)
+
+
+def edge_rays(p: RatPolygon, rays, coeffs) -> set:
+    """The rays whose constraint <u, rho> >= -a_rho cuts an edge of
+    positive length out of p."""
     if p.dim < 2:
-        return False
-    edge_offsets = dict(p.halfplanes)
-    for r, a in zip(d.fan.rays, d.coeffs):
-        if edge_offsets.get(r) != -a:
-            return False
-    return True
+        return set()
+    offsets = dict(p.halfplanes)
+    return {r for r, a in zip(rays, coeffs) if offsets.get(r) == -a}
 
 
 def normal_fan(p: RatPolygon) -> Fan2:
@@ -197,12 +198,6 @@ def cprime_divisor(fan: Fan2, flag: FlagData) -> ToricDivisor:
     return ToricDivisor(fan, tuple(Fraction(c) for c in flag.cprime_coeffs))
 
 
-def _extremal_face(p: RatPolygon, v):
-    """Vertices of p where <., v> is maximal."""
-    top = p.support_max(v)
-    return [q for q in p.vertices if dot(q, v) == top]
-
-
 def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:
     """Rebuild nabla_prime by the gluing construction: translate the
     Newton segment into the vertex cone at each v-extremal vertex of P_D
@@ -212,15 +207,11 @@ def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:
         raise DegeneratePolygon("gluing needs a two-dimensional polytope")
     m = flag.m
     points = [(Fraction(0), Fraction(0)), (Fraction(m[0]), Fraction(m[1]))]
-    for direction in (flag.v, neg(flag.v)):
-        face = _extremal_face(p_d, direction)
+    for direction in (neg(flag.v), flag.v):
+        face = p_d.face(direction)
         if len(face) != 1:
             continue  # extremal edge: this side degenerates onto nabla
-        apex = face[0]
-        idx = p_d.vertices.index(apex)
-        nverts = len(p_d.vertices)
-        d1 = primitivize(vsub(p_d.vertices[(idx - 1) % nverts], apex))
-        d2 = primitivize(vsub(p_d.vertices[(idx + 1) % nverts], apex))
+        d1, d2 = p_d.vertex_directions(face[0])
         dd = det(d1, d2)
         # t*d2 - s*d1 = m  (base corner on the d1-ray goes to the origin)
         s = Fraction(-det(m, d2), dd)

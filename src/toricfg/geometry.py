@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
-
-NEG_INF = float("-inf")
 
 
 class UnboundedRegion(ValueError):
@@ -82,6 +81,15 @@ def ceil_frac(x: Fraction) -> int:
 
 def floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
+
+
+def meet(ni, oi, nj, oj):
+    """The point where <u, ni> = oi and <u, nj> = oj meet (Cramer's rule),
+    or None for parallel lines."""
+    d = det(ni, nj)
+    if d == 0:
+        return None
+    return ((oi * nj[1] - oj * ni[1]) / d, (ni[0] * oj - nj[0] * oi) / d)
 
 
 def _cross3(o, a, b):
@@ -164,17 +172,9 @@ class RatPolygon:
         hps = sorted(merged.items())
         normals = [n for n, _ in hps]
 
-        candidates = set()
-        for i in range(len(hps)):
-            ni, oi = hps[i]
-            for j in range(i + 1, len(hps)):
-                nj, oj = hps[j]
-                d = det(ni, nj)
-                if d == 0:
-                    continue
-                x = (oi * nj[1] - oj * ni[1]) / d
-                y = (ni[0] * oj - nj[0] * oi) / d
-                candidates.add((x, y))
+        candidates = {meet(ni, oi, nj, oj)
+                      for (ni, oi), (nj, oj) in combinations(hps, 2)}
+        candidates.discard(None)
         feasible = [p for p in candidates
                     if all(dot(p, n) >= o for n, o in hps)]
 
@@ -184,9 +184,10 @@ class RatPolygon:
             return RatPolygon.from_vertices(feasible)
         if not _has_recession(normals):
             return RatPolygon.empty()  # bounded and vertex-free means empty
-        if _helly_feasible(hps):
-            raise UnboundedRegion("feasible but unbounded halfplane intersection")
-        return RatPolygon.empty()
+        for idx, weights in helly_certificates(normals):
+            if sum(w * hps[i][1] for i, w in zip(idx, weights)) > 0:
+                return RatPolygon.empty()
+        raise UnboundedRegion("feasible but unbounded halfplane intersection")
 
     # -- basic queries ------------------------------------------------------
 
@@ -213,6 +214,19 @@ class RatPolygon:
 
     def support_max(self, direction) -> Fraction:
         return max(dot(p, direction) for p in self.vertices)
+
+    def face(self, direction) -> list:
+        """The vertices minimizing <p, direction>, in vertex order."""
+        low = self.support_min(direction)
+        return [p for p in self.vertices if dot(p, direction) == low]
+
+    def vertex_directions(self, r) -> tuple:
+        """Primitive directions from vertex r along the edges before and
+        after it; they span the tangent cone at r."""
+        verts = self.vertices
+        i = verts.index(r)
+        after = verts[(i + 1) % len(verts)]
+        return primitivize(vsub(verts[i - 1], r)), primitivize(vsub(after, r))
 
     def translate(self, t) -> "RatPolygon":
         if self.is_empty:
@@ -300,36 +314,27 @@ def _has_recession(normals) -> bool:
     return False
 
 
-def _helly_feasible(hps) -> bool:
-    # In the plane an intersection of halfplanes is empty iff some pair of
-    # antiparallel constraints or some positively spanning triple is.
-    for i in range(len(hps)):
-        ni, oi = hps[i]
-        for j in range(i + 1, len(hps)):
-            nj, oj = hps[j]
-            if nj == neg(ni) and oi > -oj:
-                return False
-    for i in range(len(hps)):
-        ni, oi = hps[i]
-        for j in range(i + 1, len(hps)):
-            nj, oj = hps[j]
-            for k in range(j + 1, len(hps)):
-                nk, ok = hps[k]
-                l1, l2, l3 = det(nj, nk), det(nk, ni), det(ni, nj)
-                if l1 > 0 and l2 > 0 and l3 > 0:
-                    if l1 * oi + l2 * oj + l3 * ok > 0:
-                        return False
-                elif l1 < 0 and l2 < 0 and l3 < 0:
-                    if l1 * oi + l2 * oj + l3 * ok < 0:
-                        return False
-    return True
+def helly_certificates(normals):
+    """Yield (indices, positive weights) for each antiparallel pair and each
+    positively spanning triple of normals.
+
+    In the plane, constraints <u, n_i> >= o_i have an empty intersection
+    iff some certificate has sum(w * o_i) > 0 (Helly plus Farkas: the
+    weighted normals cancel, so the weighted constraint reads 0 >= sum).
+    """
+    for i, j in combinations(range(len(normals)), 2):
+        if normals[j] == neg(normals[i]):
+            yield (i, j), (1, 1)
+    for i, j, k in combinations(range(len(normals)), 3):
+        ni, nj, nk = normals[i], normals[j], normals[k]
+        l1, l2, l3 = det(nj, nk), det(nk, ni), det(ni, nj)
+        if l1 > 0 and l2 > 0 and l3 > 0:
+            yield (i, j, k), (l1, l2, l3)
+        elif l1 < 0 and l2 < 0 and l3 < 0:
+            yield (i, j, k), (-l1, -l2, -l3)
 
 
 # -- the polygon operations used downstream --------------------------------
-
-def polygon_from_halfplanes(hps) -> RatPolygon:
-    return RatPolygon.from_halfplanes(hps)
-
 
 def colon(p: RatPolygon, q: RatPolygon) -> RatPolygon:
     """The colon polygon {u : u + q subset of p}.
@@ -353,9 +358,9 @@ def minkowski_sum(p: RatPolygon, q: RatPolygon) -> RatPolygon:
 
 
 def width(p: RatPolygon, v):
-    """max <p, v> - min <p, v>, with wid(empty) = -inf."""
+    """max <p, v> - min <p, v>; None for the empty polygon."""
     if p.is_empty:
-        return NEG_INF
+        return None
     return p.support_max(v) - p.support_min(v)
 
 
@@ -398,7 +403,3 @@ def lattice_points(p: RatPolygon):
             raise UnboundedRegion("lattice point scan over unbounded column")
         out.extend((x, y) for y in range(ylo, yhi + 1))
     return out
-
-
-def polygon_area(p: RatPolygon) -> Fraction:
-    return p.area()

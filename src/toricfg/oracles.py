@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cones import Cone2, NotInInterior
+from .cones import Cone2, NotInInterior, _solve_pairing_one
 from .geometry import (
     RatPolygon,
     ceil_frac,
@@ -100,7 +100,7 @@ def brute_decompose(w, c: Cone2):
         g = c.generators[0]
         if det(g, w) <= 1:
             return None
-        target = _pairing_one_point(rot90(g))  # det(g, target) == 1
+        target = _solve_pairing_one(rot90(g))  # det(g, target) == 1
         # slide along the boundary direction to sit nearest w/2
         t = Fraction(dot(g, w) - 2 * dot(g, target), 2 * dot(g, g))
         best = None
@@ -124,12 +124,6 @@ def brute_decompose(w, c: Cone2):
         if c.strictly_contains(p) and c.strictly_contains(q):
             return (p, q)
     return None
-
-
-def _pairing_one_point(v):
-    from .cones import _solve_pairing_one
-
-    return _solve_pairing_one(v)
 
 
 def brute_e_bar(ctx, l, k) -> int:

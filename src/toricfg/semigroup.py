@@ -16,13 +16,13 @@ from .cones import Cone2, cone, halfplane
 from .fans import FlagData, Fan2, ToricDivisor, divisor_polytope, flag_data, is_ample
 from .geometry import (
     RatPolygon,
-    det,
     dot,
     floor_frac,
+    helly_certificates,
     lattice_points,
+    meet,
     minkowski_sum,
     neg,
-    primitivize,
     project_interval,
     vsub,
     width,
@@ -109,7 +109,7 @@ def xi_interval(ctx: FlagContext, l, k):
 
 
 def d_of_q(ctx: FlagContext, q):
-    """Width of the slope-q colon polytope; -inf when it is empty."""
+    """Width of the slope-q colon polytope; None when it is empty."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("slope must be nonnegative")
@@ -122,35 +122,14 @@ def q_hat(ctx: FlagContext) -> Fraction:
     """Largest slope with a non-empty colon polytope, from the parametric
     feasibility of the halfplane system (antiparallel pairs and positively
     spanning triples each bound q linearly)."""
-    rays = ctx.fan.rays
     offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
-
-    def offset(i, q):
-        base, slope = offs[i]
-        return base + q * slope
-
     bounds = []
-    n = len(rays)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rays[j] == neg(rays[i]):
-                # feasible iff offset_i(q) <= -offset_j(q)
-                base = offs[i][0] + offs[j][0]
-                slope = offs[i][1] + offs[j][1]
-                _collect_bound(bounds, base, slope)
-            for k in range(j + 1, n):
-                l1 = det(rays[j], rays[k])
-                l2 = det(rays[k], rays[i])
-                l3 = det(rays[i], rays[j])
-                if not (l1 > 0 and l2 > 0 and l3 > 0) and not (
-                    l1 < 0 and l2 < 0 and l3 < 0
-                ):
-                    continue
-                if l1 < 0:
-                    l1, l2, l3 = -l1, -l2, -l3
-                base = l1 * offs[i][0] + l2 * offs[j][0] + l3 * offs[k][0]
-                slope = l1 * offs[i][1] + l2 * offs[j][1] + l3 * offs[k][1]
-                _collect_bound(bounds, base, slope)
+    for idx, weights in helly_certificates(ctx.fan.rays):
+        # the offset at slope q is base + q * slope; feasible iff the
+        # weighted sum stays <= 0
+        base = sum(w * offs[i][0] for i, w in zip(idx, weights))
+        slope = sum(w * offs[i][1] for i, w in zip(idx, weights))
+        _collect_bound(bounds, base, slope)
     if not bounds:
         raise ValueError("slope is unbounded; divisor data cannot be ample")
     return min(bounds)
@@ -204,7 +183,7 @@ def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
     """Cut l*P_D along the two translated Newton segments at the extreme
     pairing levels of the colon polytope.  The middle piece always equals
     the Minkowski sum of the colon polytope with the scaled Newton
-    segment; this identity is asserted."""
+    segment; this identity is checked."""
     l, k = Fraction(l), Fraction(k)
     t = theta(ctx, l, k)
     if t.is_empty:
@@ -217,11 +196,10 @@ def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
     )
     box_max = RatPolygon.from_halfplanes(list(big.halfplanes) + [(v, hi)])
     box_min = RatPolygon.from_halfplanes(list(big.halfplanes) + [(neg(v), -lo)])
-    v_plus = min(p for p in t.vertices if dot(p, v) == hi)
-    v_minus = min(p for p in t.vertices if dot(p, v) == lo)
     summed = minkowski_sum(t, ctx.flag.nabla.dilate(k)) if k > 0 else t
-    assert summed == band, "cut identity failed: theta + k*nabla != middle piece"
-    return CutPieces(box_max, band, box_min, v_plus, v_minus)
+    if summed != band:
+        raise ArithmeticError("cut identity failed: theta + k*nabla != middle piece")
+    return CutPieces(box_max, band, box_min, min(t.face(neg(v))), min(t.face(v)))
 
 
 @dataclass(frozen=True)
@@ -250,29 +228,20 @@ def theta_extremal(ctx: FlagContext, l, k=None, q=None) -> ThetaExtremal:
     if t.is_empty:
         raise DegenerateTheta("no extremal data for an empty colon polytope")
     v = ctx.flag.v
-    lo, hi = t.support_min(v), t.support_max(v)
-    if lo == hi:
+    if width(t, v) == 0:
         vm = min(t.vertices)
         return ThetaExtremal(vm, max(t.vertices), None, None, True)
-    v_minus = min(p for p in t.vertices if dot(p, v) == lo)
-    v_plus = min(p for p in t.vertices if dot(p, v) == hi)
+    low, high = t.face(v), t.face(neg(v))
     return ThetaExtremal(
-        v_minus, v_plus, _tangent(t, v, lo), _tangent(t, v, hi), False
+        min(low), min(high), _tangent(t, low), _tangent(t, high), False
     )
 
 
-def _tangent(t: RatPolygon, v, level) -> Cone2:
-    face = [p for p in t.vertices if dot(p, v) == level]
+def _tangent(t: RatPolygon, face) -> Cone2:
     if len(face) > 1:
-        d = primitivize(vsub(face[1], face[0]))
-        other = next(p for p in t.vertices if dot(p, v) != level)
-        return halfplane("M", d, vsub(other, face[0]))
-    r = face[0]
-    idx = t.vertices.index(r)
-    nv = len(t.vertices)
-    d1 = primitivize(vsub(t.vertices[(idx - 1) % nv], r))
-    d2 = primitivize(vsub(t.vertices[(idx + 1) % nv], r))
-    return cone("M", d1, d2)
+        other = next(p for p in t.vertices if p not in face)
+        return halfplane("M", vsub(face[1], face[0]), vsub(other, face[0]))
+    return cone("M", *t.vertex_directions(face[0]))
 
 
 @dataclass(frozen=True)
@@ -310,11 +279,10 @@ def newton_okounkov_body(ctx: FlagContext) -> NOBody:
         ni = rays[i]
         for j in range(i + 1, n):
             nj = rays[j]
-            d = det(ni, nj)
-            if d == 0:
+            u0 = meet(ni, offs[i][0], nj, offs[j][0])
+            if u0 is None:
                 continue
-            u0 = _cramer(ni, nj, offs[i][0], offs[j][0], d)
-            u1 = _cramer(ni, nj, offs[i][1], offs[j][1], d)
+            u1 = meet(ni, offs[i][1], nj, offs[j][1])
             for k in range(n):
                 if k in (i, j):
                     continue
@@ -331,7 +299,3 @@ def newton_okounkov_body(ctx: FlagContext) -> NOBody:
         sorted(p for p in poly.vertices if p[1] == d_of_q(ctx, p[0]))
     )
     return NOBody(poly, breakpoints)
-
-
-def _cramer(ni, nj, oi, oj, d):
-    return ((oi * nj[1] - oj * ni[1]) / d, (ni[0] * oj - nj[0] * oi) / d)

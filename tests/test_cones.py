@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -169,18 +170,25 @@ def test_exists_pairing_one_against_brute_force():
 
 
 def test_pairing_bridge_to_decomposability():
-    # a lattice point of the dual pairing to one exists exactly when the
-    # direction is not strongly decomposable
+    # three independent routes to the same verdict: the pairing-one line
+    # search on the dual cone, the Hilbert-basis pairing test, and the
+    # exhaustive witness search; non-primitive w are always decomposable
     rng = random.Random(29)
-    for _ in range(120):
+    non_primitive = decomposable = 0
+    for _ in range(150):
         c = random_cone(rng, bound=5)
-        v = interior_point(rng, c, spread=3)
-        from math import gcd
-
-        g = gcd(v[0], v[1])
-        v = (v[0] // g, v[1] // g)
-        dec, _ = is_strongly_decomposable(v, c)
-        assert exists_pairing_one(dual_cone(c), v) == (not dec)
+        w = interior_point(rng, c, spread=3)
+        if rng.random() < 0.25:
+            w = (2 * w[0], 2 * w[1])
+        primitive = gcd(w[0], w[1]) == 1
+        by_pairing = not primitive or not exists_pairing_one(dual_cone(c), w)
+        by_hilbert = 1 not in {dot(h, w) for h in hilbert_basis(dual_cone(c))}
+        by_brute = brute_decompose(w, c) is not None
+        assert by_pairing == by_hilbert == by_brute
+        assert is_strongly_decomposable(w, c)[0] == by_pairing
+        non_primitive += not primitive
+        decomposable += by_brute
+    assert non_primitive > 20 and 0 < decomposable < 150
 
 
 def test_cone_from_normals_degenerations():

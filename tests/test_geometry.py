@@ -1,18 +1,18 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricfg.geometry import (
-    NEG_INF,
     RatPolygon,
     UnboundedRegion,
     colon,
     dot,
+    helly_certificates,
     lattice_points,
     minkowski_sum,
-    polygon_from_halfplanes,
     project_interval,
     width,
 )
@@ -20,15 +20,15 @@ from toricfg.geometry import (
 from util import naive_lattice_points, random_polygon
 
 SQUARE = RatPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
-PD = polygon_from_halfplanes([((-1, 0), 0), ((0, -1), 0), ((1, 2), -8), ((0, 1), -3)])
-NABLA_PRIME = polygon_from_halfplanes(
+PD = RatPolygon.from_halfplanes([((-1, 0), 0), ((0, -1), 0), ((1, 2), -8), ((0, 1), -3)])
+NABLA_PRIME = RatPolygon.from_halfplanes(
     [(r, min(0, dot((-3, -2), r))) for r in [(-1, 0), (0, -1), (1, 2), (0, 1)]]
 )
 V = (-2, 3)
 
 
 def test_halfplanes_unit_square():
-    p = polygon_from_halfplanes(
+    p = RatPolygon.from_halfplanes(
         [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
     )
     assert p == SQUARE
@@ -40,19 +40,19 @@ def test_halfplanes_nef_polytope_of_flag_curve():
 
 
 def test_halfplanes_infeasible_is_empty():
-    p = polygon_from_halfplanes([((1, 0), 1), ((-1, 0), 1)])
+    p = RatPolygon.from_halfplanes([((1, 0), 1), ((-1, 0), 1)])
     assert p.is_empty and p.dim == -1
 
 
 def test_halfplanes_unbounded_raises():
     with pytest.raises(UnboundedRegion):
-        polygon_from_halfplanes([((1, 0), 0), ((0, 1), 0)])
+        RatPolygon.from_halfplanes([((1, 0), 0), ((0, 1), 0)])
     with pytest.raises(UnboundedRegion):
-        polygon_from_halfplanes([((1, 0), 0), ((-1, 0), -1)])  # a strip
+        RatPolygon.from_halfplanes([((1, 0), 0), ((-1, 0), -1)])  # a strip
 
 
 def test_redundant_halfplanes_dropped():
-    p = polygon_from_halfplanes(
+    p = RatPolygon.from_halfplanes(
         [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1), ((1, 1), -5)]
     )
     assert p == SQUARE
@@ -87,7 +87,7 @@ def test_width_values():
     assert width(SQUARE, (1, 1)) == 2
     assert width(PD, V) == 25
     assert width(colon(PD, NABLA_PRIME), V) == F(7, 2)
-    assert width(RatPolygon.empty(), V) == NEG_INF
+    assert width(RatPolygon.empty(), V) is None
 
 
 def test_lattice_points_fixtures():
@@ -125,7 +125,7 @@ def test_representation_round_trip_corpus():
         again = RatPolygon.from_vertices(p.vertices)
         assert again == p
         if p.dim == 2:
-            assert polygon_from_halfplanes(p.halfplanes) == p
+            assert RatPolygon.from_halfplanes(p.halfplanes) == p
 
 
 coord = st.integers(min_value=-8, max_value=8)
@@ -180,6 +180,36 @@ def test_width_additive_and_linear(ps, qs, v, lam):
     assert width(p.dilate(lam), v) == lam * width(p, v)
 
 
+PRIMITIVE = [(a, b) for a in range(-3, 4) for b in range(-3, 4)
+             if (a, b) != (0, 0) and gcd(a, b) == 1]
+
+
+def _positively_spanning(normals) -> bool:
+    # no nonzero direction pairs nonnegatively with every normal; the
+    # extreme such directions would be perpendicular to some normal
+    return not any(
+        all(dot(d, m) >= 0 for m in normals)
+        for n in normals for d in ((-n[1], n[0]), (n[1], -n[0]))
+    )
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(
+    st.tuples(st.sampled_from(PRIMITIVE), st.integers(-6, 6), st.integers(1, 3)),
+    min_size=3, max_size=6,
+))
+def test_helly_certificates_decide_emptiness(data):
+    normals = [n for n, _, _ in data]
+    assume(_positively_spanning(normals))
+    offsets = [F(o, den) for _, o, den in data]
+    certified = any(
+        sum(w * offsets[i] for i, w in zip(idx, weights)) > 0
+        for idx, weights in helly_certificates(normals)
+    )
+    hps = list(zip(normals, offsets))
+    assert RatPolygon.from_halfplanes(hps).is_empty == certified
+
+
 def test_lattice_points_against_naive_oracle():
     rng = random.Random(99)
     polys = [SQUARE, PD, NABLA_PRIME, colon(PD, NABLA_PRIME)]
@@ -200,4 +230,4 @@ def test_floats_are_rejected():
     with pytest.raises(TypeError):
         RatPolygon.from_vertices([(0.5, 1), (1, 0), (0, 0)])
     with pytest.raises(TypeError):
-        polygon_from_halfplanes([((1, 0), 0.25), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])
+        RatPolygon.from_halfplanes([((1, 0), 0.25), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])

@@ -11,8 +11,9 @@ from toricfg.gallery import (
     slanted_quad_context,
     unit_square,
 )
+from toricfg import semigroup
 from toricfg.geometry import (
-    NEG_INF,
+    RatPolygon,
     dot,
     lattice_points,
     minkowski_sum,
@@ -81,7 +82,7 @@ def test_d_of_q_fixtures():
     assert d_of_q(CTX, 0) == 25
     assert d_of_q(CTX, 1) == F(7, 2)
     assert d_of_q(CTX, F(2, 3)) == F(35, 3)
-    assert d_of_q(CTX, 10) == NEG_INF
+    assert d_of_q(CTX, 10) is None
 
 
 def test_q_hat_fixtures():
@@ -144,8 +145,16 @@ def test_cut_identity_randomized():
         k = rng.randint(0, max(0, int(l * qh)))
         if theta(ctx, l, k).is_empty:
             continue
-        cut_construction(ctx, l, k)  # internal identity assertion
+        cut_construction(ctx, l, k)  # raises if the cut identity fails
         checked += 1
+
+
+def test_cut_identity_failure_raises(monkeypatch):
+    # a Minkowski sum that misses the middle piece must raise, also under -O
+    wrong = RatPolygon.from_vertices([(0, 0), (1, 0), (0, 1)])
+    monkeypatch.setattr(semigroup, "minkowski_sum", lambda p, q: wrong)
+    with pytest.raises(ArithmeticError, match="cut identity failed"):
+        cut_construction(CTX, 1, 1)
 
 
 def test_theta_extremal_fixture():
