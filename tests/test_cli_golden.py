@@ -30,15 +30,18 @@ def _inp(name):
 
 SQ, SEVEN, UNIT = "slanted_quad.json", "sevengon.json", "unit_square.json"
 SYM16, EXT = "sym16gon.json", "extended_quad_fan.json"
+RQ = "rational_quad.json"  # rational coefficients: e_bar = 0 rows
 
 CASES = [
     ("analyze", SQ, "--lambda-max", "10"),
     ("analyze", SEVEN, "--lambda-max", "4"),
     ("analyze", UNIT),
     ("analyze", EXT),  # exit 2: fan not smooth
+    ("analyze", RQ, "--lambda-max", "6"),
     ("semigroup", SQ, "--lmax", "3"),
     ("semigroup", SQ, "--lmax", "2", "--expand"),
     ("semigroup", SEVEN, "--lmax", "2"),
+    ("semigroup", RQ, "--lmax", "3"),
     ("nobody", SQ),
     ("nobody", SEVEN),
     ("nobody", UNIT),
@@ -48,6 +51,8 @@ CASES = [
     ("fg", UNIT),
     ("fg", SYM16, "--direction", "3,7"),
     ("fg", SQ, "--direction", "2,4"),  # exit 2: direction not primitive
+    ("fg", SYM16, "--direction", "29,31"),
+    ("fg", RQ),
     ("fg-all", EXT),  # first failure is a halfplane
     ("fg-all", EXT, "--direction", "1,2"),
     ("fg-all", SQ),
@@ -55,6 +60,7 @@ CASES = [
     ("scan", SQ, "--bound", "4"),
     ("scan", SEVEN, "--bound", "3"),
     ("scan", SYM16, "--bound", "2"),
+    ("scan", RQ, "--bound", "3"),
     ("construct-bad", EXT),  # skips the halfplane for a pointed cone
     ("construct-bad", EXT, "--direction", "1,2"),
     ("construct-bad", SQ),
@@ -93,12 +99,16 @@ GOLDEN = {
         '5e60da39846780197c5375e8a8ae3bc1bdab50af3e409648d6a6823bc3ed47d9',
     'analyze extended_quad_fan.json':
         '602f4e198c9b2447343735bb0fa023551a0502b069458f2bec4b0bb59e4afe0c',
+    'analyze rational_quad.json --lambda-max 6':
+        'fe4d342d838eeba0455a6d4585efd94cdcc65dd0497476b6bdb25b31741d7498',
     'semigroup slanted_quad.json --lmax 3':
         'a5b07dfea9fc44b1b3715d3e6be1fdd2f4115e8b3ea5032770082522007b50a5',
     'semigroup slanted_quad.json --lmax 2 --expand':
         '5f2030f5ab71067a352aff6caf75e4501792616d204b5d96c651b23b744c666b',
     'semigroup sevengon.json --lmax 2':
         '481750ec52af034c3bc79bb88f95c26f6a954566748e02b77d71410d1ac93e8d',
+    'semigroup rational_quad.json --lmax 3':
+        '047386be74310a68729223f480c6ca33f8dec3bcbc5f127f2211b660016512b0',
     'nobody slanted_quad.json':
         'b26725839b676b926d8e2a1686f2af94ee539a24149affafbf92b18439d1cd48',
     'nobody sevengon.json':
@@ -117,6 +127,10 @@ GOLDEN = {
         '263fe475f8adfd68bb455ca0e5f9f322957cabede097b0582ee175938e25c372',
     'fg slanted_quad.json --direction 2,4':
         'a5cccefcb05bf69ce1197e3ddc229ac3db09b629e7a6f6a39cc2e238d92797d7',
+    'fg sym16gon.json --direction 29,31':
+        'f4b5ec09a583ec524ef814f25c34e7db07328d2cd2c5234ff55d59e9058e0c64',
+    'fg rational_quad.json':
+        '49b04962772ef27e74bf494c3f07f9c7b14dececf840ca70d3d51efad3da863e',
     'fg-all extended_quad_fan.json':
         'f33c4435a2c01b6652d1d052ed8a81ef1667b9cd43adc26192d1a4bbc1c0424c',
     'fg-all extended_quad_fan.json --direction 1,2':
@@ -131,6 +145,8 @@ GOLDEN = {
         '4c1c34d1b8a745e2b0e82f5e9bb29fb92768997eaf4f97b3e12ae5f9e01f5e1c',
     'scan sym16gon.json --bound 2':
         '1cd28db5315cd88d97af0c6bcce8ee7b318604293f5cbbdfd654b80d6520907d',
+    'scan rational_quad.json --bound 3':
+        '897dc9c49007d1dd0b2c8a8d6b5c325fee98aef56aac82bb76679ba6317b4901',
     'construct-bad extended_quad_fan.json':
         'c00a6295097243722bee97630be1e8c7822ba2b00014a2131501838cfcef8f5d',
     'construct-bad extended_quad_fan.json --direction 1,2':
