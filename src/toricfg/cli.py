@@ -27,6 +27,7 @@ from .fans import (
     NonPrimitiveDirection,
     ToricDivisor,
     divisor_from_polytope,
+    divisor_polytope,
     flag_data,
     is_ample,
 )
@@ -234,7 +235,6 @@ def cmd_analyze(problem: Problem) -> dict:
 
 def cmd_semigroup(problem: Problem, lmax: int, expand: bool) -> str:
     ctx = make_context(problem.divisor, problem.direction)
-    qh = semigroup.q_hat(ctx)
     lines = []
     if expand:
         lines.append("# columns: l,k,delta -- all semigroup elements up to level lmax")
@@ -245,17 +245,10 @@ def cmd_semigroup(problem: Problem, lmax: int, expand: bool) -> str:
             " (l,k,delta) for 0 <= delta <= e_bar-1"
         )
         lines.append("l,k,e_bar")
-    from .geometry import floor_frac
-
     for l in range(1, lmax + 1):
-        kmax = floor_frac(Fraction(l) * qh)
-        for k in range(kmax + 1):
-            e = semigroup.e_bar(ctx, l, k)
-            if expand:
-                for delta in range(e):
-                    lines.append(f"{l},{k},{delta}")
-            else:
-                lines.append(f"{l},{k},{e}")
+        s = semigroup.semigroup_slice(ctx, l)
+        rows = s.triples() if expand else ((l, k, e) for k, e in s.entries)
+        lines.extend(f"{a},{b},{c}" for a, b, c in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -321,8 +314,6 @@ def cmd_construct_bad(problem: Problem) -> dict:
         first = next((f for f in failures if f[0].kind == "cone"), first)
     sigma, direction, _ = first
     out = crit.construct_bad_divisor(problem.fan, sigma, direction)
-    from .fans import divisor_polytope
-
     return {
         "constructed": True,
         "sigma": _cone_out(sigma),
@@ -341,8 +332,6 @@ _THETA_RE = re.compile(r"theta\((-?\d+),(-?\d+)\)")
 
 
 def cmd_plot(problem: Problem, what: str, flip_axes: bool) -> str:
-    from .fans import divisor_polytope
-
     if what == "polytope":
         return svgfig.polygon_svg(divisor_polytope(problem.divisor), title="P_D")
     if what == "fan":

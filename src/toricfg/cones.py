@@ -10,7 +10,6 @@ polygons with parallel edges degenerate to halfplanes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .geometry import (
@@ -18,9 +17,11 @@ from .geometry import (
     det,
     dot,
     floor_frac,
+    line_interval,
     neg,
     primitivize,
     rot90,
+    solve_pairing_one,
 )
 
 
@@ -203,48 +204,17 @@ def exists_pairing_one(c: Cone2, v) -> bool:
     g = gcd(v[0], v[1])
     if g != 1:
         raise ValueError("pairing target needs a primitive functional")
-    ustar = _solve_pairing_one(v)
-    m = rot90(v)
-
-    # halfplane constraints det(a, u) >= 0 become A + B*t >= 0
     if c.kind == "ray":
-        # points t*g, t >= 0 integer: need t*<g,v> = 1
-        gen = c.generators[0]
-        return dot(gen, v) == 1
-    constraints = []
+        return dot(c.generators[0], v) == 1
+    # the cone constraints det(a, u) >= 0 read <u, rot90(a)> >= 0
     if c.kind == "halfplane":
-        constraints.append(c.generators[0])
+        walls = [c.generators[0]]
     else:
-        g1, g2 = c.generators
-        constraints.append(g1)          # det(g1, u) >= 0
-        constraints.append(neg(g2))     # det(u, g2) >= 0  <=>  det(-g2, u) >= 0
-    lo, hi = None, None
-    for a in constraints:
-        base = det(a, ustar)
-        step = det(a, m)
-        if step == 0:
-            if base < 0:
-                return False
-        elif step > 0:
-            b = Fraction(-base, step)
-            lo = b if lo is None or b > lo else lo
-        else:
-            b = Fraction(-base, step)
-            hi = b if hi is None or b < hi else hi
+        walls = [c.generators[0], neg(c.generators[1])]
+    span = line_interval(
+        [(rot90(a), 0) for a in walls], solve_pairing_one(v), rot90(v)
+    )
+    if span is None:
+        return False
+    lo, hi = span
     return lo is None or hi is None or ceil_frac(lo) <= floor_frac(hi)
-
-
-def _solve_pairing_one(v):
-    """Some integer vector u with <u, v> = 1 (v primitive), by the
-    extended Euclidean algorithm."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = v
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y = -x, -y
-    return (x, y)

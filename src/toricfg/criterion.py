@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .cones import (
     Cone2,
-    _solve_pairing_one,
     cone,
     cone_from_normals,
     dual_cone,
@@ -37,11 +36,15 @@ from .geometry import (
     RatPolygon,
     dot,
     det,
+    line_interval,
+    max_chord,
     minkowski_sum,
     neg,
     colon,
     rot90,
-    vsub,
+    solve_pairing_one,
+    vadd,
+    vscale,
     width,
 )
 from .semigroup import (
@@ -82,81 +85,36 @@ class SegmentData:
     n2_below: tuple | None
 
 
-def _cross_section(p: RatPolygon, v, c):
-    pts = set()
-    for a, b in p.edges():
-        fa, fb = dot(a, v) - c, dot(b, v) - c
-        if fa == 0:
-            pts.add(a)
-        if fb == 0:
-            pts.add(b)
-        if (fa < 0 < fb) or (fb < 0 < fa):
-            t = fa / (fa - fb)
-            pts.add((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return pts
-
-
 def max_segment(p_d: RatPolygon, v) -> SegmentData:
-    """Maximize the cross-section length over pairing levels.
+    """The longest cross-section and the inner normals at its endpoints.
 
-    The length function is concave piecewise linear with kinks only at
-    vertex levels, so the exact maximum is found among those; an interval
-    of maximizers is resolved to its midpoint (the endpoints then lie in
-    edge interiors and the side normals do not depend on the choice)."""
+    An interval of maximizing levels is resolved to its midpoint (the
+    endpoints then lie in edge interiors and the side normals do not
+    depend on the choice).  Each constraint active at an endpoint bounds
+    the line parameter by an affine function of the level; of these, the
+    largest slope d/dc continues the lower end above the level and the
+    smallest below it, and the other way round at the upper end."""
     if p_d.dim != 2:
         raise DegeneratePolygon("cross-sections need a two-dimensional polytope")
     v = (int(v[0]), int(v[1]))
-    m = rot90(v)
-    w = _solve_pairing_one(m)  # <m, w> = 1 measures lengths in m-units
-
-    def endpoints(c):
-        pts = _cross_section(p_d, v, c)
-        lo = min(pts, key=lambda p: dot(p, w))
-        hi = max(pts, key=lambda p: dot(p, w))
-        return lo, hi
-
-    levels = sorted({dot(p, v) for p in p_d.vertices})
-    best_len = None
-    maximizers = []
-    for c in levels:
-        lo, hi = endpoints(c)
-        length = dot(vsub(hi, lo), w)
-        if best_len is None or length > best_len:
-            best_len, maximizers = length, [c]
-        elif length == best_len:
-            maximizers.append(c)
-    c = (
-        maximizers[0]
-        if len(maximizers) == 1
-        else (maximizers[0] + maximizers[-1]) / 2
-    )
-    v1, v2 = endpoints(Fraction(c))
-    qh = dot(vsub(v2, v1), w)
-    n1a, n1b = _endpoint_normals(p_d, v, Fraction(c), v1)
-    n2a, n2b = _endpoint_normals(p_d, v, Fraction(c), v2)
-    return SegmentData(Fraction(c), v1, v2, qh, n1a, n2a, n1b, n2b)
-
-
-def _endpoint_normals(p: RatPolygon, v, c, pt):
-    above, below = None, None
-    for (a, b), (n, _) in zip(p.edges(), p.halfplanes):
-        if not _on_segment(a, b, pt):
-            continue
-        fa, fb = dot(a, v) - c, dot(b, v) - c
-        if max(fa, fb) > 0:
-            above = n
-        if min(fa, fb) < 0:
-            below = n
-    return above, below
-
-
-def _on_segment(a, b, pt) -> bool:
-    d = vsub(b, a)
-    r = vsub(pt, a)
-    if det(d, r) != 0:
-        return False
-    t = dot(r, d)
-    return 0 <= t <= dot(d, d)
+    qh, levels = max_chord(p_d, v)
+    c = Fraction(levels[0] + levels[-1]) / 2
+    u, m = solve_pairing_one(v), rot90(v)
+    base = vscale(c, u)
+    lo, hi = line_interval(p_d.halfplanes, base, m)
+    active = {lo: [], hi: []}
+    for n, o in p_d.halfplanes:
+        s = dot(m, n)
+        if s != 0 and (end := Fraction(o - dot(base, n), s)) in active:
+            active[end].append((Fraction(-dot(u, n), s), n))
+    low, high = sorted(active[lo]), sorted(active[hi])
+    n1a, n1b, n2a, n2b = low[-1][1], low[0][1], high[0][1], high[-1][1]
+    if c == p_d.support_max(v):
+        n1a = n2a = None
+    if c == p_d.support_min(v):
+        n1b = n2b = None
+    v1, v2 = vadd(base, vscale(lo, m)), vadd(base, vscale(hi, m))
+    return SegmentData(c, v1, v2, qh, n1a, n2a, n1b, n2b)
 
 
 def sigma_cones(seg: SegmentData, v) -> tuple:

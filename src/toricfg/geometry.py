@@ -374,32 +374,78 @@ def project_interval(p: RatPolygon, v):
 def lattice_points(p: RatPolygon):
     """All integer points of a bounded polygon, lexicographically sorted.
 
-    Scanline over integer x-columns; the y-range of each column comes from
-    the halfplanes with exact rational bounds.
+    Scanline over integer x-columns; each column is the line interval of
+    the vertical line through (x, 0).
     """
     if p.is_empty:
         return []
     xs = [q[0] for q in p.vertices]
     out = []
     for x in range(ceil_frac(min(xs)), floor_frac(max(xs)) + 1):
-        lo, hi = None, None
-        ok = True
-        for n, o in p.halfplanes:
-            rest = o - n[0] * x
-            if n[1] > 0:
-                b = Fraction(rest, n[1])
-                lo = b if lo is None or b > lo else lo
-            elif n[1] < 0:
-                b = Fraction(rest, n[1])
-                hi = b if hi is None or b < hi else hi
-            elif rest > 0:
-                ok = False
-                break
-        if not ok:
+        span = line_interval(p.halfplanes, (x, 0), (0, 1))
+        if span is None:
             continue
-        ylo = ceil_frac(lo) if lo is not None else None
-        yhi = floor_frac(hi) if hi is not None else None
-        if ylo is None or yhi is None:
+        lo, hi = span
+        if lo is None or hi is None:
             raise UnboundedRegion("lattice point scan over unbounded column")
-        out.extend((x, y) for y in range(ylo, yhi + 1))
+        out.extend((x, y) for y in range(ceil_frac(lo), floor_frac(hi) + 1))
     return out
+
+
+def line_interval(halfplanes, base, step):
+    """The parameters t with <base + t*step, n> >= o for every (n, o).
+
+    Returns (lo, hi), either end None when unbounded (lo > hi when the
+    line misses the region), or None when a constraint parallel to the
+    line excludes it.
+    """
+    lo, hi = None, None
+    for n, o in halfplanes:
+        r = o - (n[0] * base[0] + n[1] * base[1])
+        s = n[0] * step[0] + n[1] * step[1]
+        if s > 0:
+            b = Fraction(r, s)
+            if lo is None or b > lo:
+                lo = b
+        elif s < 0:
+            b = Fraction(r, s)
+            if hi is None or b < hi:
+                hi = b
+        elif r > 0:
+            return None
+    return lo, hi
+
+
+def solve_pairing_one(v):
+    """Some integer vector u with <u, v> = 1 (v primitive), by the
+    extended Euclidean algorithm."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = v
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y = -x, -y
+    return (x, y)
+
+
+def max_chord(p: RatPolygon, v):
+    """The longest chord of p orthogonal to v, in rot90(v)-units, and the
+    sorted vertex levels <p, v> = c where it is reached.
+
+    The chord at level c runs along c*u + t*rot90(v) with <u, v> = 1.  Its
+    length is concave and piecewise linear in c with kinks only at vertex
+    levels, so the maximum is attained at one of those.
+    """
+    u, m = solve_pairing_one(v), rot90(v)
+    best, levels = None, []
+    for c in sorted({dot(q, v) for q in p.vertices}):
+        lo, hi = line_interval(p.halfplanes, vscale(c, u), m)
+        if best is None or hi - lo > best:
+            best, levels = hi - lo, [c]
+        elif hi - lo == best:
+            levels.append(c)
+    return best, levels

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cones import Cone2, NotInInterior, _solve_pairing_one
+from .cones import Cone2, NotInInterior
 from .geometry import (
     RatPolygon,
     ceil_frac,
@@ -20,7 +20,9 @@ from .geometry import (
     lattice_points,
     neg,
     rot90,
+    solve_pairing_one,
 )
+from .semigroup import theta
 
 
 def vanishing_orders(support, c) -> set:
@@ -100,7 +102,7 @@ def brute_decompose(w, c: Cone2):
         g = c.generators[0]
         if det(g, w) <= 1:
             return None
-        target = _solve_pairing_one(rot90(g))  # det(g, target) == 1
+        target = solve_pairing_one(rot90(g))  # det(g, target) == 1
         # slide along the boundary direction to sit nearest w/2
         t = Fraction(dot(g, w) - 2 * dot(g, target), 2 * dot(g, g))
         best = None
@@ -149,8 +151,6 @@ def lift_search(ctx, q, lambda_max: int = 60):
     """Smallest lambda <= lambda_max such that the lambda-fold dilation of
     the colon polytope at slope q projects onto a lattice interval with no
     gaps; None when no such lambda exists in range."""
-    from .semigroup import theta
-
     q = Fraction(q)
     base = theta(ctx, 1, q)
     if base.is_empty:

@@ -18,8 +18,8 @@ from .geometry import (
     RatPolygon,
     dot,
     floor_frac,
-    helly_certificates,
     lattice_points,
+    max_chord,
     meet,
     minkowski_sum,
     neg,
@@ -119,35 +119,21 @@ def d_of_q(ctx: FlagContext, q):
 
 
 def q_hat(ctx: FlagContext) -> Fraction:
-    """Largest slope with a non-empty colon polytope, from the parametric
-    feasibility of the halfplane system (antiparallel pairs and positively
-    spanning triples each bound q linearly)."""
-    offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
-    bounds = []
-    for idx, weights in helly_certificates(ctx.fan.rays):
-        # the offset at slope q is base + q * slope; feasible iff the
-        # weighted sum stays <= 0
-        base = sum(w * offs[i][0] for i, w in zip(idx, weights))
-        slope = sum(w * offs[i][1] for i, w in zip(idx, weights))
-        _collect_bound(bounds, base, slope)
-    if not bounds:
-        raise ValueError("slope is unbounded; divisor data cannot be ample")
-    return min(bounds)
-
-
-def _collect_bound(bounds, base, slope):
-    # constraint: base + q * slope <= 0
-    if slope > 0:
-        bounds.append(Fraction(-base, slope))
-    elif slope == 0 and base > 0:
-        bounds.append(Fraction(0))  # infeasible already at q = 0; not ample
+    """Largest slope with a non-empty colon polytope: the longest chord of
+    P_D orthogonal to v, in m-units.  nabla' and nabla have the same
+    support value at every ray, and P_D is cut out by halfplanes with ray
+    normals, so a translate of q*nabla' fits in P_D iff one of q*nabla
+    does, that is iff P_D has a chord of m-length q."""
+    return max_chord(ctx.p_d, ctx.flag.v)[0]
 
 
 @dataclass(frozen=True)
 class SemigroupSlice:
     """All semigroup data at a fixed level l: the pairs (k, e_bar(l, k))
-    with at least one section, encoding the triples (l, k, delta) for
-    0 <= delta <= e_bar - 1."""
+    for every k in 0..floor(l * q_hat), encoding the triples (l, k, delta)
+    for 0 <= delta <= e_bar - 1.  e_bar may be 0 (a non-empty colon
+    polytope without lattice points), which only rational divisors
+    produce."""
 
     level: int
     entries: tuple
@@ -162,12 +148,7 @@ def semigroup_slice(ctx: FlagContext, l: int) -> SemigroupSlice:
     if l < 1:
         raise ValueError("level must be at least 1")
     kmax = floor_frac(Fraction(l) * q_hat(ctx))
-    entries = []
-    for k in range(kmax + 1):
-        e = e_bar(ctx, l, k)
-        if e > 0:
-            entries.append((k, e))
-    return SemigroupSlice(l, tuple(entries))
+    return SemigroupSlice(l, tuple((k, e_bar(ctx, l, k)) for k in range(kmax + 1)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricfg.cones import cone, halfplane
 from toricfg.criterion import (
@@ -26,10 +28,16 @@ from toricfg.gallery import (
     slanted_quad_fan,
     unit_square,
 )
-from toricfg.geometry import neg
+from toricfg.geometry import RatPolygon, neg
 from toricfg.semigroup import make_context, newton_okounkov_body
 
-from util import random_ample_divisor, random_direction, random_smooth_fan
+from util import (
+    helly_q_hat,
+    random_ample_divisor,
+    random_direction,
+    random_smooth_fan,
+    vertex_level_max_segment,
+)
 
 CTX = slanted_quad_context()
 
@@ -265,15 +273,13 @@ def test_scan_directions_deterministic_order():
     results = scan_directions(unit_square(), 3)
     dirs = [v for v, _ in results]
     assert dirs == sorted(dirs)
-    from math import gcd
-
     assert all(gcd(a, b) == 1 for a, b in dirs)
     assert len(set(dirs)) == len(dirs)
 
 
 def test_max_segment_q_hat_matches_parametric_feasibility():
-    # the geometric cross-section maximum and the halfplane-system bound
-    # compute the same top slope
+    # the longest chord and the halfplane-system bound compute the same
+    # top slope
     from toricfg.semigroup import q_hat
 
     rng = random.Random(67)
@@ -282,7 +288,39 @@ def test_max_segment_q_hat_matches_parametric_feasibility():
         d = random_ample_divisor(rng, fan)
         v = random_direction(rng)
         ctx = make_context(d, v)
-        assert max_segment(ctx.p_d, v).q_hat == q_hat(ctx)
+        assert max_segment(ctx.p_d, v).q_hat == q_hat(ctx) == helly_q_hat(ctx)
+
+
+PRIMITIVE_30 = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+    lambda u: gcd(*u) == 1
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, F(7, 3), 2**40 + 15]), PRIMITIVE_30)
+def test_max_segment_and_q_hat_match_oracles(seed, scale, v):
+    from toricfg.semigroup import q_hat
+
+    rng = random.Random(seed)
+    fan = random_smooth_fan(rng)
+    d = random_ample_divisor(rng, fan)
+    ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)), v)
+    assert max_segment(ctx.p_d, v) == vertex_level_max_segment(ctx.p_d, v)
+    assert q_hat(ctx) == helly_q_hat(ctx)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.fractions(-6, 6, max_denominator=4), st.fractions(-6, 6, max_denominator=4)),
+        min_size=3, max_size=7,
+    ),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda u: gcd(*u) == 1),
+)
+def test_max_segment_on_random_polygons_matches_oracle(points, v):
+    p = RatPolygon.from_vertices(points)
+    assume(p.dim == 2)
+    assert max_segment(p, v) == vertex_level_max_segment(p, v)
 
 
 def test_scan_accepts_context_and_divisor():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toricfg.geometry import (
     RatPolygon,
@@ -12,6 +12,7 @@ from toricfg.geometry import (
     dot,
     helly_certificates,
     lattice_points,
+    line_interval,
     minkowski_sum,
     project_interval,
     width,
@@ -208,6 +209,46 @@ def test_helly_certificates_decide_emptiness(data):
     )
     hps = list(zip(normals, offsets))
     assert RatPolygon.from_halfplanes(hps).is_empty == certified
+
+
+RATIONAL = st.fractions(-8, 8, max_denominator=5)
+VECTOR = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.lists(st.tuples(VECTOR.filter(lambda n: n != (0, 0)), RATIONAL), max_size=5),
+    st.tuples(RATIONAL, RATIONAL),
+    VECTOR.filter(lambda d: d != (0, 0)),
+)
+@example([((0, 1), 1)], (0, 0), (1, 0))  # parallel constraint excludes the line
+@example([((0, 1), -1)], (0, 0), (1, 0))  # parallel constraint keeps it: unbounded
+@example([((1, 0), 0)], (0, 0), (1, 0))  # bounded below only
+@example([((-1, 0), 0)], (0, 0), (1, 0))  # bounded above only
+def test_line_interval_is_the_feasible_parameter_set(halfplanes, base, step):
+    span = line_interval(halfplanes, base, step)
+    eps = F(1, 10**6)
+    samples = {F(0), F(10**6), F(-(10**6))}
+    if span is not None:
+        samples |= {e + d for e in span if e is not None for d in (-eps, 0, eps)}
+
+    def feasible(t):
+        u = (base[0] + t * step[0], base[1] + t * step[1])
+        return all(dot(u, n) >= o for n, o in halfplanes)
+
+    for t in samples:
+        inside = span is not None and (span[0] is None or span[0] <= t) and (
+            span[1] is None or t <= span[1]
+        )
+        assert inside == feasible(t)
+
+
+def test_line_interval_ends():
+    # the property above cannot tell these encodings of an empty or
+    # unbounded set apart
+    assert line_interval([((0, 1), 1)], (0, 0), (1, 0)) is None
+    assert line_interval([((0, 1), -1)], (0, 0), (1, 0)) == (None, None)
+    assert line_interval([((1, 0), 1), ((-1, 0), 1)], (0, 0), (1, 0)) == (1, -1)
 
 
 def test_lattice_points_against_naive_oracle():

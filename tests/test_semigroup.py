@@ -105,6 +105,17 @@ def test_semigroup_slice_fixtures():
     assert all(k <= 3 * q_hat(CTX) for k, _ in s3.entries)
 
 
+def test_semigroup_slice_lists_sectionless_slopes():
+    # rational coefficients: theta(1, 1) is non-empty without lattice points
+    fan = CTX.fan
+    d = ToricDivisor.make(fan, {(-1, 0): F(5, 2), (0, -1): F(7, 3)})
+    ctx = make_context(d, (-2, 3))
+    s1 = semigroup_slice(ctx, 1)
+    assert s1.entries == ((0, 15), (1, 0))
+    assert not theta(ctx, 1, 1).is_empty
+    assert all(k == 0 for _, k, _ in s1.triples())
+
+
 def test_tail_vanishes_beyond_q_hat():
     qh = q_hat(CTX)
     for l in (1, 2, 3, 5):

@@ -5,12 +5,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from toricfg.criterion import SegmentData
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
     ceil_frac,
     det,
+    dot,
     floor_frac,
+    helly_certificates,
+    rot90,
+    solve_pairing_one,
+    vsub,
 )
 
 
@@ -103,3 +109,71 @@ def random_full_polygon(rng: random.Random, bound: int = 6) -> RatPolygon:
         p = random_polygon(rng, bound)
         if p.dim == 2:
             return p
+
+
+def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
+    """The maximal cross-section from explicit point sets: the section at
+    every vertex level, then the side normals re-matched from the edges
+    through each endpoint.  The independent oracle for max_segment."""
+    v = (int(v[0]), int(v[1]))
+    w = solve_pairing_one(rot90(v))  # <m, w> = 1 measures lengths in m-units
+
+    def endpoints(c):
+        pts = set()
+        for a, b in p_d.edges():
+            fa, fb = dot(a, v) - c, dot(b, v) - c
+            if fa == 0:
+                pts.add(a)
+            if fb == 0:
+                pts.add(b)
+            if (fa < 0 < fb) or (fb < 0 < fa):
+                t = fa / (fa - fb)
+                pts.add((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+        return min(pts, key=lambda p: dot(p, w)), max(pts, key=lambda p: dot(p, w))
+
+    def side_normals(c, pt):
+        above, below = None, None
+        for (a, b), (n, _) in zip(p_d.edges(), p_d.halfplanes):
+            d, r = vsub(b, a), vsub(pt, a)
+            if det(d, r) != 0 or not 0 <= dot(r, d) <= dot(d, d):
+                continue
+            fa, fb = dot(a, v) - c, dot(b, v) - c
+            if max(fa, fb) > 0:
+                above = n
+            if min(fa, fb) < 0:
+                below = n
+        return above, below
+
+    best, maximizers = None, []
+    for c in sorted({dot(p, v) for p in p_d.vertices}):
+        lo, hi = endpoints(c)
+        length = dot(vsub(hi, lo), w)
+        if best is None or length > best:
+            best, maximizers = length, [c]
+        elif length == best:
+            maximizers.append(c)
+    c = Fraction(maximizers[0] + maximizers[-1]) / 2
+    v1, v2 = endpoints(c)
+    n1a, n1b = side_normals(c, v1)
+    n2a, n2b = side_normals(c, v2)
+    return SegmentData(c, v1, v2, dot(vsub(v2, v1), w), n1a, n2a, n1b, n2b)
+
+
+def helly_q_hat(ctx) -> Fraction:
+    """Top slope from the parametric feasibility of the colon polytope's
+    halfplane system: at slope q the offsets are base + q * slope, and
+    every Helly certificate (antiparallel pair or positively spanning
+    triple) bounds q linearly.  The independent oracle for q_hat."""
+    offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
+    bounds = []
+    for idx, weights in helly_certificates(ctx.fan.rays):
+        base = sum(w * offs[i][0] for i, w in zip(idx, weights))
+        slope = sum(w * offs[i][1] for i, w in zip(idx, weights))
+        # feasible iff base + q * slope <= 0
+        if slope > 0:
+            bounds.append(Fraction(-base, slope))
+        elif slope == 0 and base > 0:
+            bounds.append(Fraction(0))
+    if not bounds:
+        raise ValueError("slope is unbounded; divisor data cannot be ample")
+    return min(bounds)
