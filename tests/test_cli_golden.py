@@ -31,6 +31,7 @@ def _inp(name):
 SQ, SEVEN, UNIT = "slanted_quad.json", "sevengon.json", "unit_square.json"
 SYM16, EXT = "sym16gon.json", "extended_quad_fan.json"
 RQ = "rational_quad.json"  # rational coefficients: e_bar = 0 rows
+BIG = "big_rational_zonotope.json"  # offsets near 2^43 / 3: bit-size stress
 
 CASES = [
     ("analyze", SQ, "--lambda-max", "10"),
@@ -61,6 +62,11 @@ CASES = [
     ("scan", SEVEN, "--bound", "3"),
     ("scan", SYM16, "--bound", "2"),
     ("scan", RQ, "--bound", "3"),
+    # no semigroup or analyze case: both enumerate lattice points of a
+    # polygon about 2^43 wide
+    ("scan", BIG, "--bound", "3"),
+    ("fg", BIG),
+    ("nobody", BIG),
     ("construct-bad", EXT),  # skips the halfplane for a pointed cone
     ("construct-bad", EXT, "--direction", "1,2"),
     ("construct-bad", SQ),
@@ -147,6 +153,12 @@ GOLDEN = {
         '1cd28db5315cd88d97af0c6bcce8ee7b318604293f5cbbdfd654b80d6520907d',
     'scan rational_quad.json --bound 3':
         '897dc9c49007d1dd0b2c8a8d6b5c325fee98aef56aac82bb76679ba6317b4901',
+    'scan big_rational_zonotope.json --bound 3':
+        'ba4d4420c4e84347ae97b2052cffa73c36aeb0925156b2530eb5c7185f40c091',
+    'fg big_rational_zonotope.json':
+        'a7c6dc1eba32aca5c88047ac47f581219e60d53bb0aef29d42b0c8e5cad6875c',
+    'nobody big_rational_zonotope.json':
+        'a9bea9ae4a6157646c8bfa2d40a553a18b9d4e9b79f08ee0833aaa75e12867bc',
     'construct-bad extended_quad_fan.json':
         'c00a6295097243722bee97630be1e8c7822ba2b00014a2131501838cfcef8f5d',
     'construct-bad extended_quad_fan.json --direction 1,2':
