@@ -408,6 +408,10 @@ def main(argv=None) -> int:
         args.command == "plot" and args.what in ("polytope", "fan")
     )
     try:
+        for flag in ("bound", "lmax", "lambda_max"):
+            val = getattr(args, flag, None)
+            if val is not None and val < 1:
+                raise InputError(f"--{flag.replace('_', '-')} must be a positive integer")
         problem = load_problem(
             args.input,
             direction_flag=args.direction,
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
             require_smooth_fan_input=args.command not in ("fg-all", "construct-bad"),
         )
         if args.command == "analyze":
-            if args.lambda_max:
+            if args.lambda_max is not None:
                 problem.lambda_max = args.lambda_max
             out = json.dumps(cmd_analyze(problem), indent=2) + "\n"
         elif args.command == "semigroup":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 class UnboundedRegion(ValueError):
@@ -69,8 +69,9 @@ def primitivize(u):
     x, y = Fraction(u[0]), Fraction(u[1])
     if x == 0 and y == 0:
         raise ValueError("zero vector has no direction")
-    den = (x.denominator * y.denominator) // gcd(x.denominator, y.denominator)
-    a, b = int(x * den), int(y * den)
+    den = lcm(x.denominator, y.denominator)
+    a = x.numerator * (den // x.denominator)
+    b = y.numerator * (den // y.denominator)
     g = gcd(a, b)
     return (a // g, b // g)
 
@@ -84,12 +85,16 @@ def floor_frac(x: Fraction) -> int:
 
 
 def meet(ni, oi, nj, oj):
-    """The point where <u, ni> = oi and <u, nj> = oj meet (Cramer's rule),
-    or None for parallel lines."""
+    """The point where <u, ni> = oi and <u, nj> = oj meet, by Cramer's rule
+    in homogeneous form: (x, y, d) with d > 0 stands for (x/d, y/d).  None
+    for parallel lines.  Nothing is divided, so int offsets stay ints."""
     d = det(ni, nj)
     if d == 0:
         return None
-    return ((oi * nj[1] - oj * ni[1]) / d, (ni[0] * oj - nj[0] * oi) / d)
+    x, y = oi * nj[1] - oj * ni[1], ni[0] * oj - nj[0] * oi
+    if d < 0:
+        return -x, -y, -d
+    return x, y, d
 
 
 def _cross3(o, a, b):
@@ -152,8 +157,8 @@ class RatPolygon:
         pts = [frac2(p) for p in points]
         if not pts:
             return RatPolygon.empty()
-        hull = convex_hull(pts)
-        return RatPolygon(tuple(hull), _halfplanes_of_hull(hull), _dim_of_hull(hull))
+        scale, coords = _over_common_denominator([c for p in pts for c in p])
+        return _hull_polygon(list(zip(coords[::2], coords[1::2])), scale)
 
     @staticmethod
     def from_halfplanes(halfplanes) -> "RatPolygon":
@@ -169,19 +174,26 @@ class RatPolygon:
             n, o = _normalize_halfplane(normal, offset)
             if n not in merged or merged[n] < o:
                 merged[n] = o
-        hps = sorted(merged.items())
+        # Scaled by the lcm of the offset denominators, the region has int
+        # offsets and every vertex is an int triple from meet.
+        scale, offsets = _over_common_denominator(list(merged.values()))
+        hps = sorted(zip(merged, offsets))
         normals = [n for n, _ in hps]
 
         candidates = {meet(ni, oi, nj, oj)
                       for (ni, oi), (nj, oj) in combinations(hps, 2)}
         candidates.discard(None)
-        feasible = [p for p in candidates
-                    if all(dot(p, n) >= o for n, o in hps)]
+        feasible = [(x, y, d) for x, y, d in candidates
+                    if all(x * n[0] + y * n[1] >= o * d for n, o in hps)]
 
         if feasible:
             if _has_recession(normals):
                 raise UnboundedRegion("feasible but unbounded halfplane intersection")
-            return RatPolygon.from_vertices(feasible)
+            den = lcm(*(d for _, _, d in feasible))
+            return _hull_polygon(
+                [(x * (den // d), y * (den // d)) for x, y, d in feasible],
+                den * scale,
+            )
         if not _has_recession(normals):
             return RatPolygon.empty()  # bounded and vertex-free means empty
         for idx, weights in helly_certificates(normals):
@@ -273,12 +285,24 @@ class RatPolygon:
         return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
 
 
-def _dim_of_hull(hull) -> int:
-    if len(hull) == 1:
-        return 0
-    if len(hull) == 2:
-        return 1
-    return 2
+def _over_common_denominator(values):
+    """(L, [L*v for v in values]) for Fractions v, where L is the lcm of
+    their denominators, so the scaled values are ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _hull_polygon(points, scale) -> RatPolygon:
+    """The canonical polygon of conv(points) / scale, for int points and an
+    int scale > 0.  A positive scale keeps the lexicographic order, the
+    orientation and the primitive normals, so only the final division
+    meets Fractions."""
+    hull = convex_hull(points)
+    return RatPolygon(
+        tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in hull),
+        tuple((n, Fraction(o, scale)) for n, o in _halfplanes_of_hull(hull)),
+        min(len(hull), 3) - 1,
+    )
 
 
 def _halfplanes_of_hull(hull):
@@ -292,16 +316,16 @@ def _halfplanes_of_hull(hull):
         d = primitivize(vsub(b, a))
         n = rot90(d)
         return tuple(sorted([
-            (n, Fraction(dot(a, n))),
-            (neg(n), Fraction(dot(a, neg(n)))),
-            (d, Fraction(dot(a, d))),
-            (neg(d), Fraction(dot(b, neg(d)))),
+            (n, dot(a, n)),
+            (neg(n), dot(a, neg(n))),
+            (d, dot(a, d)),
+            (neg(d), dot(b, neg(d))),
         ]))
     out = []
     for i, a in enumerate(hull):
         b = hull[(i + 1) % len(hull)]
         n = primitivize(rot90(vsub(b, a)))
-        out.append((n, Fraction(dot(a, n))))
+        out.append((n, dot(a, n)))
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cones import Cone2, cone, halfplane
 from .fans import FlagData, Fan2, ToricDivisor, divisor_polytope, flag_data, is_ample
@@ -51,6 +52,15 @@ class FlagContext:
     @property
     def fan(self) -> Fan2:
         return self.divisor.fan
+
+    @cached_property
+    def q_hat(self) -> Fraction:
+        """Largest slope with a non-empty colon polytope: the longest chord
+        of P_D orthogonal to v, in m-units.  nabla' and nabla have the same
+        support value at every ray, and P_D is cut out by halfplanes with
+        ray normals, so a translate of q*nabla' fits in P_D iff one of
+        q*nabla does, that is iff P_D has a chord of m-length q."""
+        return max_chord(self.p_d, self.flag.v)[0]
 
 
 def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagContext:
@@ -119,12 +129,9 @@ def d_of_q(ctx: FlagContext, q):
 
 
 def q_hat(ctx: FlagContext) -> Fraction:
-    """Largest slope with a non-empty colon polytope: the longest chord of
-    P_D orthogonal to v, in m-units.  nabla' and nabla have the same
-    support value at every ray, and P_D is cut out by halfplanes with ray
-    normals, so a translate of q*nabla' fits in P_D iff one of q*nabla
-    does, that is iff P_D has a chord of m-length q."""
-    return max_chord(ctx.p_d, ctx.flag.v)[0]
+    """Largest slope with a non-empty colon polytope (FlagContext.q_hat,
+    computed once per context)."""
+    return ctx.q_hat
 
 
 @dataclass(frozen=True)
@@ -264,14 +271,15 @@ def newton_okounkov_body(ctx: FlagContext) -> NOBody:
             if u0 is None:
                 continue
             u1 = meet(ni, offs[i][1], nj, offs[j][1])
+            d = u0[2]  # the same for both meets; it cancels in alpha/beta
             for k in range(n):
                 if k in (i, j):
                     continue
-                alpha = dot(u0, rays[k]) - offs[k][0]
-                beta = dot(u1, rays[k]) - offs[k][1]
+                alpha = dot(u0, rays[k]) - offs[k][0] * d
+                beta = dot(u1, rays[k]) - offs[k][1] * d
                 if beta == 0:
                     continue
-                q0 = -alpha / beta
+                q0 = Fraction(-alpha, beta)
                 if 0 <= q0 <= qh:
                     candidates.add(q0)
     graph = [(q, d_of_q(ctx, q)) for q in sorted(candidates)]

@@ -247,3 +247,38 @@ def test_scan_uses_bound_from_input(tmp_path):
     assert res.returncode == 0, res.stderr
     rows = json.loads(res.stdout)
     assert {tuple(r["direction"]) for r in rows} == {(0, 1), (1, -1), (1, 0), (1, 1)}
+
+
+def test_flags_below_one_are_rejected(capsys):
+    from toricfg import cli
+
+    for argv in (
+        ["scan", "--bound", "-1"],
+        ["scan", "--bound", "0"],
+        ["analyze", "--lambda-max", "0"],
+        ["analyze", "--lambda-max", "-2"],
+        ["semigroup", "--lmax", "0"],
+    ):
+        command, flag, value = argv
+        rc = cli.main([command, "--input", inp("slanted_quad.json"), flag, value])
+        out, err = capsys.readouterr()
+        assert rc == 2, argv
+        assert out == ""
+        assert json.loads(err) == {"error": f"{flag} must be a positive integer"}
+
+
+def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
+    from toricfg import cli, semigroup
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return max_chord(*args)
+
+    max_chord = semigroup.max_chord
+    monkeypatch.setattr(semigroup, "max_chord", counted)
+    rc = cli.main(["semigroup", "--input", inp("slanted_quad.json"), "--lmax", "5"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("\n5,") > 0
+    assert len(calls) == 1

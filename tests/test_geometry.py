@@ -18,7 +18,14 @@ from toricfg.geometry import (
     width,
 )
 
-from util import naive_lattice_points, random_polygon
+from toricfg.gallery import sym16gon
+
+from util import (
+    fraction_from_halfplanes,
+    fraction_polygon_of_points,
+    naive_lattice_points,
+    random_polygon,
+)
 
 SQUARE = RatPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 PD = RatPolygon.from_halfplanes([((-1, 0), 0), ((0, -1), 0), ((1, 2), -8), ((0, 1), -3)])
@@ -209,6 +216,45 @@ def test_helly_certificates_decide_emptiness(data):
     )
     hps = list(zip(normals, offsets))
     assert RatPolygon.from_halfplanes(hps).is_empty == certified
+
+
+def _intersect_or_unbounded(kernel, halfplanes):
+    try:
+        return kernel(halfplanes)
+    except UnboundedRegion:
+        return "unbounded"
+
+
+DENOMINATORS = (1, 2, 3, 7, 2**40 + 15)
+OFFSET = st.sampled_from(DENOMINATORS).flatmap(
+    lambda den: st.integers(-10 * den, 3 * den).map(lambda a: F(a, den))
+)
+NORMAL = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda n: n != (0, 0))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.lists(st.tuples(NORMAL, OFFSET), min_size=1, max_size=8))
+@example([((1, 0), 0), ((-1, 0), 0), ((0, 1), F(1, 3)), ((0, -1), F(-1, 3))])  # point
+@example([((0, 2), 0), ((0, -1), 0), ((1, 0), 0), ((-3, 0), -1)])  # segment
+@example([((1, 0), 0), ((-1, 0), -1)])  # strip: unbounded
+@example([((1, 0), 1), ((-2, 0), 0)])  # antiparallel pair: empty
+@example([((1, 1), F(5, 7))])  # one halfplane: unbounded
+def test_from_halfplanes_matches_fraction_kernel(halfplanes):
+    assert (_intersect_or_unbounded(RatPolygon.from_halfplanes, halfplanes)
+            == _intersect_or_unbounded(fraction_from_halfplanes, halfplanes))
+
+
+def test_from_halfplanes_matches_fraction_kernel_on_dilated_16gon():
+    p = sym16gon().dilate(F(7, 3))
+    hps = list(p.halfplanes)
+    assert len(hps) == 16
+    assert RatPolygon.from_halfplanes(hps) == fraction_from_halfplanes(hps) == p
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(OFFSET, OFFSET), min_size=1, max_size=8))
+def test_from_vertices_matches_fraction_hull(points):
+    assert RatPolygon.from_vertices(points) == fraction_polygon_of_points(points)
 
 
 RATIONAL = st.fractions(-8, 8, max_denominator=5)

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from toricfg.criterion import SegmentData
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
+    UnboundedRegion,
+    _has_recession,
+    _normalize_halfplane,
     ceil_frac,
+    convex_hull,
     det,
     dot,
     floor_frac,
     helly_certificates,
+    neg,
+    primitivize,
     rot90,
     solve_pairing_one,
     vsub,
@@ -177,3 +184,56 @@ def helly_q_hat(ctx) -> Fraction:
     if not bounds:
         raise ValueError("slope is unbounded; divisor data cannot be ample")
     return min(bounds)
+
+
+def fraction_from_halfplanes(halfplanes) -> RatPolygon:
+    """The halfplane intersection computed wholly in Fractions: meet every
+    pair of lines, keep the points that satisfy every constraint and take
+    their hull.  The independent oracle for the integer kernel of
+    RatPolygon.from_halfplanes; it shares only the input normalisation,
+    convex_hull and the empty/unbounded tests with it."""
+    merged = {}
+    for normal, offset in halfplanes:
+        n, o = _normalize_halfplane(normal, offset)
+        if n not in merged or merged[n] < o:
+            merged[n] = o
+    hps = sorted(merged.items())
+    normals = [n for n, _ in hps]
+    candidates = set()
+    for (ni, oi), (nj, oj) in combinations(hps, 2):
+        d = det(ni, nj)
+        if d != 0:
+            candidates.add(((oi * nj[1] - oj * ni[1]) / d, (ni[0] * oj - nj[0] * oi) / d))
+    feasible = [p for p in candidates if all(dot(p, n) >= o for n, o in hps)]
+    if feasible:
+        if _has_recession(normals):
+            raise UnboundedRegion("feasible but unbounded halfplane intersection")
+        return fraction_polygon_of_points(feasible)
+    if not _has_recession(normals):
+        return RatPolygon.empty()
+    for idx, weights in helly_certificates(normals):
+        if sum(w * hps[i][1] for i, w in zip(idx, weights)) > 0:
+            return RatPolygon.empty()
+    raise UnboundedRegion("feasible but unbounded halfplane intersection")
+
+
+def fraction_polygon_of_points(points) -> RatPolygon:
+    """The canonical polygon of conv(points), built in Fractions; the
+    oracle for the integer hull tail of RatPolygon.from_vertices."""
+    hull = convex_hull([(Fraction(x), Fraction(y)) for x, y in points])
+    if len(hull) == 1:
+        (x, y) = hull[0]
+        hps = (((-1, 0), -x), ((0, -1), -y), ((0, 1), y), ((1, 0), x))
+    elif len(hull) == 2:
+        a, b = hull
+        d = primitivize(vsub(b, a))
+        n = rot90(d)
+        hps = tuple(sorted([(n, dot(a, n)), (neg(n), dot(a, neg(n))),
+                            (d, dot(a, d)), (neg(d), dot(b, neg(d)))]))
+    else:
+        hps = tuple(
+            (n, dot(a, n))
+            for a, b in zip(hull, hull[1:] + hull[:1])
+            for n in [primitivize(rot90(vsub(b, a)))]
+        )
+    return RatPolygon(tuple(hull), hps, min(len(hull), 3) - 1)
