@@ -408,10 +408,11 @@ def main(argv=None) -> int:
         args.command == "plot" and args.what in ("polytope", "fan")
     )
     try:
-        for flag in ("bound", "lmax", "lambda_max"):
-            val = getattr(args, flag, None)
+        for flag, dest in (("--bound", "bound"), ("--lmax", "lmax"),
+                           ("--lambda-max", "lambda_max")):
+            val = getattr(args, dest, None)
             if val is not None and val < 1:
-                raise InputError(f"--{flag.replace('_', '-')} must be a positive integer")
+                raise InputError(f"{flag} must be a positive integer")
         problem = load_problem(
             args.input,
             direction_flag=args.direction,

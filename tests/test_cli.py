@@ -252,17 +252,16 @@ def test_scan_uses_bound_from_input(tmp_path):
 def test_flags_below_one_are_rejected(capsys):
     from toricfg import cli
 
-    for argv in (
-        ["scan", "--bound", "-1"],
-        ["scan", "--bound", "0"],
-        ["analyze", "--lambda-max", "0"],
-        ["analyze", "--lambda-max", "-2"],
-        ["semigroup", "--lmax", "0"],
+    for command, flag, value in (
+        ("scan", "--bound", "-1"),
+        ("scan", "--bound", "0"),
+        ("analyze", "--lambda-max", "0"),
+        ("analyze", "--lambda-max", "-2"),
+        ("semigroup", "--lmax", "0"),
     ):
-        command, flag, value = argv
         rc = cli.main([command, "--input", inp("slanted_quad.json"), flag, value])
         out, err = capsys.readouterr()
-        assert rc == 2, argv
+        assert rc == 2, (command, flag, value)
         assert out == ""
         assert json.loads(err) == {"error": f"{flag} must be a positive integer"}
 
@@ -270,13 +269,12 @@ def test_flags_below_one_are_rejected(capsys):
 def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
     from toricfg import cli, semigroup
 
-    calls = []
+    calls, max_chord = [], semigroup.max_chord
 
     def counted(*args):
         calls.append(args)
         return max_chord(*args)
 
-    max_chord = semigroup.max_chord
     monkeypatch.setattr(semigroup, "max_chord", counted)
     rc = cli.main(["semigroup", "--input", inp("slanted_quad.json"), "--lmax", "5"])
     assert rc == 0

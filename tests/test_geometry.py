@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from toricfg.gallery import sym16gon
 from toricfg.geometry import (
     RatPolygon,
     UnboundedRegion,
@@ -17,8 +18,6 @@ from toricfg.geometry import (
     project_interval,
     width,
 )
-
-from toricfg.gallery import sym16gon
 
 from util import (
     fraction_from_halfplanes,

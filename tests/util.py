@@ -203,7 +203,8 @@ def fraction_from_halfplanes(halfplanes) -> RatPolygon:
     for (ni, oi), (nj, oj) in combinations(hps, 2):
         d = det(ni, nj)
         if d != 0:
-            candidates.add(((oi * nj[1] - oj * ni[1]) / d, (ni[0] * oj - nj[0] * oi) / d))
+            candidates.add(((oi * nj[1] - oj * ni[1]) / d,
+                            (ni[0] * oj - nj[0] * oi) / d))
     feasible = [p for p in candidates if all(dot(p, n) >= o for n, o in hps)]
     if feasible:
         if _has_recession(normals):
@@ -231,9 +232,9 @@ def fraction_polygon_of_points(points) -> RatPolygon:
         hps = tuple(sorted([(n, dot(a, n)), (neg(n), dot(a, neg(n))),
                             (d, dot(a, d)), (neg(d), dot(b, neg(d)))]))
     else:
-        hps = tuple(
-            (n, dot(a, n))
-            for a, b in zip(hull, hull[1:] + hull[:1])
-            for n in [primitivize(rot90(vsub(b, a)))]
-        )
+        hps = []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            n = primitivize(rot90(vsub(b, a)))
+            hps.append((n, dot(a, n)))
+        hps = tuple(hps)
     return RatPolygon(tuple(hull), hps, min(len(hull), 3) - 1)
