@@ -17,6 +17,7 @@ from .geometry import (
     det,
     dot,
     floor_frac,
+    int_vector,
     line_interval,
     neg,
     primitivize,
@@ -173,7 +174,7 @@ def is_strongly_decomposable(w, c: Cone2):
     search); a halfplane reduces to lattice distance > 1 from its boundary
     line.  Witnesses come from the independent brute-force search.
     """
-    w = (int(w[0]), int(w[1]))
+    w = int_vector(w)
     if not c.strictly_contains(w):
         raise NotInInterior(f"{w} is not an interior lattice point of the cone")
     if c.kind == "halfplane":
@@ -200,7 +201,7 @@ def exists_pairing_one(c: Cone2, v) -> bool:
     rational interval in the line parameter, which is checked for an
     integer.
     """
-    v = (int(v[0]), int(v[1]))
+    v = int_vector(v)
     g = gcd(v[0], v[1])
     if g != 1:
         raise ValueError("pairing target needs a primitive functional")

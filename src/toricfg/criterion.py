@@ -32,19 +32,16 @@ from .fans import (
     is_primitive,
 )
 from .geometry import (
+    ChordWalk,
     DegeneratePolygon,
     RatPolygon,
     dot,
     det,
-    line_interval,
-    max_chord,
+    floor_frac,
+    int_vector,
     minkowski_sum,
     neg,
     colon,
-    rot90,
-    solve_pairing_one,
-    vadd,
-    vscale,
     width,
 )
 from .semigroup import (
@@ -90,31 +87,16 @@ def max_segment(p_d: RatPolygon, v) -> SegmentData:
 
     An interval of maximizing levels is resolved to its midpoint (the
     endpoints then lie in edge interiors and the side normals do not
-    depend on the choice).  Each constraint active at an endpoint bounds
-    the line parameter by an affine function of the level; of these, the
-    largest slope d/dc continues the lower end above the level and the
-    smallest below it, and the other way round at the upper end."""
+    depend on the choice).  Both ends and the boundary edges continuing
+    them above and below the level come from the chain walk of
+    ``ChordWalk``; the halfplane of ring edge i is ``p_d.halfplanes[i]``."""
     if p_d.dim != 2:
         raise DegeneratePolygon("cross-sections need a two-dimensional polytope")
-    v = (int(v[0]), int(v[1]))
-    qh, levels = max_chord(p_d, v)
-    c = Fraction(levels[0] + levels[-1]) / 2
-    u, m = solve_pairing_one(v), rot90(v)
-    base = vscale(c, u)
-    lo, hi = line_interval(p_d.halfplanes, base, m)
-    active = {lo: [], hi: []}
-    for n, o in p_d.halfplanes:
-        s = dot(m, n)
-        if s != 0 and (end := Fraction(o - dot(base, n), s)) in active:
-            active[end].append((Fraction(-dot(u, n), s), n))
-    low, high = sorted(active[lo]), sorted(active[hi])
-    n1a, n1b, n2a, n2b = low[-1][1], low[0][1], high[0][1], high[-1][1]
-    if c == p_d.support_max(v):
-        n1a = n2a = None
-    if c == p_d.support_min(v):
-        n1b = n2b = None
-    v1, v2 = vadd(base, vscale(lo, m)), vadd(base, vscale(hi, m))
-    return SegmentData(c, v1, v2, qh, n1a, n2a, n1b, n2b)
+    walk = ChordWalk(p_d, int_vector(v))
+    c, (v1, n1b, n1a), (v2, n2b, n2a) = walk.ends()
+    n1a, n2a, n1b, n2b = (None if i is None else p_d.halfplanes[i][0]
+                          for i in (n1a, n2a, n1b, n2b))
+    return SegmentData(c, v1, v2, walk.length, n1a, n2a, n1b, n2b)
 
 
 def sigma_cones(seg: SegmentData, v) -> tuple:
@@ -125,7 +107,7 @@ def sigma_cones(seg: SegmentData, v) -> tuple:
         raise DegenerateSide("no edge parts above the maximal cross-section")
     if seg.n1_below is None or seg.n2_below is None:
         raise DegenerateSide("no edge parts below the maximal cross-section")
-    v = (int(v[0]), int(v[1]))
+    v = int_vector(v)
     sigma_minus = cone_from_normals("N", seg.n1_above, seg.n2_above, neg(v))
     sigma_plus = cone_from_normals("N", seg.n1_below, seg.n2_below, v)
     return sigma_plus, sigma_minus
@@ -228,7 +210,7 @@ def failing_cones(fan: Fan2, v):
     """Lazily yield (cone, w, witness) for every cone spanned by a pair of
     rays in which w = v or w = -v is strongly decomposable, in ray-pair
     order.  Antiparallel pairs contribute the two halfplanes they bound."""
-    v = (int(v[0]), int(v[1]))
+    v = int_vector(v)
     if not is_primitive(v):
         raise ValueError("direction must be primitive")
     for ri, rj in itertools.combinations(fan.rays, 2):
@@ -276,7 +258,7 @@ def construct_bad_divisor(
     interval, until ample while the Minkowski sum stays inside.
     A halfplane sigma instead stretches the antiparallel edge pair until
     the maximal cross-section ends on both edge interiors."""
-    v = (int(v[0]), int(v[1]))
+    v = int_vector(v)
     flag = flag_data(fan, v)
     if sigma.kind == "halfplane":
         return _construct_bad_halfplane(fan, sigma, v)
@@ -327,10 +309,14 @@ def _synthesize_d_theta(fan: Fan2, interior, outer) -> ToricDivisor:
     # zonotope offsets give strict convexity at every outer ray
     base = {r: sum(max(0, det(r, t)) for t in outer) for r in outer}
     theta_inf = RatPolygon.from_halfplanes([(r, -Fraction(b)) for r, b in base.items()])
-    relax = 1
-    while not all(theta_inf.support_min(r) > -relax for r in interior):
-        relax += 1
+    relax = _relaxation(theta_inf, interior)
     return ToricDivisor.make(fan, base | {r: relax for r in interior})
+
+
+def _relaxation(theta_inf: RatPolygon, interior) -> int:
+    """The least integer a >= 1 with support_min(r) > -a at every interior
+    ray r, so that the halfplanes <u, r> >= -a cut nothing off theta_inf."""
+    return max([1] + [floor_frac(-theta_inf.support_min(r)) + 1 for r in interior])
 
 
 def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):

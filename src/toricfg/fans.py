@@ -15,6 +15,7 @@ from .geometry import (
     UnboundedRegion,
     det,
     dot,
+    int_vector,
     is_primitive,
     neg,
     rot90,
@@ -55,7 +56,7 @@ class Fan2:
 
     @staticmethod
     def from_rays(rays) -> "Fan2":
-        rs = [(int(r[0]), int(r[1])) for r in rays]
+        rs = [int_vector(r) for r in rays]
         if len(rs) < 3:
             raise InvalidFan("a complete fan needs at least three rays")
         for r in rs:
@@ -78,7 +79,7 @@ class Fan2:
         return all(det(rs[i], rs[(i + 1) % len(rs)]) == 1 for i in range(len(rs)))
 
     def index_of(self, ray) -> int:
-        return self.rays.index((int(ray[0]), int(ray[1])))
+        return self.rays.index(int_vector(ray))
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class ToricDivisor:
         if any(isinstance(a, float) for a in vals_in):
             raise TypeError("floating point is banned here; use int or Fraction")
         if isinstance(coeffs, dict):
-            table = {(int(r[0]), int(r[1])): Fraction(a) for r, a in coeffs.items()}
+            table = {int_vector(r): Fraction(a) for r, a in coeffs.items()}
             vals = tuple(table.get(r, Fraction(0)) for r in fan.rays)
             unknown = set(table) - set(fan.rays)
             if unknown:
@@ -182,7 +183,7 @@ class FlagData:
 
 
 def flag_data(fan: Fan2, v) -> FlagData:
-    v = (int(v[0]), int(v[1]))
+    v = int_vector(v)
     if v == (0, 0) or not is_primitive(v):
         raise NonPrimitiveDirection(f"direction {v} is not primitive")
     m = rot90(v)

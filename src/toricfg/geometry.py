@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from numbers import Rational
 
 
 class UnboundedRegion(ValueError):
@@ -50,14 +52,29 @@ def vsub(u, w):
     return (u[0] - w[0], u[1] - w[1])
 
 
-def vscale(c, u):
-    return (c * u[0], c * u[1])
-
-
 def frac2(p):
     if isinstance(p[0], float) or isinstance(p[1], float):
         raise TypeError("floating point is banned here; use int or Fraction")
     return (Fraction(p[0]), Fraction(p[1]))
+
+
+def int_vector(u):
+    """The integer pair (a, b) given as ints or integral Fractions.
+
+    A float raises TypeError and a non-integral rational ValueError, so a
+    direction or normal is never truncated.
+    """
+    a, b = u
+    if type(a) is int and type(b) is int:
+        return (a, b)
+    out = []
+    for x in (a, b):
+        if not isinstance(x, Rational):
+            raise TypeError(f"{x!r} is not an integer; floating point is banned here")
+        if x.denominator != 1:
+            raise ValueError(f"{x} is not an integer")
+        out.append(int(x.numerator))
+    return tuple(out)
 
 
 def is_primitive(u) -> bool:
@@ -123,7 +140,7 @@ def convex_hull(points):
 
 
 def _normalize_halfplane(normal, offset):
-    n = (int(normal[0]), int(normal[1]))
+    n = int_vector(normal)
     if n == (0, 0):
         raise ValueError("halfplane normal must be nonzero")
     if isinstance(offset, float):
@@ -220,17 +237,30 @@ class RatPolygon:
             return False
         return all(self.contains(p) for p in other.vertices)
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(L, ring): L the lcm of the vertex denominators and ring the
+        vertices times L, as int pairs in vertex order."""
+        scale, coords = _over_common_denominator([c for p in self.vertices for c in p])
+        return scale, tuple(zip(coords[::2], coords[1::2]))
+
+    def _levels(self, direction) -> list:
+        """<p, direction> * L for every vertex p, on the int ring."""
+        a, b = direction
+        return [x * a + y * b for x, y in self.scaled[1]]
+
     def support_min(self, direction) -> Fraction:
         """min <p, direction> over the polygon (the support offset)."""
-        return min(dot(p, direction) for p in self.vertices)
+        return Fraction(min(self._levels(direction)), self.scaled[0])
 
     def support_max(self, direction) -> Fraction:
-        return max(dot(p, direction) for p in self.vertices)
+        return Fraction(max(self._levels(direction)), self.scaled[0])
 
     def face(self, direction) -> list:
         """The vertices minimizing <p, direction>, in vertex order."""
-        low = self.support_min(direction)
-        return [p for p in self.vertices if dot(p, direction) == low]
+        levels = self._levels(direction)
+        low = min(levels)
+        return [p for p, h in zip(self.vertices, levels) if h == low]
 
     def vertex_directions(self, r) -> tuple:
         """Primitive directions from vertex r along the edges before and
@@ -456,20 +486,118 @@ def solve_pairing_one(v):
     return (x, y)
 
 
+class ChordWalk:
+    """The longest chords of p orthogonal to a primitive v, by one walk
+    along the two boundary chains (the rotating-calipers sweep).
+
+    The int ring of p (``RatPolygon.scaled``, vertices times L) is mapped
+    by x -> (s, t) = (<x, v>, det(u, x)) with <u, v> = 1.  The map is
+    unimodular and keeps orientation, so the ring stays counterclockwise;
+    s is L times the level and t is L times the position along the chord
+    in m-units, m = rot90(v).  Split at the lexicographic min and max, and
+    past the edges orthogonal to v, the ring gives a lower and an upper
+    chain, both strictly increasing in s.  At each vertex level a chain
+    with no vertex there is interpolated by integer cross-multiplication;
+    no Fraction is built before the result.
+
+    ``length`` and ``levels`` are the values of max_chord; ``ends()``
+    reads the maximal cross-section off the same walk.
+    """
+
+    def __init__(self, p: RatPolygon, v):
+        self._v, self._u, self._scale = v, solve_pairing_one(v), p.scaled[0]
+        self.length, self.levels, self._best = None, [], []
+        if p.is_empty:
+            return
+        (a, b), (c, d) = v, self._u
+        self._st = st = [(x * a + y * b, c * y - d * x) for x, y in p.scaled[1]]
+        first = min(range(len(st)), key=st.__getitem__)
+        last = max(range(len(st)), key=st.__getitem__)
+        # (vertices, edges) in increasing s, as ring indices; ring edge i
+        # runs from vertex i to i + 1, so it starts at the lower chain's
+        # left vertex and at the upper chain's right one
+        lower = self._chain(first, st[last][0])
+        upper = self._chain(last, st[first][0])[::-1]
+        self._chains = (lower, lower[:-1]), (upper, upper[1:])
+        levels = sorted({s for s, _ in st})
+        best = None
+        for lvl, low, up in zip(levels, self._heights(lower, levels),
+                                self._heights(upper, levels)):
+            n, den = up[0] * low[1] - low[0] * up[1], up[1] * low[1]
+            if best is None or n * best[1] > best[0] * den:
+                best, self._best = (n, den), [(lvl, low, up)]
+            elif n * best[1] == best[0] * den:
+                self._best.append((lvl, low, up))
+        self.length = Fraction(best[0], best[1] * self._scale)
+        self.levels = [Fraction(lvl, self._scale) for lvl, _, _ in self._best]
+
+    def _chain(self, i, stop):
+        """Ring indices from i counterclockwise to the first vertex at
+        s == stop."""
+        st, out = self._st, [i]
+        while st[i][0] != stop:
+            i = (i + 1) % len(st)
+            out.append(i)
+        return out
+
+    def _heights(self, chain, levels):
+        """For each level (ascending) the chain's t there as (N, D, j):
+        t = N/D, at chain vertex j if it sits at that level, else inside
+        the edge from chain vertex j - 1 to j."""
+        st, j = self._st, 0
+        for lvl in levels:
+            while st[chain[j]][0] < lvl:
+                j += 1
+            s2, t2 = st[chain[j]]
+            if s2 == lvl:
+                yield t2, 1, j
+            else:
+                s1, t1 = st[chain[j - 1]]
+                yield t1 * (s2 - lvl) + t2 * (lvl - s1), s2 - s1, j
+
+    def ends(self):
+        """The maximal cross-section at the midpoint c of the maximizing
+        levels: (c, lower end, upper end), each end as (point, below,
+        above), where below and above index the ring edges (and so the
+        halfplanes of a two-dimensional polygon) continuing the end to
+        lower and higher levels: one edge inside an edge interior, the two
+        incident edges at a vertex, None past an extreme level.
+
+        Between two maximizing levels both chains are straight (the chord
+        length is concave and constant there), so the midpoint ends are
+        the means of the ends at those levels and lie inside the edges
+        that leave the first level upwards.
+        """
+        lvl, *at = self._best[0]
+        top, *at_top = self._best[-1]
+        out = [Fraction(lvl + top, 2 * self._scale)]
+        for (verts, edges), (n, d, j), (n2, d2, _) in zip(self._chains, at, at_top):
+            point = self._point(lvl, n, d)
+            if self._st[verts[j]][0] != lvl:
+                below = above = edges[j - 1]
+            else:
+                below = edges[j - 1] if j else None
+                above = edges[j] if j < len(edges) else None
+            if top != lvl:
+                far = self._point(top, n2, d2)
+                point, below = ((point[0] + far[0]) / 2, (point[1] + far[1]) / 2), above
+            out.append((point, below, above))
+        return tuple(out)
+
+    def _point(self, lvl, n, d):
+        """The point at level lvl / L and chord position n / (d * L)."""
+        (a, b), (c, e), den = self._v, self._u, d * self._scale
+        return (Fraction(c * lvl * d - b * n, den), Fraction(e * lvl * d + a * n, den))
+
+
 def max_chord(p: RatPolygon, v):
     """The longest chord of p orthogonal to v, in rot90(v)-units, and the
-    sorted vertex levels <p, v> = c where it is reached.
+    sorted vertex levels <p, v> = c where it is reached; (None, []) for
+    the empty polygon.
 
     The chord at level c runs along c*u + t*rot90(v) with <u, v> = 1.  Its
     length is concave and piecewise linear in c with kinks only at vertex
     levels, so the maximum is attained at one of those.
     """
-    u, m = solve_pairing_one(v), rot90(v)
-    best, levels = None, []
-    for c in sorted({dot(q, v) for q in p.vertices}):
-        lo, hi = line_interval(p.halfplanes, vscale(c, u), m)
-        if best is None or hi - lo > best:
-            best, levels = hi - lo, [c]
-        elif hi - lo == best:
-            levels.append(c)
-    return best, levels
+    walk = ChordWalk(p, v)
+    return walk.length, walk.levels

@@ -17,6 +17,7 @@ from .geometry import (
     dot,
     det,
     floor_frac,
+    int_vector,
     lattice_points,
     neg,
     rot90,
@@ -95,7 +96,7 @@ def brute_decompose(w, c: Cone2):
     distance allows one) is taken on the first interior lattice line,
     as close to w/2 as possible.
     """
-    w = (int(w[0]), int(w[1]))
+    w = int_vector(w)
     if not c.strictly_contains(w):
         raise NotInInterior(f"{w} is not interior to the cone")
     if c.kind == "halfplane":

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from toricfg.cones import cone, halfplane
 from toricfg.criterion import (
     DegenerateSide,
+    _relaxation,
+    _synthesize_d_theta,
     construct_bad_divisor,
     fg_for_all_divisors,
     is_finitely_generated,
@@ -17,7 +19,13 @@ from toricfg.criterion import (
     sigma_cones,
     vertex_lifts,
 )
-from toricfg.fans import ToricDivisor, divisor_from_polytope, divisor_polytope
+from toricfg.fans import (
+    Fan2,
+    InvalidFan,
+    ToricDivisor,
+    divisor_from_polytope,
+    divisor_polytope,
+)
 from toricfg.gallery import (
     extended_quad_fan,
     p1p1_fan,
@@ -26,16 +34,26 @@ from toricfg.gallery import (
     sevengon_context,
     slanted_quad_context,
     slanted_quad_fan,
+    sym16gon,
     unit_square,
 )
-from toricfg.geometry import RatPolygon, neg
+from toricfg.geometry import (
+    RatPolygon,
+    UnboundedRegion,
+    det,
+    lattice_points,
+    max_chord,
+    neg,
+)
 from toricfg.semigroup import make_context, newton_okounkov_body
 
 from util import (
     helly_q_hat,
+    line_interval_max_chord,
     random_ample_divisor,
     random_direction,
     random_smooth_fan,
+    search_relaxation,
     vertex_level_max_segment,
 )
 
@@ -307,6 +325,73 @@ def test_max_segment_and_q_hat_match_oracles(seed, scale, v):
     ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)), v)
     assert max_segment(ctx.p_d, v) == vertex_level_max_segment(ctx.p_d, v)
     assert q_hat(ctx) == helly_q_hat(ctx)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, F(7, 3), 2**40 + 15]), PRIMITIVE_30)
+def test_max_chord_on_divisor_polytopes_matches_oracle(seed, scale, v):
+    rng = random.Random(seed)
+    fan = random_smooth_fan(rng)
+    d = random_ample_divisor(rng, fan)
+    p_d = divisor_polytope(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)))
+    assert max_chord(p_d, v) == line_interval_max_chord(p_d, v)
+
+
+def test_chord_walk_cuts_no_line_intervals(monkeypatch):
+    # the walk reads both chains directly; a count repeats exactly where a
+    # wall-time gate would not
+    from toricfg import criterion, geometry
+
+    divisor = divisor_from_polytope(sym16gon())
+    rows = scan_directions(divisor, 3)
+    calls, line_interval = [], geometry.line_interval
+
+    def counted(*args):
+        calls.append(args)
+        return line_interval(*args)
+
+    monkeypatch.setattr(geometry, "line_interval", counted)
+    monkeypatch.setattr(criterion, "line_interval", counted, raising=False)
+    for v, verdict in rows:
+        ctx = make_context(divisor, v)
+        assert max_segment(ctx.p_d, v) == verdict.segment
+        assert ctx.q_hat == verdict.segment.q_hat
+    assert len(rows) == 16 and calls == []
+    lattice_points(ctx.p_d)  # the patch does see geometry's own calls
+    assert calls
+
+
+def test_relaxation_matches_search_on_random_fans():
+    rng = random.Random(71)
+    relaxed = []
+    while len(relaxed) < 150:
+        try:
+            fan = Fan2.from_rays({
+                (a, b) for a, b in ((rng.randint(-7, 7), rng.randint(-7, 7))
+                                    for _ in range(rng.randint(3, 8)))
+                if gcd(a, b) == 1
+            })
+        except InvalidFan:
+            continue
+        k = len(fan.rays)
+        start, size = rng.randrange(k), rng.randint(1, k - 2)
+        interior = [fan.rays[(start + i) % k] for i in range(size)]
+        outer = [r for r in fan.rays if r not in interior]
+        base = {r: sum(max(0, det(r, t)) for t in outer) for r in outer}
+        try:
+            theta_inf = RatPolygon.from_halfplanes([(r, -b) for r, b in base.items()])
+        except UnboundedRegion:
+            continue
+        relax = search_relaxation(theta_inf, interior)
+        assert _relaxation(theta_inf, interior) == relax
+        coeffs = _synthesize_d_theta(fan, interior, outer).coeffs
+        assert [coeffs[fan.index_of(r)] for r in interior] == [relax] * size
+        relaxed.append(relax)
+    assert len(set(relaxed)) > 20
+    # the floor of 1, an integral and a fractional support value
+    shifted = RatPolygon.from_vertices([(1, 1), (F(5, 2), 1), (1, 3)])
+    for rays, relax in (([(1, 0)], 1), ([(-1, 0)], 3), ([(-1, 0), (0, -1)], 4)):
+        assert _relaxation(shifted, rays) == search_relaxation(shifted, rays) == relax
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -190,3 +190,17 @@ def test_float_coefficients_rejected():
     from fractions import Fraction
 
     ToricDivisor.make(slanted_quad_fan(), {(1, 2): Fraction(11, 2)})  # fine
+
+
+def test_float_and_fractional_vectors_rejected():
+    fan = slanted_quad_fan()
+    with pytest.raises(TypeError):
+        flag_data(fan, (1.9, 1))
+    with pytest.raises(ValueError):
+        flag_data(fan, (F(3, 2), 1))
+    with pytest.raises(TypeError):
+        Fan2.from_rays([(1, 0), (0, 1.0), (-1, -1)])
+    with pytest.raises(ValueError):
+        fan.index_of((F(1, 2), 2))
+    assert flag_data(fan, (F(4, 2), 1)).v == (2, 1)
+    assert fan.index_of((F(1), F(2))) == fan.rays.index((1, 2))

@@ -12,16 +12,21 @@ from toricfg.geometry import (
     colon,
     dot,
     helly_certificates,
+    int_vector,
     lattice_points,
     line_interval,
+    max_chord,
     minkowski_sum,
+    neg,
     project_interval,
+    rot90,
     width,
 )
 
 from util import (
     fraction_from_halfplanes,
     fraction_polygon_of_points,
+    line_interval_max_chord,
     naive_lattice_points,
     random_polygon,
 )
@@ -317,3 +322,82 @@ def test_floats_are_rejected():
         RatPolygon.from_vertices([(0.5, 1), (1, 0), (0, 0)])
     with pytest.raises(TypeError):
         RatPolygon.from_halfplanes([((1, 0), 0.25), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])
+
+
+def test_float_and_fractional_normals_are_rejected():
+    square = [((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
+    with pytest.raises(TypeError):
+        RatPolygon.from_halfplanes([((1.7, 0), 0)] + square)
+    with pytest.raises(ValueError):
+        RatPolygon.from_halfplanes([((F(3, 2), 0), 0)] + square)
+    assert RatPolygon.from_halfplanes([((F(2, 2), 0), 0)] + square) == SQUARE
+    assert int_vector([F(-6, 3), 4]) == (-2, 4)
+    assert int_vector((True, 0)) == (1, 0)
+    with pytest.raises(TypeError):
+        int_vector(("1", 0))
+
+
+SMALL_RATIONAL = st.fractions(-6, 6, max_denominator=7)
+RATIONAL_POINT = st.tuples(SMALL_RATIONAL, SMALL_RATIONAL)
+PRIMITIVE_8 = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
+    lambda u: gcd(*u) == 1
+)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), st.tuples(
+    st.integers(-9, 9), st.integers(-9, 9)))
+def test_support_values_are_fraction_dot_extremes(points, d):
+    p = RatPolygon.from_vertices(points)
+    dots = [dot(q, d) for q in p.vertices]
+    assert p.support_min(d) == min(dots) and p.support_max(d) == max(dots)
+    assert p.face(d) == [q for q, h in zip(p.vertices, dots) if h == min(dots)]
+    moved = p.translate((F(1, 3), F(-2, 5))).dilate(F(7, 2))
+    assert moved.support_min(d) == min(dot(q, d) for q in moved.vertices)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), PRIMITIVE_8)
+@example([(0, 0)], (2, 3))  # a point
+@example([(F(1, 2), 0), (1, 5)], (1, 0))  # a segment crossing the levels
+@example([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0))  # tied levels 0 and 2
+@example([(0, 0), (3, 1), (1, 4)], (1, 1))
+def test_max_chord_matches_line_interval_oracle(points, v):
+    p = RatPolygon.from_vertices(points)
+    assert max_chord(p, v) == line_interval_max_chord(p, v)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(RATIONAL_POINT, SMALL_RATIONAL, PRIMITIVE_8)
+def test_max_chord_on_segments_orthogonal_to_v(a, t, v):
+    m = rot90(v)
+    p = RatPolygon.from_vertices([a, (a[0] + t * m[0], a[1] + t * m[1])])
+    assert max_chord(p, v) == line_interval_max_chord(p, v) == (abs(t), [dot(a, v)])
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.lists(RATIONAL_POINT, min_size=3, max_size=7), st.integers(0, 20), st.booleans())
+def test_max_chord_at_edge_normals(points, i, flip):
+    # v orthogonal to an edge puts that edge on an extreme level
+    p = RatPolygon.from_vertices(points)
+    assume(p.dim == 2)
+    v = p.halfplanes[i % len(p.halfplanes)][0]
+    v = neg(v) if flip else v
+    assert max_chord(p, v) == line_interval_max_chord(p, v)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4),
+       RATIONAL_POINT, PRIMITIVE_8)
+def test_max_chord_on_zonotopes(generators, shift, v):
+    # parallel edge pairs make runs of equally long chords (tied levels)
+    p = RatPolygon.from_vertices([shift])
+    for g in generators:
+        p = minkowski_sum(p, RatPolygon.from_vertices([(0, 0), g]))
+    assert max_chord(p, v) == line_interval_max_chord(p, v)
+
+
+def test_max_chord_ties_and_empty():
+    hexagon = RatPolygon.from_vertices([(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)])
+    assert max_chord(hexagon, (1, 0)) == (3, [1, 2])
+    assert max_chord(RatPolygon.empty(), (1, 0)) == (None, [])

@@ -19,6 +19,7 @@ from toricfg.geometry import (
     dot,
     floor_frac,
     helly_certificates,
+    line_interval,
     neg,
     primitivize,
     rot90,
@@ -164,6 +165,30 @@ def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
     n1a, n1b = side_normals(c, v1)
     n2a, n2b = side_normals(c, v2)
     return SegmentData(c, v1, v2, dot(vsub(v2, v1), w), n1a, n2a, n1b, n2b)
+
+
+def line_interval_max_chord(p: RatPolygon, v):
+    """The longest chord orthogonal to v from one line_interval per vertex
+    level: the chord at level c runs along c*u + t*rot90(v) with
+    <u, v> = 1.  The independent oracle for the chain walk of max_chord."""
+    u, m = solve_pairing_one(v), rot90(v)
+    best, levels = None, []
+    for c in sorted({dot(q, v) for q in p.vertices}):
+        lo, hi = line_interval(p.halfplanes, (c * u[0], c * u[1]), m)
+        if best is None or hi - lo > best:
+            best, levels = hi - lo, [c]
+        elif hi - lo == best:
+            levels.append(c)
+    return best, levels
+
+
+def search_relaxation(theta_inf: RatPolygon, interior) -> int:
+    """The least a >= 1 with support_min(r) > -a at every interior ray, by
+    counting up; the oracle for criterion._relaxation."""
+    relax = 1
+    while not all(theta_inf.support_min(r) > -relax for r in interior):
+        relax += 1
+    return relax
 
 
 def helly_q_hat(ctx) -> Fraction:
