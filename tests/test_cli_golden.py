@@ -1,8 +1,8 @@
 """Golden digests of the command-line output.
 
-Each case runs ``cli.main`` in-process on a bundled input and compares the
-sha256 of its exit code, stdout and stderr with a digest recorded from a
-known-good build.  Any change to a verdict, witness, JSON, CSV or SVG byte
+Each case runs ``cli.main`` in-process on a bundled input, or on one of the
+invalid documents in ``DOCS``, and compares the sha256 of its exit code,
+stdout and stderr with a digest recorded from a known-good build.  Any change to a verdict, witness, JSON, CSV or SVG byte
 shows up here; refactors must leave every digest unchanged.
 
 To re-record after an intended output change, run
@@ -13,13 +13,12 @@ table over ``GOLDEN``.
 from __future__ import annotations
 
 import hashlib
-import io
+import json
 import os
-from contextlib import redirect_stderr, redirect_stdout
+import tempfile
 
 import pytest
-
-from toricfg import cli
+from util import run_main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,6 +31,38 @@ SQ, SEVEN, UNIT = "slanted_quad.json", "sevengon.json", "unit_square.json"
 SYM16, EXT = "sym16gon.json", "extended_quad_fan.json"
 RQ = "rational_quad.json"  # rational coefficients: e_bar = 0 rows
 BIG = "big_rational_zonotope.json"  # offsets near 2^43 / 3: bit-size stress
+
+SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+TRI = {"vertices": [[0, 0], [2, 0], [0, 2]]}
+
+# Invalid or incomplete documents, written to a temporary directory.  No
+# reason they fail with names the path, so their digests do not depend on it.
+DOCS = {
+    "not_json.json": "{",
+    "not_object.json": [1, 2],
+    "neither.json": {"direction": [1, 0]},
+    "rays_not_list.json": {"fan": {"rays": 5}},
+    "bad_ray.json": {"fan": {"rays": [[1, 0], [0, 1, 2]]}},
+    "invalid_fan.json": {"fan": {"rays": [[1, 0], [0, 1]]}, "direction": [1, 0]},
+    "misaligned.json": {"fan": {"rays": SQUARE}, "divisor": {"coefficients": [1, 1, 1]}},
+    "bad_rational.json": {
+        "fan": {"rays": SQUARE}, "divisor": {"coefficients": [1, [1, 0], 1, 1]},
+    },
+    "two_vertices.json": {"polytope": {"vertices": [[0, 0], [1, 0]]}},
+    "bad_vertex.json": {"polytope": {"vertices": [[0, 0], [1, 0], [0]]}},
+    "flat.json": {"polytope": {"vertices": [[0, 0], [1, 1], [2, 2]]}},
+    "no_divisor.json": {"fan": {"rays": SQUARE}, "direction": [1, 0]},
+    "not_ample.json": {
+        "fan": {"rays": SQUARE}, "divisor": {"coefficients": [0, 0, 0, 1]},
+        "direction": [1, 2],
+    },
+    "no_direction.json": {"polytope": TRI},
+    "bad_direction.json": {"polytope": TRI, "direction": [1, True]},
+    "bad_lk.json": {"polytope": TRI, "direction": [1, 2], "lk": [[1]]},
+    "bound_zero.json": {"polytope": TRI, "bound": 0},
+    "lambda_max_negative.json": {"polytope": TRI, "direction": [1, 2], "lambda_max": -1},
+    "no_lk.json": {"polytope": TRI, "direction": [1, 2]},
+}
 
 CASES = [
     ("analyze", SQ, "--lambda-max", "10"),
@@ -76,19 +107,55 @@ CASES = [
     ("plot", SQ, "--what", "theta(3,2)"),
     ("plot", SQ, "--what", "nobody", "--flip-axes"),
     ("plot", SEVEN, "--what", "nobody"),
+    # exit 2, one reason each
+    ("fg", "not_json.json"),
+    ("fg", "not_object.json"),
+    ("fg", "neither.json"),
+    ("fg", "rays_not_list.json"),
+    ("fg", "bad_ray.json"),
+    ("fg", "invalid_fan.json"),
+    ("fg", "misaligned.json"),
+    ("fg", "bad_rational.json"),
+    ("fg", "two_vertices.json"),
+    ("fg", "bad_vertex.json"),
+    ("fg", "flat.json"),
+    ("fg", "no_divisor.json"),
+    ("fg", "not_ample.json"),
+    ("fg", "no_direction.json"),
+    ("fg", "bad_direction.json"),
+    ("fg", SQ, "--direction", "1;2"),
+    ("fg", "bad_lk.json"),
+    ("scan", "bound_zero.json"),
+    ("analyze", "lambda_max_negative.json"),
+    ("scan", SQ, "--bound", "0"),
+    ("semigroup", SQ, "--lmax", "0"),
+    ("analyze", SQ, "--lambda-max", "-2"),
+    ("scan", SQ),  # no bound anywhere
+    ("plot", "no_lk.json", "--what", "theta"),
+    ("plot", SQ, "--what", "theta(1,100)"),  # empty
+    ("plot", SQ, "--what", "circle"),
+    # which reason wins when there are several
+    ("scan", SQ, "--bound", "0", "--direction", "1;2"),
+    ("fg", "no_divisor.json", "--direction", "1;2"),
+    ("scan", "no_divisor.json"),
+    ("plot", "no_direction.json", "--what", "circle"),
+    ("plot", "not_ample.json", "--what", "fan"),
+    # the ray-pair commands take any complete fan and no divisor
+    ("construct-bad", "not_ample.json"),
+    ("fg-all", "no_divisor.json"),
 ]
 
 
-def _argv(case):
+def _digest(case, tmp) -> str:
     command, name, *rest = case
-    return [command, "--input", _inp(name), *rest]
-
-
-def _digest(case) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        rc = cli.main(_argv(case))
-    blob = f"{rc}\n{out.getvalue()}\0{err.getvalue()}"
+    path = _inp(name)
+    if name in DOCS:
+        doc = DOCS[name]
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+    res = run_main(command, "--input", path, *rest)
+    blob = f"{res.returncode}\n{res.stdout}\0{res.stderr}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -177,12 +244,78 @@ GOLDEN = {
         '507ef161e8a004baad4ebb1839c29c6bac18073f397c455105f97023469d653f',
     'plot sevengon.json --what nobody':
         '2bcc4d4714b1c15b9635a15463e9be1ac548b2a0351115f379706ad9a6087a23',
+    'fg not_json.json':
+        '69e057ce9b656bcd5673d34bf403b16ce89517638b213f92727584947cb0e160',
+    'fg not_object.json':
+        'f6a302302623e5894c813fd5547ef238ac79f412f459938a67fe36b0f8e8763f',
+    'fg neither.json':
+        '9caf37e7853faa4a193fabd740682b9e724ebe8ba65119faaf7b94dead0c6a54',
+    'fg rays_not_list.json':
+        '16ce94954d266871f49f744e86bb7ac94466267094762cd95b0117100cc7daaf',
+    'fg bad_ray.json':
+        '8d24e514c41fa10ef5ecf3dd5b70f55e581d952f4541da6f1178b577abcc1a95',
+    'fg invalid_fan.json':
+        'd26bd6dc513a9c77f8d71f004683b0a22bc61661192a9b772041591e090db0fc',
+    'fg misaligned.json':
+        '52dd2e19d7303157a42d7e6168f1270c6b37d45bf26641639084e99426762480',
+    'fg bad_rational.json':
+        '7cbc2039c7a6e76bb2dbac2c51f6fec6a327bea94a59add3cfe5ff028bf6148e',
+    'fg two_vertices.json':
+        'a1aba14d9f34e14e88cca8bec78e8a985d7c9f819611ac126c7f3d27ab535116',
+    'fg bad_vertex.json':
+        'acd040294b55379ac8d2de0b00bea1afa727776723981590158766b855eecb3b',
+    'fg flat.json':
+        '3c7d9ac48e291a2fbe25e1f38e5d1619e181aec1cf9e8167a65764fdff667639',
+    'fg no_divisor.json':
+        'ccc468354b63822379869f25658cc3270bc542ac79e3693f7617c0eb42ecaa7a',
+    'fg not_ample.json':
+        '5f2358fc16f71968f6de1f12a6aac0f743e3d4ca1595036343f904d8e02b242a',
+    'fg no_direction.json':
+        'c32f5561ffb91fec6aec6b1609681ee50c055f6baff06b2c433ca283ed518cfe',
+    'fg bad_direction.json':
+        '52f363eff6927f8f5ef410ce93a8b9e46b7b18fae5434bbc443620b9d6862ccd',
+    'fg slanted_quad.json --direction 1;2':
+        'd1e7bc627bcd5ab2b3f3bbd3a148bfba85b5e8afebf6ba90ef580f2e7e69cd39',
+    'fg bad_lk.json':
+        'e464afd3fd5d8fee3f938263f14b0088d5b6819bdda4422b594defd37d8920a0',
+    'scan bound_zero.json':
+        '5c4ca309831ac9272e7ffc2d1096d147f1198ffd6ba881efe23c1bc46f1a5980',
+    'analyze lambda_max_negative.json':
+        '04af67900d7a566cfbda9bf4d3ae8d4fd274b0ff7b1c5a18bb1cd2fad53df3a4',
+    'scan slanted_quad.json --bound 0':
+        'e3136b179812eee66555c9ea2e9b18867340fb07790c53d3205f2ab4d2ea32dd',
+    'semigroup slanted_quad.json --lmax 0':
+        '5ca21970e212b7a32e4b48cb62b085e4d61b8ec30924e72cc2446b8beb2ab75f',
+    'analyze slanted_quad.json --lambda-max -2':
+        '9fd1a3c9f62d8e315b007281a4951092f26c4325fa4aaefa4542694115643840',
+    'scan slanted_quad.json':
+        '1e9f10a14b03063b6952a3ce3affa69e917243d6f0cfebc96038cf26f4969632',
+    'plot no_lk.json --what theta':
+        'e7810992a6be2c27084b9ef99e7aa99ee0b8bdab5896199b5eb59e3d51807b42',
+    'plot slanted_quad.json --what theta(1,100)':
+        'd5c0c9444c0b96d4dfc69929a908e6ef46b301513014f3873e0ca4f00e2550b5',
+    'plot slanted_quad.json --what circle':
+        'e2859c2dcbb9c2fb0c64969c2e77d768b9ceb9ad2dfb5f83748696ccc36bd528',
+    'scan slanted_quad.json --bound 0 --direction 1;2':
+        'e3136b179812eee66555c9ea2e9b18867340fb07790c53d3205f2ab4d2ea32dd',
+    'fg no_divisor.json --direction 1;2':
+        'ccc468354b63822379869f25658cc3270bc542ac79e3693f7617c0eb42ecaa7a',
+    'scan no_divisor.json':
+        'ccc468354b63822379869f25658cc3270bc542ac79e3693f7617c0eb42ecaa7a',
+    'plot no_direction.json --what circle':
+        'c32f5561ffb91fec6aec6b1609681ee50c055f6baff06b2c433ca283ed518cfe',
+    'plot not_ample.json --what fan':
+        '5f2358fc16f71968f6de1f12a6aac0f743e3d4ca1595036343f904d8e02b242a',
+    'construct-bad not_ample.json':
+        '7629d2315304d66fd01647cab62da74d46d34df77d3773a02542381d52d2aec4',
+    'fg-all no_divisor.json':
+        '475a6577f076220b420c3aefa4a4fe6afe0bb401184b070035fbc229a9e87fbd',
 }
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_cli_output_is_byte_identical(case):
-    assert _digest(case) == GOLDEN[_case_id(case)]
+def test_cli_output_is_byte_identical(case, tmp_path):
+    assert _digest(case, tmp_path) == GOLDEN[_case_id(case)]
 
 
 def test_every_case_has_a_digest():
@@ -190,5 +323,6 @@ def test_every_case_has_a_digest():
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        print(f"    {_case_id(case)!r}:\n        {_digest(case)!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            print(f"    {_case_id(case)!r}:\n        {_digest(case, tmp)!r},")

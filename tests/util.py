@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import random
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
+from toricfg import cli
 from toricfg.criterion import SegmentData
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
@@ -263,3 +267,14 @@ def fraction_polygon_of_points(points) -> RatPolygon:
             hps.append((n, dot(a, n)))
         hps = tuple(hps)
     return RatPolygon(tuple(hull), hps, min(len(hull), 3) - 1)
+
+
+CliRun = namedtuple("CliRun", "returncode stdout stderr")
+
+
+def run_main(*argv) -> CliRun:
+    """Run ``toricfg.cli.main`` in-process, capturing stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return CliRun(rc, out.getvalue(), err.getvalue())
