@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import criterion as crit
@@ -75,33 +76,43 @@ def _int_pair(x, what):
     raise InputError(f"{what} must be a pair of integers")
 
 
+@dataclass
 class Problem:
-    def __init__(self, fan, divisor, direction, lk, bound, lambda_max, fan_given):
-        self.fan = fan
-        self.divisor = divisor
-        self.direction = direction
-        self.lk = lk
-        self.bound = bound
-        self.lambda_max = lambda_max
-        self.fan_given = fan_given
+    fan: Fan2
+    divisor: ToricDivisor | None
+    direction: tuple | None
+    lk: list
+    bound: int | None
+    lambda_max: int | None
 
 
-def load_problem(path, direction_flag=None, need_divisor=True,
-                 need_direction=True, require_smooth_fan_input=True) -> Problem:
+def _field(doc, key, name):
+    """doc[key][name], or None when doc[key] is not an object."""
+    obj = doc.get(key)
+    return obj.get(name) if isinstance(obj, dict) else None
+
+
+# ray-pair combinatorics is meaningful on any complete fan; the other,
+# semigroup-theoretic commands need a smooth fan input and an ample divisor
+RAY_PAIR_COMMANDS = ("fg-all", "construct-bad")
+
+
+def load_problem(args) -> Problem:
+    """Read and validate the input document as the subcommand needs it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read input {path}: {exc}") from exc
+        raise InputError(f"cannot read input {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
 
-    fan_given = "fan" in doc
+    semigroup_command = args.command not in RAY_PAIR_COMMANDS
     divisor = None
-    if fan_given:
-        rays = doc.get("fan", {}).get("rays")
+    if "fan" in doc:
+        rays = _field(doc, "fan", "rays")
         if not isinstance(rays, list):
             raise InputError("fan.rays must be a list of integer pairs")
         ray_list = [_int_pair(r, "ray") for r in rays]
@@ -109,10 +120,10 @@ def load_problem(path, direction_flag=None, need_divisor=True,
             fan = Fan2.from_rays(ray_list)
         except InvalidFan as exc:
             raise InputError(f"invalid fan: {exc}") from exc
-        if require_smooth_fan_input and not fan.is_smooth:
+        if semigroup_command and not fan.is_smooth:
             raise InputError("fan not smooth")
         if "divisor" in doc:
-            coeffs = doc["divisor"].get("coefficients")
+            coeffs = _field(doc, "divisor", "coefficients")
             if not isinstance(coeffs, list) or len(coeffs) != len(ray_list):
                 raise InputError(
                     "divisor.coefficients must align with fan.rays"
@@ -120,7 +131,7 @@ def load_problem(path, direction_flag=None, need_divisor=True,
             table = {r: _frac_in(c) for r, c in zip(ray_list, coeffs)}
             divisor = ToricDivisor.make(fan, table)
     elif "polytope" in doc:
-        verts = doc.get("polytope", {}).get("vertices")
+        verts = _field(doc, "polytope", "vertices")
         if not isinstance(verts, list) or len(verts) < 3:
             raise InputError("polytope.vertices must list at least three points")
         pts = []
@@ -136,21 +147,22 @@ def load_problem(path, direction_flag=None, need_divisor=True,
     else:
         raise InputError("input needs either a fan or a polytope")
 
-    if need_divisor:
+    if semigroup_command:
         if divisor is None:
             raise InputError("this subcommand needs divisor coefficients")
         if not is_ample(divisor):
             raise InputError("divisor not ample")
 
     direction = None
-    if direction_flag is not None:
-        m = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", direction_flag)
+    if args.direction is not None:
+        m = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", args.direction)
         if not m:
             raise InputError("--direction must look like 'x,y'")
         direction = (int(m.group(1)), int(m.group(2)))
     elif "direction" in doc:
         direction = _int_pair(doc["direction"], "direction")
-    if need_direction:
+    # scan picks its own directions; plots of P_D and of the fan use none
+    if args.command != "scan" and getattr(args, "what", None) not in ("polytope", "fan"):
         if direction is None:
             raise InputError("no direction given")
         try:
@@ -158,15 +170,15 @@ def load_problem(path, direction_flag=None, need_divisor=True,
         except NonPrimitiveDirection:
             raise InputError("direction not primitive") from None
 
-    lk = []
-    for pair in doc.get("lk", []):
-        lk.append(_int_pair(pair, "lk entry"))
-    bound = doc.get("bound")
-    lambda_max = doc.get("lambda_max")
+    lk = doc.get("lk", [])
+    if not isinstance(lk, list):
+        raise InputError("lk must be a list of integer pairs")
+    lk = [_int_pair(pair, "lk entry") for pair in lk]
+    bound, lambda_max = doc.get("bound"), doc.get("lambda_max")
     for name, val in (("bound", bound), ("lambda_max", lambda_max)):
-        if val is not None and (not isinstance(val, int) or val < 1):
+        if val is not None and (type(val) is not int or val < 1):
             raise InputError(f"{name} must be a positive integer")
-    return Problem(fan, divisor, direction, lk, bound, lambda_max, fan_given)
+    return Problem(fan, divisor, direction, lk, bound, lambda_max)
 
 
 def _cone_out(c):
@@ -192,12 +204,12 @@ def _verdict_out(v):
     }
 
 
-def cmd_analyze(problem: Problem) -> dict:
+def cmd_analyze(problem: Problem, args) -> dict:
     ctx = make_context(problem.divisor, problem.direction)
     verdict = crit.is_finitely_generated(ctx)
     body = semigroup.newton_okounkov_body(ctx)
     seg = verdict.segment
-    lam_max = problem.lambda_max or 60
+    lam_max = args.lambda_max or problem.lambda_max or 60
     lifting = []
     for q, d in body.breakpoints:
         lifts = crit.vertex_lifts(ctx, q)
@@ -233,10 +245,10 @@ def cmd_analyze(problem: Problem) -> dict:
     }
 
 
-def cmd_semigroup(problem: Problem, lmax: int, expand: bool) -> str:
+def cmd_semigroup(problem: Problem, args) -> str:
     ctx = make_context(problem.divisor, problem.direction)
     lines = []
-    if expand:
+    if args.expand:
         lines.append("# columns: l,k,delta -- all semigroup elements up to level lmax")
         lines.append("l,k,delta")
     else:
@@ -245,14 +257,14 @@ def cmd_semigroup(problem: Problem, lmax: int, expand: bool) -> str:
             " (l,k,delta) for 0 <= delta <= e_bar-1"
         )
         lines.append("l,k,e_bar")
-    for l in range(1, lmax + 1):
+    for l in range(1, args.lmax + 1):
         s = semigroup.semigroup_slice(ctx, l)
-        rows = s.triples() if expand else ((l, k, e) for k, e in s.entries)
+        rows = s.triples() if args.expand else ((l, k, e) for k, e in s.entries)
         lines.extend(f"{a},{b},{c}" for a, b, c in rows)
     return "\n".join(lines) + "\n"
 
 
-def cmd_nobody(problem: Problem) -> dict:
+def cmd_nobody(problem: Problem, args) -> dict:
     ctx = make_context(problem.divisor, problem.direction)
     body = semigroup.newton_okounkov_body(ctx)
     return {
@@ -263,7 +275,7 @@ def cmd_nobody(problem: Problem) -> dict:
     }
 
 
-def cmd_fg(problem: Problem) -> dict:
+def cmd_fg(problem: Problem, args) -> dict:
     ctx = make_context(problem.divisor, problem.direction)
     verdict = crit.is_finitely_generated(ctx)
     out = _verdict_out(verdict)
@@ -275,7 +287,7 @@ def cmd_fg(problem: Problem) -> dict:
     return out
 
 
-def cmd_fg_all(problem: Problem) -> dict:
+def cmd_fg_all(problem: Problem, args) -> dict:
     res = crit.fg_for_all_divisors(problem.fan, problem.direction)
     return {
         "holds": res.holds,
@@ -285,9 +297,11 @@ def cmd_fg_all(problem: Problem) -> dict:
     }
 
 
-def cmd_scan(problem: Problem, bound: int) -> list:
-    target = problem.divisor
-    results = crit.scan_directions(target, bound)
+def cmd_scan(problem: Problem, args) -> list:
+    bound = args.bound or problem.bound
+    if not bound:
+        raise InputError("scan needs --bound or an input bound")
+    results = crit.scan_directions(problem.divisor, bound)
     return [
         {
             "direction": list(v),
@@ -300,7 +314,7 @@ def cmd_scan(problem: Problem, bound: int) -> list:
     ]
 
 
-def cmd_construct_bad(problem: Problem) -> dict:
+def cmd_construct_bad(problem: Problem, args) -> dict:
     failures = crit.failing_cones(problem.fan, problem.direction)
     first = next(failures, None)
     if first is None:
@@ -331,7 +345,8 @@ def cmd_construct_bad(problem: Problem) -> dict:
 _THETA_RE = re.compile(r"theta\((-?\d+),(-?\d+)\)")
 
 
-def cmd_plot(problem: Problem, what: str, flip_axes: bool) -> str:
+def cmd_plot(problem: Problem, args) -> str:
+    what = args.what
     if what == "polytope":
         return svgfig.polygon_svg(divisor_polytope(problem.divisor), title="P_D")
     if what == "fan":
@@ -339,7 +354,7 @@ def cmd_plot(problem: Problem, what: str, flip_axes: bool) -> str:
     if what == "nobody":
         ctx = make_context(problem.divisor, problem.direction)
         body = semigroup.newton_okounkov_body(ctx)
-        return svgfig.nobody_svg(body, flip_axes=flip_axes, title="NO body (q,t)")
+        return svgfig.nobody_svg(body, flip_axes=args.flip_axes, title="NO body (q,t)")
     m = _THETA_RE.fullmatch(what)
     if what == "theta" or m:
         if m:
@@ -348,6 +363,8 @@ def cmd_plot(problem: Problem, what: str, flip_axes: bool) -> str:
             l, k = problem.lk[0]
         else:
             raise InputError("theta plot needs an (l,k) pair (input lk or theta(l,k))")
+        if l < 0 or k < 0 or l == k == 0:
+            raise InputError(f"theta({l},{k}) needs l, k >= 0, not both zero")
         ctx = make_context(problem.divisor, problem.direction)
         t = semigroup.theta(ctx, l, k)
         if t.is_empty:
@@ -368,6 +385,27 @@ def _write_output(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+# subcommand -> (handler, its own flags as add_argument keywords); a handler
+# takes the problem and the parsed flags and returns text or a JSON value
+COMMANDS = {
+    "analyze": (cmd_analyze, {"--lambda-max": {"type": int}}),
+    "semigroup": (cmd_semigroup, {
+        "--lmax": {"type": int, "default": 3},
+        "--expand": {"action": "store_true", "help": "emit full (l,k,delta) triples"},
+    }),
+    "nobody": (cmd_nobody, {}),
+    "fg": (cmd_fg, {}),
+    "fg-all": (cmd_fg_all, {}),
+    "scan": (cmd_scan, {"--bound": {"type": int}}),
+    "construct-bad": (cmd_construct_bad, {}),
+    "plot": (cmd_plot, {
+        "--what": {"required": True,
+                   "help": "polytope | fan | theta | theta(l,k) | nobody"},
+        "--flip-axes": {"action": "store_true"},
+    }),
+}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="toricfg",
@@ -375,77 +413,26 @@ def main(argv=None) -> int:
         "with one-parameter-subgroup flags",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in (
-        "analyze",
-        "semigroup",
-        "nobody",
-        "fg",
-        "fg-all",
-        "scan",
-        "construct-bad",
-        "plot",
-    ):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the JSON problem file")
         p.add_argument("--direction", help="flag direction 'x,y' (overrides input)")
         p.add_argument("--output", help="write output here instead of stdout")
-        if name == "semigroup":
-            p.add_argument("--lmax", type=int, default=3)
-            p.add_argument("--expand", action="store_true",
-                           help="emit full (l,k,delta) triples")
-        if name == "scan":
-            p.add_argument("--bound", type=int)
-        if name == "analyze":
-            p.add_argument("--lambda-max", type=int, dest="lambda_max")
-        if name == "plot":
-            p.add_argument("--what", required=True,
-                           help="polytope | fan | theta | theta(l,k) | nobody")
-            p.add_argument("--flip-axes", action="store_true")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     args = ap.parse_args(argv)
 
-    need_divisor = args.command not in ("fg-all", "construct-bad")
-    need_direction = args.command != "scan" and not (
-        args.command == "plot" and args.what in ("polytope", "fan")
-    )
+    handler, _ = COMMANDS[args.command]
     try:
-        for flag, dest in (("--bound", "bound"), ("--lmax", "lmax"),
-                           ("--lambda-max", "lambda_max")):
-            val = getattr(args, dest, None)
-            if val is not None and val < 1:
-                raise InputError(f"{flag} must be a positive integer")
-        problem = load_problem(
-            args.input,
-            direction_flag=args.direction,
-            need_divisor=need_divisor,
-            need_direction=need_direction,
-            # ray-pair combinatorics is meaningful on any complete fan;
-            # the semigroup-theoretic commands insist on smooth fan input
-            require_smooth_fan_input=args.command not in ("fg-all", "construct-bad"),
-        )
-        if args.command == "analyze":
-            if args.lambda_max is not None:
-                problem.lambda_max = args.lambda_max
-            out = json.dumps(cmd_analyze(problem), indent=2) + "\n"
-        elif args.command == "semigroup":
-            out = cmd_semigroup(problem, args.lmax, args.expand)
-        elif args.command == "nobody":
-            out = json.dumps(cmd_nobody(problem), indent=2) + "\n"
-        elif args.command == "fg":
-            out = json.dumps(cmd_fg(problem), indent=2) + "\n"
-        elif args.command == "fg-all":
-            out = json.dumps(cmd_fg_all(problem), indent=2) + "\n"
-        elif args.command == "scan":
-            bound = args.bound or problem.bound
-            if not bound:
-                raise InputError("scan needs --bound or an input bound")
-            out = json.dumps(cmd_scan(problem, bound), indent=2) + "\n"
-        elif args.command == "construct-bad":
-            out = json.dumps(cmd_construct_bad(problem), indent=2) + "\n"
-        else:
-            out = cmd_plot(problem, args.what, getattr(args, "flip_axes", False))
+        for dest, val in vars(args).items():
+            if type(val) is int and val < 1:  # --bound, --lmax, --lambda-max
+                raise InputError(f"--{dest.replace('_', '-')} must be a positive integer")
+        out = handler(load_problem(args), args)
     except InputError as exc:
         print(json.dumps({"error": exc.reason}), file=sys.stderr)
         return 2
+    if not isinstance(out, str):
+        out = json.dumps(out, indent=2) + "\n"
     _write_output(out, args.output)
     return 0
 

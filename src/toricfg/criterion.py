@@ -116,8 +116,8 @@ def sigma_cones(seg: SegmentData, v) -> tuple:
 @dataclass(frozen=True)
 class FGVerdict:
     """Verdict plus evidence: decomposition witnesses on failure, the side
-    cones, and (on request or on degenerate fallback) the per-breakpoint
-    lifting table of the Newton-Okounkov body."""
+    cones, and (only on the degenerate fallback, else None) the
+    per-breakpoint lifting table of the Newton-Okounkov body."""
 
     finitely_generated: bool
     sigma_plus: Cone2 | None
@@ -144,7 +144,7 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     v = ctx.flag.v
     if width(t, v) == 0:
         return True
-    ext = theta_extremal(ctx, 1, q=q)
+    ext = theta_extremal(ctx, 1, q)
     ok_minus = (
         True
         if ext.cone_minus.kind == "halfplane"
@@ -163,7 +163,7 @@ def lifting_table(ctx: FlagContext) -> tuple:
     return tuple((q, d, vertex_lifts(ctx, q)) for q, d in body.breakpoints)
 
 
-def is_finitely_generated(ctx: FlagContext, with_lifting: bool = False) -> FGVerdict:
+def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
     """Finitely generated iff v is not strongly decomposable in sigma_plus
     and -v is not strongly decomposable in sigma_minus.  When the maximal
     cross-section sits at an extreme level (one side cone undefined) the
@@ -193,7 +193,7 @@ def is_finitely_generated(ctx: FlagContext, with_lifting: bool = False) -> FGVer
         witness_plus=wit_plus,
         witness_minus=wit_minus,
         degenerate_side=False,
-        lifting=lifting_table(ctx) if with_lifting else None,
+        lifting=None,
         segment=seg,
     )
 
@@ -396,12 +396,10 @@ def scan_directions(target, bound: int):
         raise ValueError("bound must be at least 1")
     if isinstance(target, RatPolygon):
         divisor = divisor_from_polytope(target)
-    elif isinstance(target, FlagContext):
-        divisor = target.divisor
     elif isinstance(target, ToricDivisor):
         divisor = target
     else:
-        raise TypeError("scan a divisor, a polygon, or a context")
+        raise TypeError("scan a divisor or a polygon")
     if not is_ample(divisor):
         raise ValueError("scan needs an ample divisor")
     out = []

@@ -109,9 +109,6 @@ class ToricDivisor:
             vals = tuple(Fraction(a) for a in coeffs)
         return ToricDivisor(fan, vals)
 
-    def coeff(self, ray) -> Fraction:
-        return self.coeffs[self.fan.index_of(ray)]
-
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
         if self.fan != other.fan:
             raise ValueError("divisors live on different fans")

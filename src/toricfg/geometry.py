@@ -270,16 +270,6 @@ class RatPolygon:
         after = verts[(i + 1) % len(verts)]
         return primitivize(vsub(verts[i - 1], r)), primitivize(vsub(after, r))
 
-    def translate(self, t) -> "RatPolygon":
-        if self.is_empty:
-            return self
-        t = frac2(t)
-        return RatPolygon(
-            tuple(vadd(p, t) for p in self.vertices),
-            tuple((n, o + dot(t, n)) for n, o in self.halfplanes),
-            self.dim,
-        )
-
     def dilate(self, factor) -> "RatPolygon":
         """Scale about the origin by a nonnegative rational factor."""
         c = Fraction(factor)

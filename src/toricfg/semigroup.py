@@ -207,11 +207,7 @@ class ThetaExtremal:
     degenerate: bool
 
 
-def theta_extremal(ctx: FlagContext, l, k=None, q=None) -> ThetaExtremal:
-    if (k is None) == (q is None):
-        raise ValueError("give exactly one of k or q")
-    if k is None:
-        k = Fraction(l) * Fraction(q)
+def theta_extremal(ctx: FlagContext, l, k) -> ThetaExtremal:
     t = theta(ctx, l, k)
     if t.is_empty:
         raise DegenerateTheta("no extremal data for an empty colon polytope")

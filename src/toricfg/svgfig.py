@@ -13,6 +13,9 @@ from .geometry import RatPolygon
 SCALE = 40
 MARGIN = 60
 DOT = 2.2
+# the grid has a dot per lattice point of the bounding box; past this many
+# they would bury the figure, and their number grows with its area
+MAX_GRID_DOTS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -55,6 +58,8 @@ class _Canvas:
 def _grid(cv: _Canvas):
     xs = range(int(cv.xmin), int(cv.xmin + (cv.width - 2 * MARGIN) / SCALE) + 1)
     ys = range(int(cv.ymax - (cv.height - 2 * MARGIN) / SCALE), int(cv.ymax) + 1)
+    if len(xs) * len(ys) > MAX_GRID_DOTS:
+        return
     for x in xs:
         for y in ys:
             px, py = cv.to_px((x, y))

@@ -3,17 +3,10 @@ import os
 import subprocess
 import sys
 
+from util import run_main
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "inputs")
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "toricfg.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
 
 
 def inp(name):
@@ -21,7 +14,7 @@ def inp(name):
 
 
 def test_analyze_running_example():
-    res = run_cli("analyze", "--input", inp("slanted_quad.json"))
+    res = run_main("analyze", "--input", inp("slanted_quad.json"))
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["finitely_generated"] is False
@@ -44,7 +37,7 @@ def tuple_or_int(x):
 
 
 def test_analyze_sevengon_polytope_mode():
-    res = run_cli("analyze", "--input", inp("sevengon.json"))
+    res = run_main("analyze", "--input", inp("sevengon.json"))
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["finitely_generated"] is True
@@ -53,7 +46,7 @@ def test_analyze_sevengon_polytope_mode():
 
 
 def test_analyze_rejects_nonsmooth_fan_mode():
-    res = run_cli("analyze", "--input", inp("extended_quad_fan.json"))
+    res = run_main("analyze", "--input", inp("extended_quad_fan.json"))
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "fan not smooth"
 
@@ -66,7 +59,7 @@ def test_validation_errors():
             json.dump(doc, fh)
             path = fh.name
         try:
-            res = run_cli("analyze", "--input", path)
+            res = run_main("analyze", "--input", path)
             assert res.returncode == 2, res.stdout
             assert reason_part in json.loads(res.stderr)["error"]
         finally:
@@ -97,10 +90,31 @@ def test_validation_errors():
         "not ample",
     )
     reject({"direction": [1, 0]}, "needs either a fan or a polytope")
+    # wrong JSON shapes and boolean numbers are reasons too, not crashes
+    tri = {"vertices": [[0, 0], [2, 0], [0, 2]]}
+    reject(
+        {"fan": [[1, 0], [0, 1], [-1, -1]], "direction": [1, 2]},
+        "fan.rays must be a list",
+    )
+    reject({"fan": None, "direction": [1, 2]}, "fan.rays must be a list")
+    reject(
+        {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "divisor": [1, 1, 1],
+         "direction": [1, 2]},
+        "divisor.coefficients must align",
+    )
+    reject(
+        {"polytope": [[0, 0], [2, 0], [0, 2]], "direction": [1, 2]},
+        "polytope.vertices must list",
+    )
+    reject({"polytope": tri, "direction": [1, 2], "lk": 5}, "lk must be a list")
+    reject({"polytope": tri, "direction": [1, 2], "bound": True},
+           "bound must be a positive integer")
+    reject({"polytope": tri, "direction": [1, 2], "lambda_max": True},
+           "lambda_max must be a positive integer")
 
 
 def test_semigroup_csv():
-    res = run_cli("semigroup", "--input", inp("slanted_quad.json"), "--lmax", "3")
+    res = run_main("semigroup", "--input", inp("slanted_quad.json"), "--lmax", "3")
     assert res.returncode == 0
     lines = [l for l in res.stdout.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "l,k,e_bar"
@@ -111,7 +125,7 @@ def test_semigroup_csv():
 
 
 def test_semigroup_expand():
-    res = run_cli(
+    res = run_main(
         "semigroup", "--input", inp("slanted_quad.json"), "--lmax", "1", "--expand"
     )
     lines = [l for l in res.stdout.splitlines() if l and not l.startswith("#")]
@@ -120,7 +134,7 @@ def test_semigroup_expand():
 
 
 def test_nobody_json():
-    res = run_cli("nobody", "--input", inp("slanted_quad.json"))
+    res = run_main("nobody", "--input", inp("slanted_quad.json"))
     doc = json.loads(res.stdout)
     assert doc["q_hat"] == [8, 7]
     assert [0, 25] in doc["vertices"]
@@ -128,19 +142,19 @@ def test_nobody_json():
 
 
 def test_fg_and_fg_all():
-    res = run_cli("fg", "--input", inp("sevengon.json"))
+    res = run_main("fg", "--input", inp("sevengon.json"))
     assert json.loads(res.stdout)["finitely_generated"] is True
-    res2 = run_cli("fg-all", "--input", inp("extended_quad_fan.json"))
+    res2 = run_main("fg-all", "--input", inp("extended_quad_fan.json"))
     doc = json.loads(res2.stdout)
     assert doc["holds"] is False and doc["failing_cone"] is not None
 
 
 def test_scan_and_construct_bad():
-    res = run_cli("scan", "--input", inp("unit_square.json"), "--bound", "2")
+    res = run_main("scan", "--input", inp("unit_square.json"), "--bound", "2")
     rows = json.loads(res.stdout)
     table = {tuple(r["direction"]): r["finitely_generated"] for r in rows}
     assert table[(1, 0)] is True and table[(1, 2)] is False
-    res2 = run_cli("construct-bad", "--input", inp("extended_quad_fan.json"))
+    res2 = run_main("construct-bad", "--input", inp("extended_quad_fan.json"))
     doc = json.loads(res2.stdout)
     assert doc["constructed"] is True and doc["finitely_generated"] is False
 
@@ -149,7 +163,7 @@ def test_plot_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"
     for out in (out1, out2):
-        res = run_cli(
+        res = run_main(
             "plot", "--input", inp("slanted_quad.json"), "--what", "nobody",
             "--output", str(out),
         )
@@ -157,7 +171,7 @@ def test_plot_outputs_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     svg = out1.read_text()
     assert svg.startswith("<svg") and "2/3" in svg and "8/7" in svg and "25" in svg
-    res = run_cli(
+    res = run_main(
         "plot", "--input", inp("slanted_quad.json"), "--what", "theta(3,2)",
         "--output", str(tmp_path / "t.svg"),
     )
@@ -165,18 +179,18 @@ def test_plot_outputs_and_determinism(tmp_path):
     t = (tmp_path / "t.svg").read_text()
     assert "(-10,0)" in t and "(0,-5)" in t
     # bare "theta" takes the first (l,k) pair from the input document
-    res = run_cli(
+    res = run_main(
         "plot", "--input", inp("slanted_quad.json"), "--what", "theta",
         "--output", str(tmp_path / "t11.svg"),
     )
     assert res.returncode == 0
     assert "(0,-1/2)" in (tmp_path / "t11.svg").read_text()
-    res = run_cli(
+    res = run_main(
         "plot", "--input", inp("sevengon.json"), "--what", "fan",
         "--output", str(tmp_path / "f.svg"),
     )
     assert res.returncode == 0
-    res = run_cli(
+    res = run_main(
         "plot", "--input", inp("slanted_quad.json"), "--what", "nobody",
         "--flip-axes", "--output", str(tmp_path / "flip.svg"),
     )
@@ -184,9 +198,28 @@ def test_plot_outputs_and_determinism(tmp_path):
     assert (tmp_path / "flip.svg").read_text() != svg
 
 
+def test_theta_plot_rejects_levels_below_zero():
+    for what in ("theta(0,0)", "theta(-1,2)", "theta(1,-5)"):
+        res = run_main("plot", "--input", inp("slanted_quad.json"), "--what", what)
+        assert res.returncode == 2 and res.stdout == ""
+        assert json.loads(res.stderr)["error"].endswith("needs l, k >= 0, not both zero")
+
+
+def test_module_entry_point_matches_in_process_run():
+    args = ["fg", "--input", inp("sevengon.json")]
+    res = subprocess.run(
+        [sys.executable, "-m", "toricfg.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (res.returncode, res.stdout, res.stderr) == tuple(run_main(*args))
+
+
 def test_cli_output_flag(tmp_path):
     target = tmp_path / "report.json"
-    res = run_cli(
+    res = run_main(
         "fg", "--input", inp("slanted_quad.json"), "--output", str(target)
     )
     assert res.returncode == 0 and res.stdout == ""
@@ -194,7 +227,7 @@ def test_cli_output_flag(tmp_path):
 
 
 def test_direction_flag_overrides_input():
-    res = run_cli("fg", "--input", inp("sevengon.json"), "--direction", "1,0")
+    res = run_main("fg", "--input", inp("sevengon.json"), "--direction", "1,0")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert "finitely_generated" in doc
@@ -210,7 +243,7 @@ def test_degenerate_side_flagged_in_output(tmp_path):
     }
     path = tmp_path / "simplex.json"
     path.write_text(json.dumps(doc))
-    res = run_cli("fg", "--input", str(path))
+    res = run_main("fg", "--input", str(path))
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)
     assert out["degenerate_side"] is True
@@ -231,7 +264,7 @@ def test_rational_vertex_polytope_input(tmp_path):
     }
     path = tmp_path / "adjusted.json"
     path.write_text(json.dumps(doc))
-    res = run_cli("fg", "--input", str(path))
+    res = run_main("fg", "--input", str(path))
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["finitely_generated"] is False
 
@@ -243,7 +276,7 @@ def test_scan_uses_bound_from_input(tmp_path):
     }
     path = tmp_path / "sq.json"
     path.write_text(json.dumps(doc))
-    res = run_cli("scan", "--input", str(path))
+    res = run_main("scan", "--input", str(path))
     assert res.returncode == 0, res.stderr
     rows = json.loads(res.stdout)
     assert {tuple(r["direction"]) for r in rows} == {(0, 1), (1, -1), (1, 0), (1, 1)}

@@ -107,6 +107,9 @@ CASES = [
     ("plot", SQ, "--what", "theta(3,2)"),
     ("plot", SQ, "--what", "nobody", "--flip-axes"),
     ("plot", SEVEN, "--what", "nobody"),
+    # about 2^88 lattice points in the bounding box: drawn without the dot grid
+    ("plot", BIG, "--what", "polytope"),
+    ("plot", BIG, "--what", "nobody"),
     # exit 2, one reason each
     ("fg", "not_json.json"),
     ("fg", "not_object.json"),
@@ -244,6 +247,10 @@ GOLDEN = {
         '507ef161e8a004baad4ebb1839c29c6bac18073f397c455105f97023469d653f',
     'plot sevengon.json --what nobody':
         '2bcc4d4714b1c15b9635a15463e9be1ac548b2a0351115f379706ad9a6087a23',
+    'plot big_rational_zonotope.json --what polytope':
+        '86b6dad39c872a1936c064c8e98834d4ac5fd3a7ccfe7030112728e32d761a7c',
+    'plot big_rational_zonotope.json --what nobody':
+        '30c3ac5958864de17bfdcdd03f16c2a2c76a07c42a5d4cd3214e253cf95c4e80',
     'fg not_json.json':
         '69e057ce9b656bcd5673d34bf403b16ce89517638b213f92727584947cb0e160',
     'fg not_object.json':

@@ -184,7 +184,7 @@ def test_sigma_dual_contained_in_theta_tangents():
         qh = q_hat(ctx)
         for i in range(4):
             q = qh * F(i, 5)
-            ext = theta_extremal(ctx, 1, q=q)
+            ext = theta_extremal(ctx, 1, q)
             if ext.degenerate:
                 continue
             dplus = dual_cone(verdict.sigma_plus)
@@ -408,12 +408,13 @@ def test_max_segment_on_random_polygons_matches_oracle(points, v):
     assert max_segment(p, v) == vertex_level_max_segment(p, v)
 
 
-def test_scan_accepts_context_and_divisor():
+def test_scan_accepts_polygon_and_divisor():
     by_poly = scan_directions(CTX.p_d, 1)
     by_div = scan_directions(CTX.divisor, 1)
-    by_ctx = scan_directions(CTX, 1)
     verdicts = lambda rows: [(v, r.finitely_generated) for v, r in rows]
-    assert verdicts(by_poly) == verdicts(by_div) == verdicts(by_ctx)
+    assert verdicts(by_poly) == verdicts(by_div)
+    with pytest.raises(TypeError):
+        scan_directions(CTX, 1)
 
 
 def test_lift_search_agrees_on_constructed_divisor():

@@ -352,7 +352,9 @@ def test_support_values_are_fraction_dot_extremes(points, d):
     dots = [dot(q, d) for q in p.vertices]
     assert p.support_min(d) == min(dots) and p.support_max(d) == max(dots)
     assert p.face(d) == [q for q, h in zip(p.vertices, dots) if h == min(dots)]
-    moved = p.translate((F(1, 3), F(-2, 5))).dilate(F(7, 2))
+    moved = RatPolygon.from_vertices(
+        [(x + F(1, 3), y - F(2, 5)) for x, y in p.vertices]
+    ).dilate(F(7, 2))
     assert moved.support_min(d) == min(dot(q, d) for q in moved.vertices)
 
 

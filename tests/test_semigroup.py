@@ -187,7 +187,7 @@ def test_theta_extremal_consistency_with_projection():
 
 
 def test_theta_extremal_degenerate_point():
-    ext = theta_extremal(CTX, 1, q=F(8, 7))
+    ext = theta_extremal(CTX, 1, F(8, 7))
     assert ext.degenerate and ext.cone_minus is None
 
 
@@ -286,6 +286,6 @@ def test_theta_extremal_edge_faces_are_halfplanes():
     assert ext.cone_plus.kind == "halfplane"
     # at the top slope the square's colon polytope is a segment transverse
     # to the level lines, whose endpoint tangent cones are rays
-    ext_top = theta_extremal(sq_ctx, 1, q=1)
+    ext_top = theta_extremal(sq_ctx, 1, 1)
     assert ext_top.cone_minus.kind == "ray"
     assert ext_top.cone_plus.kind == "ray"
