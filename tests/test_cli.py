@@ -198,7 +198,7 @@ def test_plot_outputs_and_determinism(tmp_path):
     assert (tmp_path / "flip.svg").read_text() != svg
 
 
-def test_theta_plot_rejects_levels_below_zero():
+def test_theta_plot_rejects_invalid_levels():
     for what in ("theta(0,0)", "theta(-1,2)", "theta(1,-5)"):
         res = run_main("plot", "--input", inp("slanted_quad.json"), "--what", what)
         assert res.returncode == 2 and res.stdout == ""
