@@ -40,7 +40,6 @@ from .fans import (
     NonPrimitiveDirection,
     ToricDivisor,
     UnboundedPolytope,
-    cprime_divisor,
     divisor_from_polytope,
     divisor_polytope,
     flag_data,

@@ -25,14 +25,12 @@ from . import oracles, semigroup, svgfig
 from .fans import (
     Fan2,
     InvalidFan,
-    NonPrimitiveDirection,
     ToricDivisor,
     divisor_from_polytope,
     divisor_polytope,
-    flag_data,
     is_ample,
 )
-from .geometry import RatPolygon
+from .geometry import RatPolygon, is_primitive
 from .semigroup import make_context
 
 
@@ -165,10 +163,8 @@ def load_problem(args) -> Problem:
     if args.command != "scan" and getattr(args, "what", None) not in ("polytope", "fan"):
         if direction is None:
             raise InputError("no direction given")
-        try:
-            flag_data(fan, direction)
-        except NonPrimitiveDirection:
-            raise InputError("direction not primitive") from None
+        if not is_primitive(direction):
+            raise InputError("direction not primitive")
 
     lk = doc.get("lk", [])
     if not isinstance(lk, list):

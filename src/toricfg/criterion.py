@@ -23,7 +23,6 @@ from .cones import (
 from .fans import (
     Fan2,
     ToricDivisor,
-    cprime_divisor,
     divisor_from_polytope,
     divisor_polytope,
     edge_rays,
@@ -46,6 +45,7 @@ from .geometry import (
 )
 from .semigroup import (
     FlagContext,
+    NotAmple,
     make_context,
     newton_okounkov_body,
     theta,
@@ -259,9 +259,9 @@ def construct_bad_divisor(
     A halfplane sigma instead stretches the antiparallel edge pair until
     the maximal cross-section ends on both edge interiors."""
     v = int_vector(v)
-    flag = flag_data(fan, v)
     if sigma.kind == "halfplane":
         return _construct_bad_halfplane(fan, sigma, v)
+    flag = flag_data(fan, v)
     if sigma.kind != "cone":
         raise ValueError("sigma must be a two-dimensional cone or a halfplane")
     for g in sigma.generators:
@@ -278,7 +278,7 @@ def construct_bad_divisor(
     theta0 = divisor_polytope(d_theta)
     _check_tangent(theta0, sigma, v)
 
-    d_prime = cprime_divisor(fan, flag) + d_theta
+    d_prime = ToricDivisor.make(fan, flag.cprime_coeffs) + d_theta
     target = minkowski_sum(theta0, flag.nabla_prime)
     coeffs = list(d_prime.coeffs)
     processed = set(outer)
@@ -292,14 +292,15 @@ def construct_bad_divisor(
             continue
         coeffs[idx] = _lower_coefficient(fan, coeffs, idx, target, processed)
     divisor = ToricDivisor(fan, tuple(coeffs))
-    p_d = divisor_polytope(divisor)
-    if not is_ample(divisor):
-        raise ConstructionFailed("lowering did not reach an ample divisor")
-    if not p_d.contains_polygon(target):
+    try:
+        ctx = make_context(divisor, v)
+    except NotAmple:
+        raise ConstructionFailed("lowering did not reach an ample divisor") from None
+    if not ctx.p_d.contains_polygon(target):
         raise ConstructionFailed("Minkowski-sum containment lost while lowering")
-    if colon(p_d, flag.nabla_prime) != theta0:
+    if colon(ctx.p_d, flag.nabla_prime) != theta0:
         raise ConstructionFailed("colon polytope drifted from the prescribed one")
-    verdict = is_finitely_generated(make_context(divisor, v))
+    verdict = is_finitely_generated(ctx)
     if verdict.finitely_generated:
         raise ConstructionFailed("constructed divisor is unexpectedly finitely generated")
     return BadDivisorConstruction(divisor, d_prime, d_theta, theta0)
@@ -373,16 +374,16 @@ def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstructi
     while weight <= 4096:
         coeffs = {r: base[r] + weight * abs(det(g, r)) for r in fan.rays}
         divisor = ToricDivisor.make(fan, coeffs)
-        verdict = is_finitely_generated(make_context(divisor, v))
+        ctx = make_context(divisor, v)
+        verdict = is_finitely_generated(ctx)
         if (
             not verdict.finitely_generated
             and not verdict.degenerate_side
             and verdict.sigma_plus is not None
             and verdict.sigma_plus.kind == "halfplane"
         ):
-            flag = flag_data(fan, v)
             return BadDivisorConstruction(
-                divisor, divisor, divisor, colon(divisor_polytope(divisor), flag.nabla_prime)
+                divisor, divisor, divisor, colon(ctx.p_d, ctx.flag.nabla_prime)
             )
         weight *= 2
     raise ConstructionFailed("edge stretching never produced the halfplane cones")

@@ -127,14 +127,20 @@ def divisor_polytope(d: ToricDivisor) -> RatPolygon:
         raise UnboundedPolytope("divisor is not nef") from exc
 
 
-def is_ample(d: ToricDivisor) -> bool:
-    """True iff every ray of the fan supports an edge of P_D of positive
-    length, i.e. the support function is strictly convex at every ray."""
+def ample_polytope(d: ToricDivisor) -> RatPolygon | None:
+    """P_D when D is ample, else None.  D is ample iff every ray of the fan
+    supports an edge of P_D of positive length, i.e. the support function
+    is strictly convex at every ray."""
     try:
         p = divisor_polytope(d)
     except UnboundedPolytope:
-        return False
-    return len(edge_rays(p, d.fan.rays, d.coeffs)) == len(d.fan.rays)
+        return None
+    return p if len(edge_rays(p, d.fan.rays, d.coeffs)) == len(d.fan.rays) else None
+
+
+def is_ample(d: ToricDivisor) -> bool:
+    """True iff D is ample (see ample_polytope)."""
+    return ample_polytope(d) is not None
 
 
 def edge_rays(p: RatPolygon, rays, coeffs) -> set:
@@ -190,10 +196,6 @@ def flag_data(fan: Fan2, v) -> FlagData:
         [(r, min(0, dot(m, r))) for r in fan.rays]
     )
     return FlagData(v, m, nabla, cprime, nabla_prime)
-
-
-def cprime_divisor(fan: Fan2, flag: FlagData) -> ToricDivisor:
-    return ToricDivisor(fan, tuple(Fraction(c) for c in flag.cprime_coeffs))
 
 
 def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:

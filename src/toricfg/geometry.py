@@ -203,20 +203,21 @@ class RatPolygon:
         feasible = [(x, y, d) for x, y, d in candidates
                     if all(x * n[0] + y * n[1] >= o * d for n, o in hps)]
 
-        if feasible:
-            if _has_recession(normals):
-                raise UnboundedRegion("feasible but unbounded halfplane intersection")
-            den = lcm(*(d for _, _, d in feasible))
-            return _hull_polygon(
-                [(x * (den // d), y * (den // d)) for x, y, d in feasible],
-                den * scale,
-            )
-        if not _has_recession(normals):
-            return RatPolygon.empty()  # bounded and vertex-free means empty
-        for idx, weights in helly_certificates(normals):
-            if sum(w * hps[i][1] for i, w in zip(idx, weights)) > 0:
+        if not feasible:
+            # A non-empty region without a vertex contains a line, so its
+            # normals are +-n: one halfplane or an antiparallel pair (any
+            # other pair meets).  More halfplanes, or a pair whose offsets
+            # exclude each other, leave it empty.
+            if len(hps) > 2 or (len(hps) == 2 and hps[0][1] + hps[1][1] > 0):
                 return RatPolygon.empty()
-        raise UnboundedRegion("feasible but unbounded halfplane intersection")
+            raise UnboundedRegion("feasible but unbounded halfplane intersection")
+        if _has_recession(normals):
+            raise UnboundedRegion("feasible but unbounded halfplane intersection")
+        den = lcm(*(d for _, _, d in feasible))
+        return _hull_polygon(
+            [(x * (den // d), y * (den // d)) for x, y, d in feasible],
+            den * scale,
+        )
 
     # -- basic queries ------------------------------------------------------
 
@@ -356,26 +357,6 @@ def _has_recession(normals) -> bool:
             if all(dot(d, m) >= 0 for m in normals):
                 return True
     return False
-
-
-def helly_certificates(normals):
-    """Yield (indices, positive weights) for each antiparallel pair and each
-    positively spanning triple of normals.
-
-    In the plane, constraints <u, n_i> >= o_i have an empty intersection
-    iff some certificate has sum(w * o_i) > 0 (Helly plus Farkas: the
-    weighted normals cancel, so the weighted constraint reads 0 >= sum).
-    """
-    for i, j in combinations(range(len(normals)), 2):
-        if normals[j] == neg(normals[i]):
-            yield (i, j), (1, 1)
-    for i, j, k in combinations(range(len(normals)), 3):
-        ni, nj, nk = normals[i], normals[j], normals[k]
-        l1, l2, l3 = det(nj, nk), det(nk, ni), det(ni, nj)
-        if l1 > 0 and l2 > 0 and l3 > 0:
-            yield (i, j, k), (l1, l2, l3)
-        elif l1 < 0 and l2 < 0 and l3 < 0:
-            yield (i, j, k), (-l1, -l2, -l3)
 
 
 # -- the polygon operations used downstream --------------------------------

@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
-from util import run_main
+from toricfg.gallery import slanted_quad_divisor
+from toricfg.geometry import RatPolygon
+from toricfg.semigroup import make_context
+from util import run_main, src_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "inputs")
@@ -212,6 +215,7 @@ def test_module_entry_point_matches_in_process_run():
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=src_env(),
     )
     assert res.returncode == 0, res.stderr
     assert (res.returncode, res.stdout, res.stderr) == tuple(run_main(*args))
@@ -313,3 +317,24 @@ def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
     assert rc == 0
     assert capsys.readouterr().out.count("\n5,") > 0
     assert len(calls) == 1
+
+
+def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch):
+    # fg builds P_D for the input's ampleness check, then P_D and nabla'
+    # for its context, which decides ampleness on the P_D it keeps; the
+    # direction's primitivity needs no polygon
+    calls = []
+    kernel = RatPolygon.from_halfplanes
+
+    def counted(halfplanes):
+        calls.append(halfplanes)
+        return kernel(halfplanes)
+
+    monkeypatch.setattr(RatPolygon, "from_halfplanes", staticmethod(counted))
+    res = run_main("fg", "--input", inp("sym16gon.json"), "--direction", "3,7")
+    assert res.returncode == 0, res.stderr
+    assert len(calls) <= 3
+    divisor = slanted_quad_divisor()
+    calls.clear()
+    make_context(divisor, (-2, 3))
+    assert len(calls) <= 2

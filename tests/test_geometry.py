@@ -11,7 +11,6 @@ from toricfg.geometry import (
     UnboundedRegion,
     colon,
     dot,
-    helly_certificates,
     int_vector,
     lattice_points,
     line_interval,
@@ -26,6 +25,7 @@ from toricfg.geometry import (
 from util import (
     fraction_from_halfplanes,
     fraction_polygon_of_points,
+    helly_certificates,
     line_interval_max_chord,
     naive_lattice_points,
     random_polygon,
@@ -243,6 +243,9 @@ NORMAL = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda n: n !=
 @example([((1, 0), 0), ((-1, 0), -1)])  # strip: unbounded
 @example([((1, 0), 1), ((-2, 0), 0)])  # antiparallel pair: empty
 @example([((1, 1), F(5, 7))])  # one halfplane: unbounded
+@example([((1, 0), 0), ((-1, 0), 0)])  # a line: unbounded
+@example([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)])  # infeasible strip and a third normal: empty
+@example([((1, 0), 1), ((0, 1), 1), ((-1, -1), 0)])  # positively spanning triple: empty
 def test_from_halfplanes_matches_fraction_kernel(halfplanes):
     assert (_intersect_or_unbounded(RatPolygon.from_halfplanes, halfplanes)
             == _intersect_or_unbounded(fraction_from_halfplanes, halfplanes))

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+from util import src_env
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -11,6 +13,7 @@ def run_script(name, *args):
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=src_env(),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,7 +23,6 @@ from toricfg.geometry import (
     det,
     dot,
     floor_frac,
-    helly_certificates,
     line_interval,
     neg,
     primitivize,
@@ -195,6 +195,28 @@ def search_relaxation(theta_inf: RatPolygon, interior) -> int:
     return relax
 
 
+def helly_certificates(normals):
+    """Yield (indices, positive weights) for each antiparallel pair and each
+    positively spanning triple of normals.
+
+    In the plane, constraints <u, n_i> >= o_i have an empty intersection
+    iff some certificate has sum(w * o_i) > 0 (Helly plus Farkas: the
+    weighted normals cancel, so the weighted constraint reads 0 >= sum).
+    The oracles below decide emptiness by it, a route independent of the
+    vertex-free rule of RatPolygon.from_halfplanes.
+    """
+    for i, j in combinations(range(len(normals)), 2):
+        if normals[j] == neg(normals[i]):
+            yield (i, j), (1, 1)
+    for i, j, k in combinations(range(len(normals)), 3):
+        ni, nj, nk = normals[i], normals[j], normals[k]
+        l1, l2, l3 = det(nj, nk), det(nk, ni), det(ni, nj)
+        if l1 > 0 and l2 > 0 and l3 > 0:
+            yield (i, j, k), (l1, l2, l3)
+        elif l1 < 0 and l2 < 0 and l3 < 0:
+            yield (i, j, k), (-l1, -l2, -l3)
+
+
 def helly_q_hat(ctx) -> Fraction:
     """Top slope from the parametric feasibility of the colon polytope's
     halfplane system: at slope q the offsets are base + q * slope, and
@@ -220,7 +242,8 @@ def fraction_from_halfplanes(halfplanes) -> RatPolygon:
     pair of lines, keep the points that satisfy every constraint and take
     their hull.  The independent oracle for the integer kernel of
     RatPolygon.from_halfplanes; it shares only the input normalisation,
-    convex_hull and the empty/unbounded tests with it."""
+    convex_hull and the recession test with it, and decides emptiness by
+    Helly certificates."""
     merged = {}
     for normal, offset in halfplanes:
         n, o = _normalize_halfplane(normal, offset)
@@ -267,6 +290,16 @@ def fraction_polygon_of_points(points) -> RatPolygon:
             hps.append((n, dot(a, n)))
         hps = tuple(hps)
     return RatPolygon(tuple(hull), hps, min(len(hull), 3) - 1)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def src_env() -> dict:
+    """The environment with the checkout's src first on PYTHONPATH, so a
+    child Python imports toricfg without an install."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 CliRun = namedtuple("CliRun", "returncode stdout stderr")
