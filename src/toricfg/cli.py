@@ -26,12 +26,12 @@ from .fans import (
     Fan2,
     InvalidFan,
     ToricDivisor,
+    ample_polytope,
     divisor_from_polytope,
-    divisor_polytope,
-    is_ample,
+    flag_data,
 )
 from .geometry import RatPolygon, is_primitive
-from .semigroup import make_context
+from .semigroup import FlagContext
 
 
 class InputError(Exception):
@@ -76,12 +76,18 @@ def _int_pair(x, what):
 
 @dataclass
 class Problem:
+    """The validated input.  p_d is set for the semigroup commands and
+    context for those of them that also take a direction, each built once
+    here where the input is checked."""
+
     fan: Fan2
     divisor: ToricDivisor | None
     direction: tuple | None
     lk: list
     bound: int | None
     lambda_max: int | None
+    p_d: RatPolygon | None
+    context: FlagContext | None
 
 
 def _field(doc, key, name):
@@ -145,10 +151,12 @@ def load_problem(args) -> Problem:
     else:
         raise InputError("input needs either a fan or a polytope")
 
+    p_d = None
     if semigroup_command:
         if divisor is None:
             raise InputError("this subcommand needs divisor coefficients")
-        if not is_ample(divisor):
+        p_d = ample_polytope(divisor)
+        if p_d is None:
             raise InputError("divisor not ample")
 
     direction = None
@@ -160,11 +168,14 @@ def load_problem(args) -> Problem:
     elif "direction" in doc:
         direction = _int_pair(doc["direction"], "direction")
     # scan picks its own directions; plots of P_D and of the fan use none
+    context = None
     if args.command != "scan" and getattr(args, "what", None) not in ("polytope", "fan"):
         if direction is None:
             raise InputError("no direction given")
         if not is_primitive(direction):
             raise InputError("direction not primitive")
+        if semigroup_command:
+            context = FlagContext(divisor, flag_data(fan, direction), p_d)
 
     lk = doc.get("lk", [])
     if not isinstance(lk, list):
@@ -174,7 +185,7 @@ def load_problem(args) -> Problem:
     for name, val in (("bound", bound), ("lambda_max", lambda_max)):
         if val is not None and (type(val) is not int or val < 1):
             raise InputError(f"{name} must be a positive integer")
-    return Problem(fan, divisor, direction, lk, bound, lambda_max)
+    return Problem(fan, divisor, direction, lk, bound, lambda_max, p_d, context)
 
 
 def _cone_out(c):
@@ -201,11 +212,11 @@ def _verdict_out(v):
 
 
 def cmd_analyze(problem: Problem, args) -> dict:
-    ctx = make_context(problem.divisor, problem.direction)
+    ctx = problem.context
     verdict = crit.is_finitely_generated(ctx)
     body = semigroup.newton_okounkov_body(ctx)
     seg = verdict.segment
-    lam_max = args.lambda_max or problem.lambda_max or 60
+    lam_max = args.lambda_max or problem.lambda_max or oracles.LAMBDA_MAX
     lifting = []
     for q, d in body.breakpoints:
         lifts = crit.vertex_lifts(ctx, q)
@@ -242,7 +253,7 @@ def cmd_analyze(problem: Problem, args) -> dict:
 
 
 def cmd_semigroup(problem: Problem, args) -> str:
-    ctx = make_context(problem.divisor, problem.direction)
+    ctx = problem.context
     lines = []
     if args.expand:
         lines.append("# columns: l,k,delta -- all semigroup elements up to level lmax")
@@ -261,7 +272,7 @@ def cmd_semigroup(problem: Problem, args) -> str:
 
 
 def cmd_nobody(problem: Problem, args) -> dict:
-    ctx = make_context(problem.divisor, problem.direction)
+    ctx = problem.context
     body = semigroup.newton_okounkov_body(ctx)
     return {
         "q_hat": _frac_out(semigroup.q_hat(ctx)),
@@ -272,8 +283,7 @@ def cmd_nobody(problem: Problem, args) -> dict:
 
 
 def cmd_fg(problem: Problem, args) -> dict:
-    ctx = make_context(problem.divisor, problem.direction)
-    verdict = crit.is_finitely_generated(ctx)
+    verdict = crit.is_finitely_generated(problem.context)
     out = _verdict_out(verdict)
     if verdict.degenerate_side:
         out["lifting"] = [
@@ -332,7 +342,7 @@ def cmd_construct_bad(problem: Problem, args) -> dict:
         "d_prime": [_frac_out(a) for a in out.d_prime.coeffs],
         "divisor": [_frac_out(a) for a in out.divisor.coeffs],
         "rays": [list(r) for r in problem.fan.rays],
-        "p_d": [_point_out(p) for p in divisor_polytope(out.divisor).vertices],
+        "p_d": [_point_out(p) for p in out.p_d.vertices],
         "theta": [_point_out(p) for p in out.theta.vertices],
         "finitely_generated": False,
     }
@@ -344,12 +354,11 @@ _THETA_RE = re.compile(r"theta\((-?\d+),(-?\d+)\)")
 def cmd_plot(problem: Problem, args) -> str:
     what = args.what
     if what == "polytope":
-        return svgfig.polygon_svg(divisor_polytope(problem.divisor), title="P_D")
+        return svgfig.polygon_svg(problem.p_d, title="P_D")
     if what == "fan":
         return svgfig.fan_svg(problem.fan, title="fan")
     if what == "nobody":
-        ctx = make_context(problem.divisor, problem.direction)
-        body = semigroup.newton_okounkov_body(ctx)
+        body = semigroup.newton_okounkov_body(problem.context)
         return svgfig.nobody_svg(body, flip_axes=args.flip_axes, title="NO body (q,t)")
     m = _THETA_RE.fullmatch(what)
     if what == "theta" or m:
@@ -361,8 +370,7 @@ def cmd_plot(problem: Problem, args) -> str:
             raise InputError("theta plot needs an (l,k) pair (input lk or theta(l,k))")
         if l < 0 or k < 0 or l == k == 0:
             raise InputError(f"theta({l},{k}) needs l, k >= 0, not both zero")
-        ctx = make_context(problem.divisor, problem.direction)
-        t = semigroup.theta(ctx, l, k)
+        t = semigroup.theta(problem.context, l, k)
         if t.is_empty:
             raise InputError(f"theta({l},{k}) is empty; nothing to draw")
         return svgfig.polygon_svg(t, title=f"theta({l},{k})")

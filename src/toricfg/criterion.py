@@ -23,6 +23,7 @@ from .cones import (
 from .fans import (
     Fan2,
     ToricDivisor,
+    ample_polytope,
     divisor_from_polytope,
     divisor_polytope,
     edge_rays,
@@ -45,7 +46,6 @@ from .geometry import (
 )
 from .semigroup import (
     FlagContext,
-    NotAmple,
     make_context,
     newton_okounkov_body,
     theta,
@@ -241,6 +241,7 @@ class BadDivisorConstruction:
     d_prime: ToricDivisor
     d_theta: ToricDivisor
     theta: RatPolygon
+    p_d: RatPolygon
 
 
 def construct_bad_divisor(
@@ -292,18 +293,17 @@ def construct_bad_divisor(
             continue
         coeffs[idx] = _lower_coefficient(fan, coeffs, idx, target, processed)
     divisor = ToricDivisor(fan, tuple(coeffs))
-    try:
-        ctx = make_context(divisor, v)
-    except NotAmple:
-        raise ConstructionFailed("lowering did not reach an ample divisor") from None
-    if not ctx.p_d.contains_polygon(target):
+    p_d = ample_polytope(divisor)
+    if p_d is None:
+        raise ConstructionFailed("lowering did not reach an ample divisor")
+    if not p_d.contains_polygon(target):
         raise ConstructionFailed("Minkowski-sum containment lost while lowering")
-    if colon(ctx.p_d, flag.nabla_prime) != theta0:
+    if colon(p_d, flag.nabla_prime) != theta0:
         raise ConstructionFailed("colon polytope drifted from the prescribed one")
-    verdict = is_finitely_generated(ctx)
+    verdict = is_finitely_generated(FlagContext(divisor, flag, p_d))
     if verdict.finitely_generated:
         raise ConstructionFailed("constructed divisor is unexpectedly finitely generated")
-    return BadDivisorConstruction(divisor, d_prime, d_theta, theta0)
+    return BadDivisorConstruction(divisor, d_prime, d_theta, theta0, p_d)
 
 
 def _synthesize_d_theta(fan: Fan2, interior, outer) -> ToricDivisor:
@@ -383,7 +383,7 @@ def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstructi
             and verdict.sigma_plus.kind == "halfplane"
         ):
             return BadDivisorConstruction(
-                divisor, divisor, divisor, colon(ctx.p_d, ctx.flag.nabla_prime)
+                divisor, divisor, divisor, colon(ctx.p_d, ctx.flag.nabla_prime), ctx.p_d
             )
         weight *= 2
     raise ConstructionFailed("edge stretching never produced the halfplane cones")

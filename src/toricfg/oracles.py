@@ -148,7 +148,11 @@ def brute_e_bar(ctx, l, k) -> int:
     return len(seen)
 
 
-def lift_search(ctx, q, lambda_max: int = 60):
+# the largest dilation lift_search tries unless told otherwise
+LAMBDA_MAX = 60
+
+
+def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     """Smallest lambda <= lambda_max such that the lambda-fold dilation of
     the colon polytope at slope q projects onto a lattice interval with no
     gaps; None when no such lambda exists in range."""

@@ -40,14 +40,16 @@ class DegenerateTheta(ValueError):
 
 @dataclass(frozen=True)
 class FlagContext:
-    """An ample divisor together with the flag data of a direction and the
-    cached widths entering degree formulas."""
+    """What the criterion reads of (D, v): the divisor, the flag data of
+    the direction and P_D.  Callers that have already validated D and v
+    build it directly from the polygons they hold; make_context builds it
+    from scratch.  Widths are computed where a degree formula needs them
+    (d_bar, d_of_q at slope 0), so the record holds nothing derived but
+    the cached q_hat."""
 
     divisor: ToricDivisor
     flag: FlagData
     p_d: RatPolygon
-    width_p: Fraction
-    width_n: Fraction
 
     @property
     def fan(self) -> Fan2:
@@ -64,27 +66,20 @@ class FlagContext:
 
 
 def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagContext:
-    """The context of divisor and direction v.  P_D is built once, and the
-    ampleness test reads that same polygon.
+    """FlagContext(divisor, flag_data(fan, v), P_D), with P_D built once
+    and the ampleness test read off that same polygon.
 
     NotAmple (a divisor that is not nef or not ample) comes before
-    NonPrimitiveDirection.  require_ample=False serves callers that test
-    ampleness once for many directions: scan_directions, where a test per
-    direction raised the median of scan_directions(sym16gon, 20) from
-    0.298 s to 0.308 s (21 runs each, CPython 3.11.7, 2 cores), and the
-    scan checks of the benchmark.
+    NonPrimitiveDirection.  require_ample=False skips the edge test and
+    serves callers that test ampleness once for many directions:
+    scan_directions, where a test per direction raised the median of
+    scan_directions(sym16gon, 20) from 0.298 s to 0.308 s (21 runs each,
+    CPython 3.11.7, 2 cores), and the scan checks of the benchmark.
     """
     p_d = ample_polytope(divisor) if require_ample else divisor_polytope(divisor)
     if p_d is None:
         raise NotAmple("divisor is not ample")
-    fd = flag_data(divisor.fan, v)
-    return FlagContext(
-        divisor=divisor,
-        flag=fd,
-        p_d=p_d,
-        width_p=width(p_d, fd.v),
-        width_n=width(fd.nabla_prime, fd.v),
-    )
+    return FlagContext(divisor, flag_data(divisor.fan, v), p_d)
 
 
 def theta(ctx: FlagContext, l, k) -> RatPolygon:
@@ -113,7 +108,8 @@ def e_bar(ctx: FlagContext, l: int, k: int) -> int:
 def d_bar(ctx: FlagContext, l, k) -> Fraction:
     """l * wid_v(P_D) - k * wid_v(nabla'): the degree of the pulled-back
     line bundle on the normalized flag curve."""
-    return Fraction(l) * ctx.width_p - Fraction(k) * ctx.width_n
+    v = ctx.flag.v
+    return Fraction(l) * width(ctx.p_d, v) - Fraction(k) * width(ctx.flag.nabla_prime, v)
 
 
 def xi_interval(ctx: FlagContext, l, k):
@@ -134,7 +130,7 @@ def d_of_q(ctx: FlagContext, q):
     if q < 0:
         raise ValueError("slope must be nonnegative")
     if q == 0:
-        return ctx.width_p
+        return width(ctx.p_d, ctx.flag.v)
     return width(theta(ctx, 1, q), ctx.flag.v)
 
 

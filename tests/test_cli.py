@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
+from toricfg import cli, criterion, fans, semigroup
 from toricfg.gallery import slanted_quad_divisor
 from toricfg.geometry import RatPolygon
 from toricfg.semigroup import make_context
@@ -320,9 +322,11 @@ def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
 
 
 def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch):
-    # fg builds P_D for the input's ampleness check, then P_D and nabla'
-    # for its context, which decides ampleness on the P_D it keeps; the
-    # direction's primitivity needs no polygon
+    # the input's ampleness check builds P_D and keeps it, the direction's
+    # primitivity needs no polygon, and the one context of the call holds
+    # that P_D and a single nabla': fg makes 2 intersections on sym16gon,
+    # plot of P_D 1, and construct-bad builds its flag data once and reads
+    # the verdict and the printed P_D off the polygons it already has
     calls = []
     kernel = RatPolygon.from_halfplanes
 
@@ -330,11 +334,42 @@ def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch):
         calls.append(halfplanes)
         return kernel(halfplanes)
 
+    flags = []
+
+    def counted_flag(fan, v):
+        flags.append(v)
+        return fans.flag_data(fan, v)
+
     monkeypatch.setattr(RatPolygon, "from_halfplanes", staticmethod(counted))
-    res = run_main("fg", "--input", inp("sym16gon.json"), "--direction", "3,7")
-    assert res.returncode == 0, res.stderr
-    assert len(calls) <= 3
+    for module in (cli, criterion, semigroup):
+        monkeypatch.setattr(module, "flag_data", counted_flag)
+    cases = [
+        # argv, most intersections, flag_data calls
+        (("fg", "sym16gon.json", "--direction", "3,7"), 2, 1),
+        (("plot", "slanted_quad.json", "--what", "polytope"), 1, 0),
+        (("construct-bad", "slanted_quad.json"), 10, 1),
+        (("construct-bad", "extended_quad_fan.json"), 9, 1),
+    ]
+    for (command, name, *rest), most, flag_calls in cases:
+        calls.clear()
+        flags.clear()
+        res = run_main(command, "--input", inp(name), *rest)
+        assert res.returncode == 0, res.stderr
+        assert len(calls) <= most, (command, name, len(calls))
+        assert len(flags) == flag_calls, (command, name, len(flags))
     divisor = slanted_quad_divisor()
     calls.clear()
     make_context(divisor, (-2, 3))
     assert len(calls) <= 2
+
+
+def test_cli_context_equals_make_context():
+    for name, direction in (
+        ("slanted_quad.json", None),
+        ("sevengon.json", None),  # polytope input, non-smooth fan
+        ("sym16gon.json", "3,7"),
+        ("rational_quad.json", None),
+    ):
+        args = argparse.Namespace(command="fg", input=inp(name), direction=direction)
+        problem = cli.load_problem(args)
+        assert problem.context == make_context(problem.divisor, problem.direction)

@@ -261,6 +261,7 @@ def test_construct_bad_divisor_postconditions_randomized():
         from toricfg.geometry import colon
 
         assert colon(ctx.p_d, ctx.flag.nabla_prime) == out.theta
+        assert out.p_d == divisor_polytope(out.divisor)
         built += 1
     assert built >= 5
 
