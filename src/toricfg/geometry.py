@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, lcm
 from numbers import Rational
 
@@ -397,23 +397,27 @@ def project_interval(p: RatPolygon, v):
 
 
 def lattice_points(p: RatPolygon):
-    """All integer points of a bounded polygon, lexicographically sorted.
+    """All integer points of a polygon, lexicographically sorted, by one
+    walk up its two boundary chains.
 
-    Scanline over integer x-columns; each column is the line interval of
-    the vertical line through (x, 0).
+    With v = (1, 0) the chain coordinates (s, t) of the int ring
+    (``RatPolygon.scaled``, vertices times L) are (x, y) itself, so the
+    integer columns are the levels x * L.  At each column ``_heights``
+    gives the lower and upper chain heights N/D in L-units, and the
+    column's points are y = ceil(N/(D*L)) .. floor(N'/(D'*L)), by int
+    floor division; no Fraction is built.
     """
     if p.is_empty:
         return []
-    xs = [q[0] for q in p.vertices]
+    scale, st = p.scaled
+    lower, upper = _chains(st)
+    xs = range(-(-st[lower[0]][0] // scale), st[lower[-1]][0] // scale + 1)
+    levels = range(xs.start * scale, xs.stop * scale, scale)
     out = []
-    for x in range(ceil_frac(min(xs)), floor_frac(max(xs)) + 1):
-        span = line_interval(p.halfplanes, (x, 0), (0, 1))
-        if span is None:
-            continue
-        lo, hi = span
-        if lo is None or hi is None:
-            raise UnboundedRegion("lattice point scan over unbounded column")
-        out.extend((x, y) for y in range(ceil_frac(lo), floor_frac(hi) + 1))
+    for x, (n, d, _), (n2, d2, _) in zip(xs, _heights(st, lower, levels),
+                                       _heights(st, upper, levels)):
+        ys = range(-(-n // (d * scale)), n2 // (d2 * scale) + 1)
+        out += zip(repeat(x, len(ys)), ys)
     return out
 
 
@@ -457,6 +461,40 @@ def solve_pairing_one(v):
     return (x, y)
 
 
+def _chains(st):
+    """The lower and upper boundary chains of a counterclockwise int
+    (s, t) ring, as ring indices in strictly increasing s: the ring split
+    at its lexicographic min and max, and past the edges at constant s.
+    ``ChordWalk`` and ``lattice_points`` share them."""
+    first = min(range(len(st)), key=st.__getitem__)
+    last = max(range(len(st)), key=st.__getitem__)
+    chains = []
+    for i, stop in ((first, st[last][0]), (last, st[first][0])):
+        chain = [i]
+        while st[i][0] != stop:
+            i = (i + 1) % len(st)
+            chain.append(i)
+        chains.append(chain)
+    return chains[0], chains[1][::-1]
+
+
+def _heights(st, chain, levels):
+    """For each level (ascending, inside the chain's s-range) the chain's
+    t there as (N, D, j): t = N/D, at chain vertex j if it sits at that
+    level, else inside the edge from chain vertex j - 1 to j.
+    ``ChordWalk`` and ``lattice_points`` share it."""
+    j = 0
+    for lvl in levels:
+        while st[chain[j]][0] < lvl:
+            j += 1
+        s2, t2 = st[chain[j]]
+        if s2 == lvl:
+            yield t2, 1, j
+        else:
+            s1, t1 = st[chain[j - 1]]
+            yield t1 * (s2 - lvl) + t2 * (lvl - s1), s2 - s1, j
+
+
 class ChordWalk:
     """The longest chords of p orthogonal to a primitive v, by one walk
     along the two boundary chains (the rotating-calipers sweep).
@@ -482,18 +520,15 @@ class ChordWalk:
             return
         (a, b), (c, d) = v, self._u
         self._st = st = [(x * a + y * b, c * y - d * x) for x, y in p.scaled[1]]
-        first = min(range(len(st)), key=st.__getitem__)
-        last = max(range(len(st)), key=st.__getitem__)
         # (vertices, edges) in increasing s, as ring indices; ring edge i
         # runs from vertex i to i + 1, so it starts at the lower chain's
         # left vertex and at the upper chain's right one
-        lower = self._chain(first, st[last][0])
-        upper = self._chain(last, st[first][0])[::-1]
+        lower, upper = _chains(st)
         self._chains = (lower, lower[:-1]), (upper, upper[1:])
         levels = sorted({s for s, _ in st})
         best = None
-        for lvl, low, up in zip(levels, self._heights(lower, levels),
-                                self._heights(upper, levels)):
+        for lvl, low, up in zip(levels, _heights(st, lower, levels),
+                                _heights(st, upper, levels)):
             n, den = up[0] * low[1] - low[0] * up[1], up[1] * low[1]
             if best is None or n * best[1] > best[0] * den:
                 best, self._best = (n, den), [(lvl, low, up)]
@@ -501,30 +536,6 @@ class ChordWalk:
                 self._best.append((lvl, low, up))
         self.length = Fraction(best[0], best[1] * self._scale)
         self.levels = [Fraction(lvl, self._scale) for lvl, _, _ in self._best]
-
-    def _chain(self, i, stop):
-        """Ring indices from i counterclockwise to the first vertex at
-        s == stop."""
-        st, out = self._st, [i]
-        while st[i][0] != stop:
-            i = (i + 1) % len(st)
-            out.append(i)
-        return out
-
-    def _heights(self, chain, levels):
-        """For each level (ascending) the chain's t there as (N, D, j):
-        t = N/D, at chain vertex j if it sits at that level, else inside
-        the edge from chain vertex j - 1 to j."""
-        st, j = self._st, 0
-        for lvl in levels:
-            while st[chain[j]][0] < lvl:
-                j += 1
-            s2, t2 = st[chain[j]]
-            if s2 == lvl:
-                yield t2, 1, j
-            else:
-                s1, t1 = st[chain[j - 1]]
-                yield t1 * (s2 - lvl) + t2 * (lvl - s1), s2 - s1, j
 
     def ends(self):
         """The maximal cross-section at the midpoint c of the maximizing

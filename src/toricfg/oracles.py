@@ -133,8 +133,9 @@ def brute_e_bar(ctx, l, k) -> int:
     """Recount of the number of distinct projections of lattice points of
     the colon polytope: bounding-box enumeration plus direct halfplane
     membership.  Shares no counting code with the fast version."""
+    # <(x, y), n> is an int, so it is >= o exactly when it is >= ceil(o)
     halfplanes = [
-        (r, -l * a + k * c)
+        (r, ceil_frac(Fraction(-l * a + k * c)))
         for r, a, c in zip(ctx.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
     ]
     xs = [x for x, _ in ctx.p_d.vertices]
@@ -160,13 +161,13 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     base = theta(ctx, 1, q)
     if base.is_empty:
         raise ValueError("colon polytope is empty at this slope")
-    v = ctx.flag.v
+    v = a, b = ctx.flag.v
     for lam in range(1, lambda_max + 1):
         poly = base.dilate(lam)
         lo, hi = poly.support_min(v), poly.support_max(v)
         if lo.denominator != 1 or hi.denominator != 1:
             continue
-        values = {dot(u, v) for u in lattice_points(poly)}
+        values = {x * a + y * b for x, y in lattice_points(poly)}
         if all(t in values for t in range(int(lo), int(hi) + 1)):
             return lam
     return None

@@ -102,7 +102,8 @@ def e_bar(ctx: FlagContext, l: int, k: int) -> int:
     t = theta(ctx, l, k)
     if t.is_empty:
         return 0
-    return len({dot(u, ctx.flag.v) for u in lattice_points(t)})
+    a, b = ctx.flag.v
+    return len({x * a + y * b for x, y in lattice_points(t)})
 
 
 def d_bar(ctx: FlagContext, l, k) -> Fraction:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricfg.cones import cone, halfplane
+from toricfg.cones import cone, exists_pairing_one, halfplane
 from toricfg.criterion import (
     DegenerateSide,
     _relaxation,
@@ -45,7 +45,7 @@ from toricfg.geometry import (
     max_chord,
     neg,
 )
-from toricfg.semigroup import make_context, newton_okounkov_body
+from toricfg.semigroup import e_bar, make_context, newton_okounkov_body
 
 from util import (
     helly_q_hat,
@@ -339,9 +339,9 @@ def test_max_chord_on_divisor_polytopes_matches_oracle(seed, scale, v):
 
 
 def test_chord_walk_cuts_no_line_intervals(monkeypatch):
-    # the walk reads both chains directly; a count repeats exactly where a
+    # the walks read both chains directly; a count repeats exactly where a
     # wall-time gate would not
-    from toricfg import criterion, geometry
+    from toricfg import cones, criterion, geometry
 
     divisor = divisor_from_polytope(sym16gon())
     rows = scan_directions(divisor, 3)
@@ -352,14 +352,17 @@ def test_chord_walk_cuts_no_line_intervals(monkeypatch):
         return line_interval(*args)
 
     monkeypatch.setattr(geometry, "line_interval", counted)
+    monkeypatch.setattr(cones, "line_interval", counted)
     monkeypatch.setattr(criterion, "line_interval", counted, raising=False)
     for v, verdict in rows:
         ctx = make_context(divisor, v)
         assert max_segment(ctx.p_d, v) == verdict.segment
         assert ctx.q_hat == verdict.segment.q_hat
     assert len(rows) == 16 and calls == []
-    lattice_points(ctx.p_d)  # the patch does see geometry's own calls
-    assert calls
+    assert lattice_points(ctx.p_d) and e_bar(ctx, 2, 1)
+    assert calls == []
+    exists_pairing_one(cone("M", (1, 0), (0, 1)), (0, 1))  # the patch is live
+    assert len(calls) == 1
 
 
 def test_relaxation_matches_search_on_random_fans():

@@ -108,6 +108,12 @@ def test_lattice_points_fixtures():
     assert lattice_points(theta11) == [(-1, 0), (0, 0)]
     theta32 = colon(PD.dilate(3), NABLA_PRIME.dilate(2))
     assert len(lattice_points(theta32)) == 36
+    segment = RatPolygon.from_vertices([(1, F(-1, 2)), (1, F(5, 2))])
+    assert lattice_points(segment) == [(1, 0), (1, 1), (1, 2)]
+    trapezoid = RatPolygon.from_vertices([(0, 0), (3, 0), (3, 2), (0, 1)])
+    assert lattice_points(trapezoid) == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+    ]
 
 
 def test_project_interval_values():
@@ -406,3 +412,22 @@ def test_max_chord_ties_and_empty():
     hexagon = RatPolygon.from_vertices([(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)])
     assert max_chord(hexagon, (1, 0)) == (3, [1, 2])
     assert max_chord(RatPolygon.empty(), (1, 0)) == (None, [])
+
+
+# a lattice translation far out, where every ring coordinate is a big int
+FAR = (2**40 + 15, -2**43)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7))
+@example([(F(1, 2), F(-7, 3)), (F(1, 2), 4)])  # a vertical segment
+@example([(-2, F(1, 2)), (-2, 3), (F(5, 2), F(-1, 3)), (F(5, 2), 2)])  # vertical edges at both ends
+@example([(F(1, 2), 0), (F(1, 2), 3), (2, 1)])  # a vertical edge left of the first column
+def test_lattice_points_match_naive_oracle_under_translation(points):
+    # the oracle scans a bounding box, so it is shifted rather than run far out
+    p = RatPolygon.from_vertices(points)
+    expected = naive_lattice_points(p)
+    assert lattice_points(p) == expected
+    moved = RatPolygon.from_vertices([(x + FAR[0], y + FAR[1]) for x, y in points])
+    assert lattice_points(moved) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
+

@@ -2,14 +2,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfg.cones import NotInInterior, cone
+from toricfg.fans import ToricDivisor
 from toricfg.gallery import sevengon_context, slanted_quad_context
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search, vanishing_orders
-from toricfg.semigroup import e_bar, newton_okounkov_body, q_hat
+from toricfg.semigroup import e_bar, make_context, newton_okounkov_body, q_hat
 from toricfg.criterion import vertex_lifts
 
-from util import interior_point, random_cone
+from util import (
+    interior_point,
+    random_ample_divisor,
+    random_cone,
+    random_direction,
+    random_smooth_fan,
+)
 
 CTX = slanted_quad_context()
 
@@ -70,6 +78,19 @@ def test_brute_e_bar_agrees_with_fast_path():
         l = rng.randint(1, 12)
         k = rng.randint(0, 12)
         assert brute_e_bar(CTX, l, k) == e_bar(CTX, l, k), (l, k)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, F(7, 3)]), st.integers(1, 3))
+def test_e_bar_matches_brute_force_on_random_fans(seed, scale, l):
+    # at most two subdivisions (3 to 6 rays) keep the oracle's bounding box small
+    rng = random.Random(seed)
+    fan = random_smooth_fan(rng, 2)
+    d = random_ample_divisor(rng, fan)
+    ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)),
+                       random_direction(rng))
+    for k in range(int(l * q_hat(ctx)) + 1):
+        assert e_bar(ctx, l, k) == brute_e_bar(ctx, l, k), (l, k)
 
 
 def test_lift_search_fixtures():

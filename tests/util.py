@@ -95,7 +95,7 @@ def interior_point(rng: random.Random, c, spread: int = 4):
 
 def naive_lattice_points(p: RatPolygon):
     """Bounding box plus all-halfplane membership; the independent oracle
-    for the scanline enumeration."""
+    for the chain-walk enumeration."""
     if p.is_empty:
         return []
     xs = [q[0] for q in p.vertices]
