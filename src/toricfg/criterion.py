@@ -42,6 +42,7 @@ from .geometry import (
     minkowski_sum,
     neg,
     colon,
+    rational,
     width,
 )
 from .semigroup import (
@@ -137,7 +138,7 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     extremal edge is an auto-yes; at an extremal vertex the tangent cone
     must contain a lattice point pairing to +1 (minimum side) resp. -1
     (maximum side) with the direction."""
-    q = Fraction(q)
+    q = rational(q)
     t = theta(ctx, 1, q)
     if t.is_empty:
         raise ValueError("slope outside [0, q_hat]")

@@ -5,7 +5,6 @@ curve replacement and its nef polytope)."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,12 +12,14 @@ from .geometry import (
     RatPolygon,
     DegeneratePolygon,
     UnboundedRegion,
+    angular_sorted,
     det,
     dot,
     int_vector,
     is_primitive,
     neg,
     rot90,
+    wide_turn,
 )
 
 
@@ -32,20 +33,6 @@ class UnboundedPolytope(ValueError):
 
 class InvalidFan(ValueError):
     """Ray data does not describe a complete fan."""
-
-
-def _angle_class(r):
-    # 0 for angles in [0, pi), 1 for [pi, 2pi); within a class the exact
-    # order is by cross product.
-    return 0 if (r[1] > 0 or (r[1] == 0 and r[0] > 0)) else 1
-
-
-def _angular_cmp(a, b):
-    ca, cb = _angle_class(a), _angle_class(b)
-    if ca != cb:
-        return ca - cb
-    d = det(a, b)
-    return 0 if d == 0 else (-1 if d > 0 else 1)
 
 
 @dataclass(frozen=True)
@@ -64,13 +51,13 @@ class Fan2:
                 raise InvalidFan(f"ray {r} is not primitive")
         if len(set(rs)) != len(rs):
             raise InvalidFan("duplicate rays")
-        rs.sort(key=functools.cmp_to_key(_angular_cmp))
-        for i, r in enumerate(rs):
-            s = rs[(i + 1) % len(rs)]
-            if det(r, s) <= 0:
-                raise InvalidFan(
-                    f"rays {r} and {s} span an angle of at least pi; fan not complete"
-                )
+        rs = angular_sorted(rs)
+        i = wide_turn(rs)
+        if i is not None:
+            r, s = rs[i], rs[(i + 1) % len(rs)]
+            raise InvalidFan(
+                f"rays {r} and {s} span an angle of at least pi; fan not complete"
+            )
         return Fan2(tuple(rs))
 
     @property

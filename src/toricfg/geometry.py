@@ -7,14 +7,22 @@ lexicographic minimum, irredundant halfplanes when full-dimensional), so
 equality is plain tuple comparison and fixtures are deterministic.
 
 Degenerate polygons (point, segment, empty set) are first-class values.
+
+Every polygon cut out by halfplanes (P_D, nabla' and each colon polygon)
+goes through one kernel, ``RatPolygon.from_halfplanes``: the normals are
+sorted by angle, a gap of pi or more between neighbours decides an
+unbounded or empty region in closed form, and otherwise one deque walk
+over the sorted lines keeps the edges of the polygon, in O(n log n) exact
+integer steps.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, repeat
+from functools import cached_property, cmp_to_key
+from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
 
@@ -52,6 +60,17 @@ def vsub(u, w):
     return (u[0] - w[0], u[1] - w[1])
 
 
+def rational(x):
+    """x as an exact rational: an int as it is, any other number through
+    Fraction.  A float raises TypeError, so 0.1 never becomes
+    3602879701896397/2**55."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError("floating point is banned here; use int or Fraction")
+    return Fraction(x)
+
+
 def frac2(p):
     if isinstance(p[0], float) or isinstance(p[1], float):
         raise TypeError("floating point is banned here; use int or Fraction")
@@ -83,14 +102,15 @@ def is_primitive(u) -> bool:
 
 def primitivize(u):
     """Primitive integer vector pointing the way of ``u`` (rational allowed)."""
-    x, y = Fraction(u[0]), Fraction(u[1])
-    if x == 0 and y == 0:
+    x, y = u
+    if type(x) is not int or type(y) is not int:
+        x, y = Fraction(x), Fraction(y)
+        den = lcm(x.denominator, y.denominator)
+        x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
+    g = gcd(x, y)
+    if g == 0:
         raise ValueError("zero vector has no direction")
-    den = lcm(x.denominator, y.denominator)
-    a = x.numerator * (den // x.denominator)
-    b = y.numerator * (den // y.denominator)
-    g = gcd(a, b)
-    return (a // g, b // g)
+    return (x // g, y // g)
 
 
 def ceil_frac(x: Fraction) -> int:
@@ -112,6 +132,45 @@ def meet(ni, oi, nj, oj):
     if d < 0:
         return -x, -y, -d
     return x, y, d
+
+
+def _angle_class(r):
+    # 0 for angles in [0, pi), 1 for [pi, 2pi); within a class the exact
+    # order is by cross product.
+    return 0 if (r[1] > 0 or (r[1] == 0 and r[0] > 0)) else 1
+
+
+def _angular_cmp(a, b):
+    ca, cb = _angle_class(a), _angle_class(b)
+    if ca != cb:
+        return ca - cb
+    d = det(a, b)
+    return 0 if d == 0 else (-1 if d > 0 else 1)
+
+
+def angular_sorted(vectors) -> list:
+    """Nonzero vectors by their angle in [0, 2pi) from the positive x-axis,
+    compared exactly (half-plane class, then det)."""
+    return sorted(vectors, key=cmp_to_key(_angular_cmp))
+
+
+def wide_turn(vectors):
+    """The first i at which the angularly sorted, distinct ``vectors``
+    turn by pi or more from vectors[i] to the cyclically next one
+    (det <= 0), or None.  None means they positively span the plane: a
+    fan with these rays is complete and halfplanes with these normals cut
+    out a bounded region."""
+    for i, a in enumerate(vectors):
+        if det(a, vectors[(i + 1) % len(vectors)]) <= 0:
+            return i
+    return None
+
+
+def _cuts(point, n, o) -> bool:
+    """Does the homogeneous point (x, y, d) of meet lie strictly outside
+    <u, n> >= o?"""
+    x, y, d = point
+    return x * n[0] + y * n[1] < o * d
 
 
 def _cross3(o, a, b):
@@ -183,6 +242,40 @@ class RatPolygon:
 
         Returns the empty polygon when infeasible and raises
         UnboundedRegion when the feasible set is unbounded.
+
+        After normalising each normal to a primitive vector, keeping the
+        tightest offset per normal and scaling the offsets to ints, the
+        lines are sorted by the angle of their normals.
+
+        A turn of pi or more between two cyclically consecutive normals
+        (``wide_turn``) decides the region in closed form.  Wider than pi,
+        or a lone normal, leaves an open halfplane of directions that
+        every constraint gains along, so the region is nonempty and
+        unbounded.  Exactly pi is an antiparallel pair with every other
+        normal strictly on one side: the region is empty iff the pair's
+        strip is (o1 + o2 > 0), and otherwise runs off to infinity inside
+        the strip.
+
+        With no such turn the normals positively span the plane and the
+        region is bounded.  One walk over the sorted lines keeps a cyclic
+        run of them with the meet of each consecutive pair.  A kept line
+        B between neighbours A and C has its edge run backwards (from
+        meet(A, B) to meet(B, C) against its direction) exactly when
+        meet(A, B) lies strictly outside C, or equivalently meet(B, C)
+        strictly outside A.  If A and C turn by less than pi, B's normal
+        is a positive combination of theirs, so the wedge A and C cut out
+        lies inside B: B is redundant and is dropped.  If
+        they turn by pi or more, -C lies in the cone of A and B, so the
+        whole wedge of A and B violates C and the region is empty.  The
+        walk drops lines at the back as it goes and then, around the
+        wrap, at both ends until every kept edge runs forwards.  Kept
+        neighbours always turn by less than pi, so every meet exists and
+        at least three lines stay.  Edges that all run forwards close up
+        into a convex polygon (maybe a segment or a point) that lies in
+        every kept halfplane and equals their intersection, and the hull
+        of the meets gives it.  Each line is pushed and dropped at most
+        once, so after the sort the walk takes O(n) integer steps and n
+        meets.
         """
         if not halfplanes:
             raise ValueError("need at least one halfplane")
@@ -194,28 +287,45 @@ class RatPolygon:
         # Scaled by the lcm of the offset denominators, the region has int
         # offsets and every vertex is an int triple from meet.
         scale, offsets = _over_common_denominator(list(merged.values()))
-        hps = sorted(zip(merged, offsets))
-        normals = [n for n, _ in hps]
+        table = dict(zip(merged, offsets))
+        normals = angular_sorted(table)
 
-        candidates = {meet(ni, oi, nj, oj)
-                      for (ni, oi), (nj, oj) in combinations(hps, 2)}
-        candidates.discard(None)
-        feasible = [(x, y, d) for x, y, d in candidates
-                    if all(x * n[0] + y * n[1] >= o * d for n, o in hps)]
-
-        if not feasible:
-            # A non-empty region without a vertex contains a line, so its
-            # normals are +-n: one halfplane or an antiparallel pair (any
-            # other pair meets).  More halfplanes, or a pair whose offsets
-            # exclude each other, leave it empty.
-            if len(hps) > 2 or (len(hps) == 2 and hps[0][1] + hps[1][1] > 0):
+        i = wide_turn(normals)
+        if i is not None:
+            a, b = normals[i], normals[(i + 1) % len(normals)]
+            if a != b and det(a, b) == 0 and table[a] + table[b] > 0:
                 return RatPolygon.empty()
             raise UnboundedRegion("feasible but unbounded halfplane intersection")
-        if _has_recession(normals):
-            raise UnboundedRegion("feasible but unbounded halfplane intersection")
-        den = lcm(*(d for _, _, d in feasible))
+
+        # lines[j] and lines[j + 1] meet at meets[j]
+        first, *rest = ((n, table[n]) for n in normals)
+        lines, meets = deque([first]), deque()
+        for n, o in rest:
+            while len(lines) >= 2 and _cuts(meets[-1], n, o):
+                if det(lines[-2][0], n) <= 0:
+                    return RatPolygon.empty()
+                lines.pop()
+                meets.pop()
+            meets.append(meet(*lines[-1], n, o))
+            lines.append((n, o))
+        # around the wrap: the edges of lines[-1] and of lines[0]
+        while True:
+            if _cuts(meets[-1], *lines[0]):
+                if det(lines[-2][0], lines[0][0]) <= 0:
+                    return RatPolygon.empty()
+                lines.pop()
+                meets.pop()
+            elif _cuts(meets[0], *lines[-1]):
+                if det(lines[-1][0], lines[1][0]) <= 0:
+                    return RatPolygon.empty()
+                lines.popleft()
+                meets.popleft()
+            else:
+                break
+        meets.append(meet(*lines[-1], *lines[0]))
+        den = lcm(*(d for _, _, d in meets))
         return _hull_polygon(
-            [(x * (den // d), y * (den // d)) for x, y, d in feasible],
+            [(x * (den // d), y * (den // d)) for x, y, d in meets],
             den * scale,
         )
 
@@ -273,7 +383,7 @@ class RatPolygon:
 
     def dilate(self, factor) -> "RatPolygon":
         """Scale about the origin by a nonnegative rational factor."""
-        c = Fraction(factor)
+        c = rational(factor)
         if c < 0:
             raise ValueError("dilation factor must be nonnegative")
         if self.is_empty:
@@ -348,15 +458,6 @@ def _halfplanes_of_hull(hull):
         n = primitivize(rot90(vsub(b, a)))
         out.append((n, dot(a, n)))
     return tuple(out)
-
-
-def _has_recession(normals) -> bool:
-    # Extreme recession directions are perpendicular to some normal.
-    for n in normals:
-        for d in (rot90(n), neg(rot90(n))):
-            if all(dot(d, m) >= 0 for m in normals):
-                return True
-    return False
 
 
 # -- the polygon operations used downstream --------------------------------

@@ -20,6 +20,7 @@ from .geometry import (
     int_vector,
     lattice_points,
     neg,
+    rational,
     rot90,
     solve_pairing_one,
 )
@@ -157,7 +158,7 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     """Smallest lambda <= lambda_max such that the lambda-fold dilation of
     the colon polytope at slope q projects onto a lattice interval with no
     gaps; None when no such lambda exists in range."""
-    q = Fraction(q)
+    q = rational(q)
     base = theta(ctx, 1, q)
     if base.is_empty:
         raise ValueError("colon polytope is empty at this slope")

@@ -25,6 +25,7 @@ from .geometry import (
     minkowski_sum,
     neg,
     project_interval,
+    rational,
     vsub,
     width,
 )
@@ -85,7 +86,7 @@ def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagCo
 def theta(ctx: FlagContext, l, k) -> RatPolygon:
     """The colon polytope (l*P_D : k*nabla'), directly from the fan's
     halfplane data; rational l, k are allowed."""
-    l, k = Fraction(l), Fraction(k)
+    l, k = rational(l), rational(k)
     if l < 0 or k < 0 or (l == 0 and k == 0):
         raise ValueError("need l, k >= 0 and not both zero")
     return RatPolygon.from_halfplanes(
@@ -110,7 +111,7 @@ def d_bar(ctx: FlagContext, l, k) -> Fraction:
     """l * wid_v(P_D) - k * wid_v(nabla'): the degree of the pulled-back
     line bundle on the normalized flag curve."""
     v = ctx.flag.v
-    return Fraction(l) * width(ctx.p_d, v) - Fraction(k) * width(ctx.flag.nabla_prime, v)
+    return rational(l) * width(ctx.p_d, v) - rational(k) * width(ctx.flag.nabla_prime, v)
 
 
 def xi_interval(ctx: FlagContext, l, k):
@@ -118,8 +119,9 @@ def xi_interval(ctx: FlagContext, l, k):
     projection of the colon polytope, possibly strictly."""
     a, b = project_interval(ctx.p_d, ctx.flag.v)
     c, d = project_interval(ctx.flag.nabla_prime, ctx.flag.v)
-    lo = Fraction(l) * a - Fraction(k) * c
-    hi = Fraction(l) * b - Fraction(k) * d
+    l, k = rational(l), rational(k)
+    lo = l * a - k * c
+    hi = l * b - k * d
     if lo > hi:
         return None
     return (lo, hi)
@@ -127,7 +129,7 @@ def xi_interval(ctx: FlagContext, l, k):
 
 def d_of_q(ctx: FlagContext, q):
     """Width of the slope-q colon polytope; None when it is empty."""
-    q = Fraction(q)
+    q = rational(q)
     if q < 0:
         raise ValueError("slope must be nonnegative")
     if q == 0:
@@ -179,7 +181,7 @@ def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
     pairing levels of the colon polytope.  The middle piece always equals
     the Minkowski sum of the colon polytope with the scaled Newton
     segment; this identity is checked."""
-    l, k = Fraction(l), Fraction(k)
+    l, k = rational(l), rational(k)
     t = theta(ctx, l, k)
     if t.is_empty:
         raise DegenerateTheta("cut needs a non-empty colon polytope")

@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from toricfg import geometry
+from toricfg.fans import divisor_from_polytope, divisor_polytope
 from toricfg.gallery import sym16gon
 from toricfg.geometry import (
     RatPolygon,
@@ -17,6 +19,7 @@ from toricfg.geometry import (
     max_chord,
     minkowski_sum,
     neg,
+    primitivize,
     project_interval,
     rot90,
     width,
@@ -262,6 +265,78 @@ def test_from_halfplanes_matches_fraction_kernel_on_dilated_16gon():
     hps = list(p.halfplanes)
     assert len(hps) == 16
     assert RatPolygon.from_halfplanes(hps) == fraction_from_halfplanes(hps) == p
+
+
+@st.composite
+def degenerate_halfplanes(draw):
+    """Up to 24 halfplanes, most of them tight at one rational point or
+    in antiparallel pairs with equal or nearly equal offsets, so the
+    intersection is often a point, a segment, a zero-width strip or just
+    empty."""
+    den = draw(st.sampled_from(DENOMINATORS))
+    point = (F(draw(st.integers(-5, 5)), den), F(draw(st.integers(-5, 5)), den))
+    # tight: every slack 0, so all lines but the random ones pass through
+    # the point
+    tight = draw(st.booleans())
+    slack = st.just(0) if tight else st.sampled_from((0, F(1, den), F(-1, den), F(1, 7)))
+    out = []
+    for kind, n in draw(st.lists(st.tuples(st.integers(0, 4), NORMAL), min_size=1, max_size=12)):
+        o = dot(point, n) - draw(slack)  # through the point, or just off it
+        if kind <= 1:
+            out.append((n, o))
+        elif kind <= 3:  # a strip of zero or nearly zero width
+            out += [(n, o), (neg(n), -o - draw(slack))]
+        else:
+            out.append((n, draw(OFFSET)))
+    return out
+
+
+@settings(max_examples=300, derandomize=True)
+@given(degenerate_halfplanes())
+@example([(n, 0) for n in [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]]
+         + [((1, -1), F(-1, 3))])  # eight lines, seven through the origin: the point
+@example([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -2), ((1, 1), 0)])  # segment
+@example([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -2), ((1, 1), 3)])  # zero-width strip, cut off
+@example([((1, 0), F(1, 7)), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])  # strip of width -1/7: empty
+def test_from_halfplanes_matches_fraction_kernel_on_degenerate_input(halfplanes):
+    assert (_intersect_or_unbounded(RatPolygon.from_halfplanes, halfplanes)
+            == _intersect_or_unbounded(fraction_from_halfplanes, halfplanes))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.one_of(degenerate_halfplanes(),
+                 st.lists(st.tuples(NORMAL, OFFSET), min_size=1, max_size=24)),
+       st.randoms(use_true_random=False))
+def test_from_halfplanes_ignores_input_order(halfplanes, rng):
+    shuffled = list(halfplanes)
+    rng.shuffle(shuffled)
+    assert (_intersect_or_unbounded(RatPolygon.from_halfplanes, shuffled)
+            == _intersect_or_unbounded(RatPolygon.from_halfplanes, halfplanes))
+
+
+@pytest.mark.parametrize("polygon", [
+    divisor_polytope(divisor_from_polytope(sym16gon())),
+    sym16gon().dilate(F(7, 3)),
+], ids=["16-ray P_D", "7/3-dilated sym16gon"])
+def test_from_halfplanes_meets_each_line_a_bounded_number_of_times(polygon, monkeypatch):
+    # the deque walk makes one meet per line; a search over every pair of
+    # lines would make n(n - 1)/2 = 120 calls here
+    calls = []
+    real = geometry.meet
+    monkeypatch.setattr(geometry, "meet", lambda *a: calls.append(a) or real(*a))
+    hps = list(polygon.halfplanes)
+    assert len(hps) == 16
+    assert RatPolygon.from_halfplanes(hps) == polygon
+    assert 0 < len(calls) <= 2 * len(hps)
+
+
+def test_primitivize_ints_and_rationals_agree():
+    for u in [(6, -4), (0, -5), (7, 0), (-3, -9), (2**70, 3 * 2**70)]:
+        assert primitivize(u) == primitivize((F(u[0]), F(u[1]))) == primitivize((F(u[0], 5), F(u[1], 5)))
+    assert primitivize((6, -4)) == (3, -2)
+    for zero in [(0, 0), (F(0), 0)]:
+        with pytest.raises(ValueError):
+            primitivize(zero)
 
 
 @settings(max_examples=200, derandomize=True)

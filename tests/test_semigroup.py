@@ -289,3 +289,34 @@ def test_theta_extremal_edge_faces_are_halfplanes():
     ext_top = theta_extremal(sq_ctx, 1, 1)
     assert ext_top.cone_minus.kind == "ray"
     assert ext_top.cone_plus.kind == "ray"
+
+
+def _vertex_lifts(ctx, x):
+    from toricfg.criterion import vertex_lifts
+
+    return vertex_lifts(ctx, x)
+
+
+def _lift_search(ctx, x):
+    from toricfg.oracles import lift_search
+
+    return lift_search(ctx, x, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, x: theta(ctx, x, 0),
+    lambda ctx, x: theta(ctx, 1, x),
+    lambda ctx, x: d_of_q(ctx, x),
+    lambda ctx, x: d_bar(ctx, x, 0),
+    lambda ctx, x: xi_interval(ctx, 1, x),
+    lambda ctx, x: cut_construction(ctx, x, 0),
+    _vertex_lifts,
+    _lift_search,
+    lambda ctx, x: ctx.p_d.dilate(x),
+], ids=["theta_l", "theta_k", "d_of_q", "d_bar", "xi_interval", "cut_construction",
+        "vertex_lifts", "lift_search", "dilate"])
+def test_float_arguments_are_rejected(call):
+    # 0.1 is 3602879701896397/2**55, not 1/10; the exact value still runs
+    with pytest.raises(TypeError, match="floating point"):
+        call(CTX, 0.1)
+    call(CTX, F(1, 10))

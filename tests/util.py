@@ -16,7 +16,6 @@ from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
     UnboundedRegion,
-    _has_recession,
     _normalize_halfplane,
     ceil_frac,
     convex_hull,
@@ -203,7 +202,7 @@ def helly_certificates(normals):
     iff some certificate has sum(w * o_i) > 0 (Helly plus Farkas: the
     weighted normals cancel, so the weighted constraint reads 0 >= sum).
     The oracles below decide emptiness by it, a route independent of the
-    vertex-free rule of RatPolygon.from_halfplanes.
+    deque walk and the turn rule of RatPolygon.from_halfplanes.
     """
     for i, j in combinations(range(len(normals)), 2):
         if normals[j] == neg(normals[i]):
@@ -237,13 +236,24 @@ def helly_q_hat(ctx) -> Fraction:
     return min(bounds)
 
 
+def _has_recession(normals) -> bool:
+    """Is there a nonzero d with <d, n> >= 0 for every normal?  The
+    pairwise oracle for the turn test of RatPolygon.from_halfplanes."""
+    # Extreme recession directions are perpendicular to some normal.
+    for n in normals:
+        for d in (rot90(n), neg(rot90(n))):
+            if all(dot(d, m) >= 0 for m in normals):
+                return True
+    return False
+
+
 def fraction_from_halfplanes(halfplanes) -> RatPolygon:
     """The halfplane intersection computed wholly in Fractions: meet every
     pair of lines, keep the points that satisfy every constraint and take
     their hull.  The independent oracle for the integer kernel of
-    RatPolygon.from_halfplanes; it shares only the input normalisation,
-    convex_hull and the recession test with it, and decides emptiness by
-    Helly certificates."""
+    RatPolygon.from_halfplanes; it shares only the input normalisation
+    and convex_hull with it, decides boundedness by searching for a
+    recession direction and emptiness by Helly certificates."""
     merged = {}
     for normal, offset in halfplanes:
         n, o = _normalize_halfplane(normal, offset)
