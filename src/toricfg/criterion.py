@@ -90,12 +90,12 @@ def max_segment(p_d: RatPolygon, v) -> SegmentData:
     endpoints then lie in edge interiors and the side normals do not
     depend on the choice).  Both ends and the boundary edges continuing
     them above and below the level come from the chain walk of
-    ``ChordWalk``; the halfplane of ring edge i is ``p_d.halfplanes[i]``."""
+    ``ChordWalk``; the halfplane of ring edge i is ``p_d.lines[i]``."""
     if p_d.dim != 2:
         raise DegeneratePolygon("cross-sections need a two-dimensional polytope")
     walk = ChordWalk(p_d, int_vector(v))
     c, (v1, n1b, n1a), (v2, n2b, n2a) = walk.ends()
-    n1a, n2a, n1b, n2b = (None if i is None else p_d.halfplanes[i][0]
+    n1a, n2a, n1b, n2b = (None if i is None else p_d.lines[i][0]
                           for i in (n1a, n2a, n1b, n2b))
     return SegmentData(c, v1, v2, walk.length, n1a, n2a, n1b, n2b)
 
@@ -293,7 +293,7 @@ def construct_bad_divisor(
         if r in edge_rays(p, fan.rays, coeffs):
             continue
         coeffs[idx] = _lower_coefficient(fan, coeffs, idx, target, processed)
-    divisor = ToricDivisor(fan, tuple(coeffs))
+    divisor = ToricDivisor.make(fan, coeffs)
     p_d = ample_polytope(divisor)
     if p_d is None:
         raise ConstructionFailed("lowering did not reach an ample divisor")
@@ -310,7 +310,7 @@ def construct_bad_divisor(
 def _synthesize_d_theta(fan: Fan2, interior, outer) -> ToricDivisor:
     # zonotope offsets give strict convexity at every outer ray
     base = {r: sum(max(0, det(r, t)) for t in outer) for r in outer}
-    theta_inf = RatPolygon.from_halfplanes([(r, -Fraction(b)) for r, b in base.items()])
+    theta_inf = RatPolygon.from_halfplanes([(r, -b) for r, b in base.items()])
     relax = _relaxation(theta_inf, interior)
     return ToricDivisor.make(fan, base | {r: relax for r in interior})
 

@@ -18,6 +18,7 @@ from .geometry import (
     int_vector,
     is_primitive,
     neg,
+    rational,
     rot90,
     wide_turn,
 )
@@ -69,9 +70,21 @@ class Fan2:
         return self.rays.index(int_vector(ray))
 
 
+def _coefficient(a):
+    """a in the int normal form: an int when it is integral, else a
+    Fraction; a float raises TypeError."""
+    a = rational(a)
+    return a.numerator if a.denominator == 1 else a
+
+
 @dataclass(frozen=True)
 class ToricDivisor:
-    """D = sum of a_rho * D_rho; coefficients aligned with fan.rays."""
+    """D = sum of a_rho * D_rho; coefficients aligned with fan.rays.
+
+    ``make`` and ``+`` keep each coefficient in the int normal form: an
+    int when it is integral, a Fraction otherwise.  So an integral divisor
+    builds its polygons in int arithmetic, while Fraction(3) == 3 with
+    equal hashes keeps equality and hashing as for Fractions."""
 
     fan: Fan2
     coeffs: tuple
@@ -85,22 +98,22 @@ class ToricDivisor:
         if any(isinstance(a, float) for a in vals_in):
             raise TypeError("floating point is banned here; use int or Fraction")
         if isinstance(coeffs, dict):
-            table = {int_vector(r): Fraction(a) for r, a in coeffs.items()}
-            vals = tuple(table.get(r, Fraction(0)) for r in fan.rays)
+            table = {int_vector(r): _coefficient(a) for r, a in coeffs.items()}
+            vals = tuple(table.get(r, 0) for r in fan.rays)
             unknown = set(table) - set(fan.rays)
             if unknown:
                 raise ValueError(f"coefficients given for non-rays {sorted(unknown)}")
         else:
             if len(coeffs) != len(fan.rays):
                 raise ValueError("coefficient list does not match ray count")
-            vals = tuple(Fraction(a) for a in coeffs)
+            vals = tuple(_coefficient(a) for a in coeffs)
         return ToricDivisor(fan, vals)
 
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
         if self.fan != other.fan:
             raise ValueError("divisors live on different fans")
         return ToricDivisor(
-            self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.fan, tuple(_coefficient(a + b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
 
@@ -135,15 +148,15 @@ def edge_rays(p: RatPolygon, rays, coeffs) -> set:
     positive length out of p."""
     if p.dim < 2:
         return set()
-    offsets = dict(p.halfplanes)
-    return {r for r, a in zip(rays, coeffs) if offsets.get(r) == -a}
+    offsets = dict(p.lines)
+    return {r for r, a in zip(rays, coeffs) if offsets.get(r) == -a * p.scale}
 
 
 def normal_fan(p: RatPolygon) -> Fan2:
     """Inner normals of the edges, cyclically ordered and primitive."""
     if p.dim < 2:
         raise DegeneratePolygon("normal fan needs a two-dimensional polygon")
-    return Fan2.from_rays([n for n, _ in p.halfplanes])
+    return Fan2.from_rays([n for n, _ in p.lines])
 
 
 def divisor_from_polytope(p: RatPolygon) -> ToricDivisor:

@@ -1,10 +1,13 @@
 """Exact rational geometry for convex polygons in a rank-2 lattice.
 
 Coordinates are ``int`` or ``fractions.Fraction`` throughout; nothing here
-touches floating point.  Polygons carry both a vertex ring and a halfplane
-list and are kept canonical (counterclockwise vertices starting at the
-lexicographic minimum, irredundant halfplanes when full-dimensional), so
-equality is plain tuple comparison and fixtures are deterministic.
+touches floating point.  A polygon is stored on ints: a scale L (the lcm of
+its vertex denominators), the vertex ring times L and its halfplanes with
+offsets times L.  That form is canonical (counterclockwise vertices
+starting at the lexicographic minimum, irredundant halfplanes when
+full-dimensional), so equality is plain tuple comparison and fixtures are
+deterministic.  The Fraction vertices and halfplanes are views built on
+first read, for output and the oracles; the kernels read the ints.
 
 Degenerate polygons (point, segment, empty set) are first-class values.
 
@@ -52,29 +55,19 @@ def neg(u):
     return (-u[0], -u[1])
 
 
-def vadd(u, w):
-    return (u[0] + w[0], u[1] + w[1])
-
-
 def vsub(u, w):
     return (u[0] - w[0], u[1] - w[1])
 
 
 def rational(x):
-    """x as an exact rational: an int as it is, any other number through
-    Fraction.  A float raises TypeError, so 0.1 never becomes
+    """x as an exact rational: an int or Fraction as it is, any other
+    number through Fraction.  A float raises TypeError, so 0.1 never becomes
     3602879701896397/2**55."""
-    if type(x) is int:
+    if type(x) is int or type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floating point is banned here; use int or Fraction")
     return Fraction(x)
-
-
-def frac2(p):
-    if isinstance(p[0], float) or isinstance(p[1], float):
-        raise TypeError("floating point is banned here; use int or Fraction")
-    return (Fraction(p[0]), Fraction(p[1]))
 
 
 def int_vector(u):
@@ -202,38 +195,42 @@ def _normalize_halfplane(normal, offset):
     n = int_vector(normal)
     if n == (0, 0):
         raise ValueError("halfplane normal must be nonzero")
-    if isinstance(offset, float):
-        raise TypeError("floating point is banned here; use int or Fraction")
-    g = gcd(n[0], n[1])
-    return ((n[0] // g, n[1] // g), Fraction(offset) / g)
+    o, g = rational(offset), gcd(n[0], n[1])
+    if g == 1:
+        return n, o
+    return (n[0] // g, n[1] // g), Fraction(o, g)
 
 
 @dataclass(frozen=True)
 class RatPolygon:
-    """Rational convex polygon with paired V- and H-representations.
+    """Rational convex polygon stored on ints, with paired V- and
+    H-representations.
 
-    dim is -1 (empty), 0 (point), 1 (segment) or 2.  Vertices are Fraction
-    pairs in counterclockwise order starting at the lexicographic minimum;
-    halfplanes are (primitive integer normal, Fraction offset) meaning
-    <u, normal> >= offset.
+    scale is L, the lcm of the vertex denominators (1 when empty).  ring
+    holds the vertices times L as int pairs, counterclockwise from the
+    lexicographic minimum; lines holds the halfplanes as (primitive
+    integer normal, offset times L), meaning <u, normal> >= offset / L.
+    dim is -1 (empty), 0 (point), 1 (segment) or 2.  ``vertices`` and
+    ``halfplanes`` give the same data as Fractions, built on first read.
     """
 
-    vertices: tuple
-    halfplanes: tuple
+    scale: int
+    ring: tuple
+    lines: tuple
     dim: int
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def empty() -> "RatPolygon":
-        return RatPolygon((), (), -1)
+        return RatPolygon(1, (), (), -1)
 
     @staticmethod
     def from_vertices(points) -> "RatPolygon":
-        pts = [frac2(p) for p in points]
-        if not pts:
+        coords = [rational(c) for x, y in points for c in (x, y)]
+        if not coords:
             return RatPolygon.empty()
-        scale, coords = _over_common_denominator([c for p in pts for c in p])
+        scale, coords = _over_common_denominator(coords)
         return _hull_polygon(list(zip(coords[::2], coords[1::2])), scale)
 
     @staticmethod
@@ -272,10 +269,13 @@ class RatPolygon:
         neighbours always turn by less than pi, so every meet exists and
         at least three lines stay.  Edges that all run forwards close up
         into a convex polygon (maybe a segment or a point) that lies in
-        every kept halfplane and equals their intersection, and the hull
-        of the meets gives it.  Each line is pushed and dropped at most
-        once, so after the sort the walk takes O(n) integer steps and n
-        meets.
+        every kept halfplane and equals their intersection.  When three or
+        more edges have positive length, their ends are its vertices in
+        counterclockwise order and their lines its halfplanes, since two
+        such edges in a row lie on lines of different normals; a segment
+        or a point is the hull of the meets.  Each line is pushed and
+        dropped at most once, so after the sort the walk takes O(n)
+        integer steps and n meets.
         """
         if not halfplanes:
             raise ValueError("need at least one halfplane")
@@ -324,10 +324,27 @@ class RatPolygon:
                 break
         meets.append(meet(*lines[-1], *lines[0]))
         den = lcm(*(d for _, _, d in meets))
-        return _hull_polygon(
-            [(x * (den // d), y * (den // d)) for x, y, d in meets],
-            den * scale,
-        )
+        ring = [(x * (den // d), y * (den // d)) for x, y, d in meets]
+        # the edge of lines[j] runs from ring[j - 1] to ring[j]
+        keep = [j for j, p in enumerate(ring) if ring[j - 1] != p]
+        if len(keep) < 3:
+            return _hull_polygon(ring, den * scale)
+        start = keep.index(min(keep, key=ring.__getitem__))
+        keep = keep[start:] + keep[:start]
+        return _reduced(den * scale, [ring[j] for j in keep],
+                        [(lines[j][0], lines[j][1] * den) for j in keep[1:] + keep[:1]], 2)
+
+    # -- Fraction views, for output and the oracles ------------------------
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The vertices as Fraction pairs."""
+        return tuple((Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.ring)
+
+    @cached_property
+    def halfplanes(self) -> tuple:
+        """The halfplanes as (primitive integer normal, Fraction offset)."""
+        return tuple((n, Fraction(o, self.scale)) for n, o in self.lines)
 
     # -- basic queries ------------------------------------------------------
 
@@ -338,34 +355,28 @@ class RatPolygon:
     def contains(self, point) -> bool:
         if self.is_empty:
             return False
-        p = frac2(point)
-        return all(dot(p, n) >= o for n, o in self.halfplanes)
+        x, y = (rational(c) for c in point)
+        return all((n[0] * x + n[1] * y) * self.scale >= o for n, o in self.lines)
 
     def contains_polygon(self, other: "RatPolygon") -> bool:
         if other.is_empty:
             return True
         if self.is_empty:
             return False
-        return all(self.contains(p) for p in other.vertices)
-
-    @cached_property
-    def scaled(self) -> tuple:
-        """(L, ring): L the lcm of the vertex denominators and ring the
-        vertices times L, as int pairs in vertex order."""
-        scale, coords = _over_common_denominator([c for p in self.vertices for c in p])
-        return scale, tuple(zip(coords[::2], coords[1::2]))
+        return all(dot(r, n) * self.scale >= o * other.scale
+                   for r in other.ring for n, o in self.lines)
 
     def _levels(self, direction) -> list:
         """<p, direction> * L for every vertex p, on the int ring."""
         a, b = direction
-        return [x * a + y * b for x, y in self.scaled[1]]
+        return [x * a + y * b for x, y in self.ring]
 
     def support_min(self, direction) -> Fraction:
         """min <p, direction> over the polygon (the support offset)."""
-        return Fraction(min(self._levels(direction)), self.scaled[0])
+        return Fraction(min(self._levels(direction)), self.scale)
 
     def support_max(self, direction) -> Fraction:
-        return Fraction(max(self._levels(direction)), self.scaled[0])
+        return Fraction(max(self._levels(direction)), self.scale)
 
     def face(self, direction) -> list:
         """The vertices minimizing <p, direction>, in vertex order."""
@@ -376,13 +387,14 @@ class RatPolygon:
     def vertex_directions(self, r) -> tuple:
         """Primitive directions from vertex r along the edges before and
         after it; they span the tangent cone at r."""
-        verts = self.vertices
-        i = verts.index(r)
-        after = verts[(i + 1) % len(verts)]
-        return primitivize(vsub(verts[i - 1], r)), primitivize(vsub(after, r))
+        ring = self.ring
+        i = self.vertices.index(r)
+        after = ring[(i + 1) % len(ring)]
+        return primitivize(vsub(ring[i - 1], ring[i])), primitivize(vsub(after, ring[i]))
 
     def dilate(self, factor) -> "RatPolygon":
-        """Scale about the origin by a nonnegative rational factor."""
+        """Scale about the origin by a nonnegative rational factor p/q: the
+        int ring and offsets times p, over the scale times q."""
         c = rational(factor)
         if c < 0:
             raise ValueError("dilation factor must be nonnegative")
@@ -390,21 +402,20 @@ class RatPolygon:
             return self
         if c == 0:
             return RatPolygon.from_vertices([(0, 0)])
-        return RatPolygon(
-            tuple((c * x, c * y) for x, y in self.vertices),
-            tuple((n, o * c) for n, o in self.halfplanes),
+        p = c.numerator
+        return _reduced(
+            self.scale * c.denominator,
+            [(x * p, y * p) for x, y in self.ring],
+            [(n, o * p) for n, o in self.lines],
             self.dim,
         )
 
     def area(self) -> Fraction:
         if self.dim < 2:
             return Fraction(0)
-        total = Fraction(0)
-        verts = self.vertices
-        for i, p in enumerate(verts):
-            q = verts[(i + 1) % len(verts)]
-            total += p[0] * q[1] - q[0] * p[1]
-        return total / 2
+        ring = self.ring
+        total = sum(det(p, q) for p, q in zip(ring, ring[1:] + ring[:1]))
+        return Fraction(total, 2 * self.scale ** 2)
 
     def edges(self):
         """CCW (start, end) vertex pairs; empty for dim < 1."""
@@ -417,8 +428,8 @@ class RatPolygon:
 
 
 def _over_common_denominator(values):
-    """(L, [L*v for v in values]) for Fractions v, where L is the lcm of
-    their denominators, so the scaled values are ints."""
+    """(L, [L*v for v in values]) for ints and Fractions v, where L is the
+    lcm of their denominators, so the scaled values are ints."""
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
@@ -426,14 +437,23 @@ def _over_common_denominator(values):
 def _hull_polygon(points, scale) -> RatPolygon:
     """The canonical polygon of conv(points) / scale, for int points and an
     int scale > 0.  A positive scale keeps the lexicographic order, the
-    orientation and the primitive normals, so only the final division
-    meets Fractions."""
+    orientation and the primitive normals, so the hull and its halfplanes
+    are taken on the ints."""
     hull = convex_hull(points)
-    return RatPolygon(
-        tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in hull),
-        tuple((n, Fraction(o, scale)) for n, o in _halfplanes_of_hull(hull)),
-        min(len(hull), 3) - 1,
-    )
+    return _reduced(scale, hull, _halfplanes_of_hull(hull), min(len(hull), 3) - 1)
+
+
+def _reduced(scale, ring, lines, dim) -> RatPolygon:
+    """The polygon of an int ring and int lines over scale, all divided by
+    the gcd of the scale and the ring's coordinates, which makes the scale
+    the lcm of the vertex denominators.  Every offset is <vertex, normal>
+    for some vertex, so the gcd divides it too."""
+    g = gcd(scale, *(c for p in ring for c in p)) if scale > 1 else 1
+    if g > 1:
+        scale //= g
+        ring = [(x // g, y // g) for x, y in ring]
+        lines = [(n, o // g) for n, o in lines]
+    return RatPolygon(scale, tuple(ring), tuple(lines), dim)
 
 
 def _halfplanes_of_hull(hull):
@@ -466,20 +486,24 @@ def colon(p: RatPolygon, q: RatPolygon) -> RatPolygon:
     """The colon polygon {u : u + q subset of p}.
 
     Computed purely on the H-representation: each offset of ``p`` rises by
-    the support of ``q`` in that normal direction.  May be empty.
+    the support of ``q`` in that normal direction, both read on ints over
+    the product of the two scales.  May be empty.
     """
     if p.is_empty or q.is_empty:
         raise ValueError("colon needs non-empty polygons")
+    lp, lq = p.scale, q.scale
     return RatPolygon.from_halfplanes(
-        [(n, o - q.support_min(n)) for n, o in p.halfplanes]
+        [(n, Fraction(o * lq - min(q._levels(n)) * lp, lp * lq)) for n, o in p.lines]
     )
 
 
 def minkowski_sum(p: RatPolygon, q: RatPolygon) -> RatPolygon:
     if p.is_empty or q.is_empty:
         raise ValueError("minkowski_sum needs non-empty polygons")
-    return RatPolygon.from_vertices(
-        [vadd(a, b) for a in p.vertices for b in q.vertices]
+    lp, lq = p.scale, q.scale
+    return _hull_polygon(
+        [(a[0] * lq + b[0] * lp, a[1] * lq + b[1] * lp) for a in p.ring for b in q.ring],
+        lp * lq,
     )
 
 
@@ -502,7 +526,7 @@ def lattice_points(p: RatPolygon):
     walk up its two boundary chains.
 
     With v = (1, 0) the chain coordinates (s, t) of the int ring
-    (``RatPolygon.scaled``, vertices times L) are (x, y) itself, so the
+    (``RatPolygon.ring``, vertices times L) are (x, y) itself, so the
     integer columns are the levels x * L.  At each column ``_heights``
     gives the lower and upper chain heights N/D in L-units, and the
     column's points are y = ceil(N/(D*L)) .. floor(N'/(D'*L)), by int
@@ -510,7 +534,7 @@ def lattice_points(p: RatPolygon):
     """
     if p.is_empty:
         return []
-    scale, st = p.scaled
+    scale, st = p.scale, p.ring
     lower, upper = _chains(st)
     xs = range(-(-st[lower[0]][0] // scale), st[lower[-1]][0] // scale + 1)
     levels = range(xs.start * scale, xs.stop * scale, scale)
@@ -600,7 +624,7 @@ class ChordWalk:
     """The longest chords of p orthogonal to a primitive v, by one walk
     along the two boundary chains (the rotating-calipers sweep).
 
-    The int ring of p (``RatPolygon.scaled``, vertices times L) is mapped
+    The int ring of p (``RatPolygon.ring``, vertices times L) is mapped
     by x -> (s, t) = (<x, v>, det(u, x)) with <u, v> = 1.  The map is
     unimodular and keeps orientation, so the ring stays counterclockwise;
     s is L times the level and t is L times the position along the chord
@@ -615,12 +639,12 @@ class ChordWalk:
     """
 
     def __init__(self, p: RatPolygon, v):
-        self._v, self._u, self._scale = v, solve_pairing_one(v), p.scaled[0]
+        self._v, self._u, self._scale = v, solve_pairing_one(v), p.scale
         self.length, self.levels, self._best = None, [], []
         if p.is_empty:
             return
         (a, b), (c, d) = v, self._u
-        self._st = st = [(x * a + y * b, c * y - d * x) for x, y in p.scaled[1]]
+        self._st = st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
         # (vertices, edges) in increasing s, as ring indices; ring edge i
         # runs from vertex i to i + 1, so it starts at the lower chain's
         # left vertex and at the upper chain's right one

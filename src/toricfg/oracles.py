@@ -39,7 +39,7 @@ def vanishing_orders(support, c) -> set:
     z = sorted(set(int(p) for p in support))
     if not z:
         raise ValueError("empty support")
-    c = Fraction(c)
+    c = Fraction(rational(c))
     if c == 0:
         raise ValueError("vanishing order at 0 is read off the support directly")
     e = len(z)
@@ -162,13 +162,15 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     base = theta(ctx, 1, q)
     if base.is_empty:
         raise ValueError("colon polytope is empty at this slope")
-    v = a, b = ctx.flag.v
+    a, b = ctx.flag.v
     for lam in range(1, lambda_max + 1):
         poly = base.dilate(lam)
-        lo, hi = poly.support_min(v), poly.support_max(v)
-        if lo.denominator != 1 or hi.denominator != 1:
+        # the extreme levels <p, v> times L, on the int ring
+        levels = [x * a + y * b for x, y in poly.ring]
+        lo, hi = min(levels), max(levels)
+        if lo % poly.scale or hi % poly.scale:
             continue
         values = {x * a + y * b for x, y in lattice_points(poly)}
-        if all(t in values for t in range(int(lo), int(hi) + 1)):
+        if all(t in values for t in range(lo // poly.scale, hi // poly.scale + 1)):
             return lam
     return None

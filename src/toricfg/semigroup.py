@@ -262,10 +262,7 @@ def newton_okounkov_body(ctx: FlagContext) -> NOBody:
     """
     qh = q_hat(ctx)
     rays = ctx.fan.rays
-    offs = [
-        (-a, Fraction(c))
-        for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
-    ]
+    offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
     candidates = {Fraction(0), qh}
     n = len(rays)
     for i in range(n):

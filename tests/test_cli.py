@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 from toricfg import cli, criterion, fans, semigroup
 from toricfg.gallery import slanted_quad_divisor
@@ -373,3 +374,19 @@ def test_cli_context_equals_make_context():
         args = argparse.Namespace(command="fg", input=inp(name), direction=direction)
         problem = cli.load_problem(args)
         assert problem.context == make_context(problem.divisor, problem.direction)
+
+
+def test_integral_divisor_literals_are_stored_as_ints(tmp_path):
+    with open(inp("slanted_quad.json")) as f:
+        doc = json.load(f)
+    doc["divisor"]["coefficients"] = [[2 * a, 2] for a in doc["divisor"]["coefficients"]]
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps(doc))
+    problems = [cli.load_problem(argparse.Namespace(command="fg", input=name, direction=None))
+                for name in (str(path), inp("slanted_quad.json"))]
+    assert all(type(a) is int for p in problems for a in p.divisor.coeffs)
+    assert problems[0].divisor == problems[1].divisor
+    assert problems[0].context == problems[1].context
+    rational = cli.load_problem(argparse.Namespace(
+        command="fg", input=inp("rational_quad.json"), direction=None))
+    assert any(type(a) is Fraction for a in rational.divisor.coeffs)

@@ -192,6 +192,20 @@ def test_float_coefficients_rejected():
     ToricDivisor.make(slanted_quad_fan(), {(1, 2): Fraction(11, 2)})  # fine
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    fan = p1p1_fan()
+    d = ToricDivisor.make(fan, [4, F(4, 2), F(7, 3), 1])
+    assert [type(a) for a in d.coeffs] == [int, int, F, int]
+    # the all-Fraction form that make stored before compares and hashes equal
+    old = ToricDivisor(fan, tuple(F(a) for a in d.coeffs))
+    assert d == old and hash(d) == hash(old)
+    table = ToricDivisor.make(fan, {fan.rays[0]: F(6, 3), fan.rays[2]: F(7, 3)})
+    assert [type(a) for a in table.coeffs] == [int, int, F, int]
+    total = d + ToricDivisor.make(fan, [0, 0, F(2, 3), 0])
+    assert total.coeffs == (4, 2, 3, 1) and all(type(a) is int for a in total.coeffs)
+    assert divisor_polytope(d) == divisor_polytope(old)
+
+
 def test_float_and_fractional_vectors_rejected():
     fan = slanted_quad_fan()
     with pytest.raises(TypeError):

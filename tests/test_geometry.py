@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from toricfg import geometry
-from toricfg.fans import divisor_from_polytope, divisor_polytope
+from toricfg.fans import ToricDivisor, divisor_from_polytope, divisor_polytope
 from toricfg.gallery import sym16gon
 from toricfg.geometry import (
     RatPolygon,
@@ -31,8 +31,12 @@ from util import (
     helly_certificates,
     line_interval_max_chord,
     naive_lattice_points,
+    random_ample_divisor,
     random_polygon,
+    random_smooth_fan,
+    views,
 )
+from toricfg.semigroup import make_context, theta
 
 SQUARE = RatPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 PD = RatPolygon.from_halfplanes([((-1, 0), 0), ((0, -1), 0), ((1, 2), -8), ((0, 1), -3)])
@@ -232,10 +236,13 @@ def test_helly_certificates_decide_emptiness(data):
 
 
 def _intersect_or_unbounded(kernel, halfplanes):
+    """kernel(halfplanes) as a (vertices, halfplanes, dim) triple, or
+    "unbounded"."""
     try:
-        return kernel(halfplanes)
+        out = kernel(halfplanes)
     except UnboundedRegion:
         return "unbounded"
+    return views(out) if isinstance(out, RatPolygon) else out
 
 
 DENOMINATORS = (1, 2, 3, 7, 2**40 + 15)
@@ -264,7 +271,8 @@ def test_from_halfplanes_matches_fraction_kernel_on_dilated_16gon():
     p = sym16gon().dilate(F(7, 3))
     hps = list(p.halfplanes)
     assert len(hps) == 16
-    assert RatPolygon.from_halfplanes(hps) == fraction_from_halfplanes(hps) == p
+    assert RatPolygon.from_halfplanes(hps) == p
+    assert views(p) == fraction_from_halfplanes(hps)
 
 
 @st.composite
@@ -342,7 +350,7 @@ def test_primitivize_ints_and_rationals_agree():
 @settings(max_examples=200, derandomize=True)
 @given(st.lists(st.tuples(OFFSET, OFFSET), min_size=1, max_size=8))
 def test_from_vertices_matches_fraction_hull(points):
-    assert RatPolygon.from_vertices(points) == fraction_polygon_of_points(points)
+    assert views(RatPolygon.from_vertices(points)) == fraction_polygon_of_points(points)
 
 
 RATIONAL = st.fractions(-8, 8, max_denominator=5)
@@ -506,3 +514,66 @@ def test_lattice_points_match_naive_oracle_under_translation(points):
     moved = RatPolygon.from_vertices([(x + FAR[0], y + FAR[1]) for x, y in points])
     assert lattice_points(moved) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
 
+
+
+BOX = [((1, 0), -9), ((-1, 0), -9), ((0, 1), -9), ((0, -1), -9)]
+
+
+@st.composite
+def polygon_and_oracle(draw):
+    """A polygon of dim -1 to 2 with the (vertices, halfplanes, dim) triple
+    of its Fraction oracle: from_vertices of rational points,
+    from_halfplanes of mostly degenerate halfplanes inside a box, or P_D
+    of a random smooth fan with its ample divisor scaled by 1, 7/3 or
+    2**40 + 15."""
+    kind = draw(st.sampled_from(("vertices", "halfplanes", "p_d")))
+    if kind == "vertices":
+        points = draw(st.lists(RATIONAL_POINT, min_size=1, max_size=7))
+        return RatPolygon.from_vertices(points), fraction_polygon_of_points(points)
+    if kind == "halfplanes":
+        hps = draw(degenerate_halfplanes()) + BOX
+        return RatPolygon.from_halfplanes(hps), fraction_from_halfplanes(hps)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fan = random_smooth_fan(rng)
+    scale = draw(st.sampled_from((1, F(7, 3), 2**40 + 15)))
+    d = ToricDivisor.make(fan, [scale * a for a in random_ample_divisor(rng, fan).coeffs])
+    hps = [(r, -a) for r, a in zip(fan.rays, d.coeffs)]
+    return divisor_polytope(d), fraction_from_halfplanes(hps)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(polygon_and_oracle(), st.integers(0, 6), st.fractions(0, 6, max_denominator=7))
+def test_stored_form_is_canonical_and_its_views_match_the_oracles(pair, lam, c):
+    p, oracle = pair
+    assert p.scale == lcm(*(t.denominator for q in p.vertices for t in q))
+    assert all(type(t) is int for q in p.ring for t in q)
+    assert all(type(o) is int for _, o in p.lines)
+    assert views(p) == oracle
+    for factor in (lam, c):
+        scaled = [(factor * x, factor * y) for x, y in p.vertices]
+        assert p.dilate(factor) == RatPolygon.from_vertices(scaled)
+    if not p.is_empty:
+        for q in (RatPolygon.from_vertices(p.vertices), RatPolygon.from_halfplanes(p.halfplanes)):
+            assert q == p and hash(q) == hash(p)
+
+
+def test_integral_input_builds_no_fraction(monkeypatch):
+    # the kernels run on the stored ints: on integral data no Fraction is
+    # built until a Fraction view is read
+    divisor = divisor_from_polytope(sym16gon())
+    ctx = make_context(divisor, (3, 7))
+    hps = [(r, -a) for r, a in zip(divisor.fan.rays, divisor.coeffs)]
+    built = []
+    real_new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or real_new(cls, *a, **k))
+    real_coprime = getattr(F, "_from_coprime_ints", None)
+    if real_coprime is not None:  # newer Pythons build arithmetic results here
+        monkeypatch.setattr(F, "_from_coprime_ints",
+                            classmethod(lambda cls, n, d: built.append((n, d)) or real_coprime(n, d)))
+    p_d = RatPolygon.from_halfplanes(hps)
+    t = theta(ctx, 2, 3)
+    big = t.dilate(3)
+    points = lattice_points(big)
+    assert built == []
+    assert p_d == ctx.p_d and p_d.dim == t.dim == 2 and len(points) > 1000
+    assert big.vertices and built

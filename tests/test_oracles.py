@@ -28,6 +28,13 @@ def test_vanishing_orders_fixtures():
     assert vanishing_orders([-3, 0, 5], 2) == {0, 1, 2}
 
 
+def test_vanishing_orders_rejects_floats():
+    # 0.1 would otherwise be taken as 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        vanishing_orders([0, 1, 2], 0.1)
+    assert vanishing_orders([0, 1, 2], F(1, 10)) == {0, 1, 2}
+
+
 def test_vanishing_orders_always_full_range():
     rng = random.Random(20240816)
     for _ in range(200):

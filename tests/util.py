@@ -247,16 +247,24 @@ def _has_recession(normals) -> bool:
     return False
 
 
-def fraction_from_halfplanes(halfplanes) -> RatPolygon:
+def views(p: RatPolygon) -> tuple:
+    """(vertices, halfplanes, dim) of p: its Fraction views, in the form
+    the Fraction oracles below return."""
+    return p.vertices, p.halfplanes, p.dim
+
+
+def fraction_from_halfplanes(halfplanes) -> tuple:
     """The halfplane intersection computed wholly in Fractions: meet every
     pair of lines, keep the points that satisfy every constraint and take
     their hull.  The independent oracle for the integer kernel of
-    RatPolygon.from_halfplanes; it shares only the input normalisation
-    and convex_hull with it, decides boundedness by searching for a
-    recession direction and emptiness by Helly certificates."""
+    RatPolygon.from_halfplanes, as the (vertices, halfplanes, dim) triple
+    of ``views``; it shares only the input normalisation and convex_hull
+    with it, decides boundedness by searching for a recession direction
+    and emptiness by Helly certificates."""
     merged = {}
     for normal, offset in halfplanes:
         n, o = _normalize_halfplane(normal, offset)
+        o = Fraction(o)
         if n not in merged or merged[n] < o:
             merged[n] = o
     hps = sorted(merged.items())
@@ -273,16 +281,17 @@ def fraction_from_halfplanes(halfplanes) -> RatPolygon:
             raise UnboundedRegion("feasible but unbounded halfplane intersection")
         return fraction_polygon_of_points(feasible)
     if not _has_recession(normals):
-        return RatPolygon.empty()
+        return (), (), -1
     for idx, weights in helly_certificates(normals):
         if sum(w * hps[i][1] for i, w in zip(idx, weights)) > 0:
-            return RatPolygon.empty()
+            return (), (), -1
     raise UnboundedRegion("feasible but unbounded halfplane intersection")
 
 
-def fraction_polygon_of_points(points) -> RatPolygon:
-    """The canonical polygon of conv(points), built in Fractions; the
-    oracle for the integer hull tail of RatPolygon.from_vertices."""
+def fraction_polygon_of_points(points) -> tuple:
+    """The canonical polygon of conv(points), built in Fractions, as the
+    (vertices, halfplanes, dim) triple of ``views``; the oracle for the
+    integer hull tail of RatPolygon.from_vertices."""
     hull = convex_hull([(Fraction(x), Fraction(y)) for x, y in points])
     if len(hull) == 1:
         (x, y) = hull[0]
@@ -299,7 +308,7 @@ def fraction_polygon_of_points(points) -> RatPolygon:
             n = primitivize(rot90(vsub(b, a)))
             hps.append((n, dot(a, n)))
         hps = tuple(hps)
-    return RatPolygon(tuple(hull), hps, min(len(hull), 3) - 1)
+    return tuple(hull), hps, min(len(hull), 3) - 1
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
