@@ -17,8 +17,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import criterion as crit
 from . import oracles, semigroup, svgfig
@@ -74,8 +74,7 @@ def _int_pair(x, what):
     raise InputError(f"{what} must be a pair of integers")
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     """The validated input.  p_d is set for the semigroup commands and
     context for those of them that also take a direction, each built once
     here where the input is checked."""

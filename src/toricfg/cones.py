@@ -9,8 +9,8 @@ polygons with parallel edges degenerate to halfplanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .geometry import (
     ceil_frac,
@@ -34,8 +34,7 @@ class NotInInterior(ValueError):
     """Strong decomposability is defined for interior lattice points."""
 
 
-@dataclass(frozen=True)
-class Cone2:
+class Cone2(NamedTuple):
     """kind is "ray" (one generator), "cone" (two generators, CCW order,
     strongly convex) or "halfplane" (generators (g, -g); the set is
     {x : det(g, x) >= 0}, i.e. the closed left side of g)."""

@@ -8,8 +8,8 @@ for a bad ample divisor when a decomposable cone exists."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cones import (
     Cone2,
@@ -64,8 +64,7 @@ class ConstructionFailed(RuntimeError):
     """The bad-divisor search exhausted its bounded options."""
 
 
-@dataclass(frozen=True)
-class SegmentData:
+class SegmentData(NamedTuple):
     """A maximal-length cross-section of P_D orthogonal to v.
 
     level may be the midpoint of a maximizing interval; v2 - v1 = q_hat*m.
@@ -114,8 +113,7 @@ def sigma_cones(seg: SegmentData, v) -> tuple:
     return sigma_plus, sigma_minus
 
 
-@dataclass(frozen=True)
-class FGVerdict:
+class FGVerdict(NamedTuple):
     """Verdict plus evidence: decomposition witnesses on failure, the side
     cones, and (only on the degenerate fallback, else None) the
     per-breakpoint lifting table of the Newton-Okounkov body."""
@@ -199,8 +197,7 @@ def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
     )
 
 
-@dataclass(frozen=True)
-class FGAllResult:
+class FGAllResult(NamedTuple):
     holds: bool
     failing_cone: Cone2 | None
     failing_direction: tuple | None
@@ -236,8 +233,7 @@ def fg_for_all_divisors(fan: Fan2, v) -> FGAllResult:
     return FGAllResult(True, None, None, None)
 
 
-@dataclass(frozen=True)
-class BadDivisorConstruction:
+class BadDivisorConstruction(NamedTuple):
     divisor: ToricDivisor
     d_prime: ToricDivisor
     d_theta: ToricDivisor

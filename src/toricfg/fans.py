@@ -5,8 +5,8 @@ curve replacement and its nef polytope)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import (
     RatPolygon,
@@ -36,8 +36,7 @@ class InvalidFan(ValueError):
     """Ray data does not describe a complete fan."""
 
 
-@dataclass(frozen=True)
-class Fan2:
+class Fan2(NamedTuple):
     """Complete fan given by its cyclically ordered primitive rays."""
 
     rays: tuple
@@ -77,8 +76,7 @@ def _coefficient(a):
     return a.numerator if a.denominator == 1 else a
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(NamedTuple):
     """D = sum of a_rho * D_rho; coefficients aligned with fan.rays.
 
     ``make`` and ``+`` keep each coefficient in the int normal form: an
@@ -166,8 +164,7 @@ def divisor_from_polytope(p: RatPolygon) -> ToricDivisor:
     return ToricDivisor.make(fan, {r: -offsets[r] for r in fan.rays})
 
 
-@dataclass(frozen=True)
-class FlagData:
+class FlagData(NamedTuple):
     """Combinatorics of the flag given by a one-parameter subgroup.
 
     v is the primitive direction in N; m spans its orthogonal in M; nabla

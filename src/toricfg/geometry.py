@@ -22,12 +22,12 @@ integer steps.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
+from typing import NamedTuple
 
 
 class UnboundedRegion(ValueError):
@@ -201,8 +201,14 @@ def _normalize_halfplane(normal, offset):
     return (n[0] // g, n[1] // g), Fraction(o, g)
 
 
-@dataclass(frozen=True)
-class RatPolygon:
+class _PolygonFields(NamedTuple):
+    scale: int
+    ring: tuple
+    lines: tuple
+    dim: int
+
+
+class RatPolygon(_PolygonFields):
     """Rational convex polygon stored on ints, with paired V- and
     H-representations.
 
@@ -211,13 +217,10 @@ class RatPolygon:
     lexicographic minimum; lines holds the halfplanes as (primitive
     integer normal, offset times L), meaning <u, normal> >= offset / L.
     dim is -1 (empty), 0 (point), 1 (segment) or 2.  ``vertices`` and
-    ``halfplanes`` give the same data as Fractions, built on first read.
+    ``halfplanes`` give the same data as Fractions, built on first read
+    and kept in the instance dict that this class has over its named-tuple
+    base.
     """
-
-    scale: int
-    ring: tuple
-    lines: tuple
-    dim: int
 
     # -- construction ------------------------------------------------------
 
@@ -673,28 +676,26 @@ class ChordWalk:
         Between two maximizing levels both chains are straight (the chord
         length is concave and constant there), so the midpoint ends are
         the means of the ends at those levels and lie inside the edges
-        that leave the first level upwards.
+        that leave the first level upwards.  The means are taken on the
+        int (s, t) values; with one maximizing level they are its ends.
         """
+        (a, b), (c, e) = self._v, self._u
         lvl, *at = self._best[0]
         top, *at_top = self._best[-1]
         out = [Fraction(lvl + top, 2 * self._scale)]
         for (verts, edges), (n, d, j), (n2, d2, _) in zip(self._chains, at, at_top):
-            point = self._point(lvl, n, d)
             if self._st[verts[j]][0] != lvl:
                 below = above = edges[j - 1]
             else:
                 below = edges[j - 1] if j else None
                 above = edges[j] if j < len(edges) else None
             if top != lvl:
-                far = self._point(top, n2, d2)
-                point, below = ((point[0] + far[0]) / 2, (point[1] + far[1]) / 2), above
-            out.append((point, below, above))
+                below = above
+            # the mean of the ends at levels lvl and top: level s / den and
+            # chord position t / den, so the point (s*u + t*rot90(v)) / den
+            s, t, den = (lvl + top) * d * d2, n * d2 + n2 * d, 2 * d * d2 * self._scale
+            out.append(((Fraction(c * s - b * t, den), Fraction(e * s + a * t, den)), below, above))
         return tuple(out)
-
-    def _point(self, lvl, n, d):
-        """The point at level lvl / L and chord position n / (d * L)."""
-        (a, b), (c, e), den = self._v, self._u, d * self._scale
-        return (Fraction(c * lvl * d - b * n, den), Fraction(e * lvl * d + a * n, den))
 
 
 def max_chord(p: RatPolygon, v):

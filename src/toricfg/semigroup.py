@@ -9,9 +9,9 @@ the normalized polytope at slope q is just the (1, q) case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .cones import Cone2, cone, halfplane
 from .fans import FlagData, Fan2, ToricDivisor, ample_polytope, divisor_polytope, flag_data
@@ -39,18 +39,20 @@ class DegenerateTheta(ValueError):
     """The colon polytope is empty where a construction needs a point."""
 
 
-@dataclass(frozen=True)
-class FlagContext:
+class _ContextFields(NamedTuple):
+    divisor: ToricDivisor
+    flag: FlagData
+    p_d: RatPolygon
+
+
+class FlagContext(_ContextFields):
     """What the criterion reads of (D, v): the divisor, the flag data of
     the direction and P_D.  Callers that have already validated D and v
     build it directly from the polygons they hold; make_context builds it
     from scratch.  Widths are computed where a degree formula needs them
     (d_bar, d_of_q at slope 0), so the record holds nothing derived but
-    the cached q_hat."""
-
-    divisor: ToricDivisor
-    flag: FlagData
-    p_d: RatPolygon
+    the cached q_hat, kept in the instance dict that this class has over
+    its named-tuple base."""
 
     @property
     def fan(self) -> Fan2:
@@ -143,8 +145,7 @@ def q_hat(ctx: FlagContext) -> Fraction:
     return ctx.q_hat
 
 
-@dataclass(frozen=True)
-class SemigroupSlice:
+class SemigroupSlice(NamedTuple):
     """All semigroup data at a fixed level l: the pairs (k, e_bar(l, k))
     for every k in 0..floor(l * q_hat), encoding the triples (l, k, delta)
     for 0 <= delta <= e_bar - 1.  e_bar may be 0 (a non-empty colon
@@ -167,8 +168,7 @@ def semigroup_slice(ctx: FlagContext, l: int) -> SemigroupSlice:
     return SemigroupSlice(l, tuple((k, e_bar(ctx, l, k)) for k in range(kmax + 1)))
 
 
-@dataclass(frozen=True)
-class CutPieces:
+class CutPieces(NamedTuple):
     box_max: RatPolygon
     p_cut: RatPolygon
     box_min: RatPolygon
@@ -199,8 +199,7 @@ def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
     return CutPieces(box_max, band, box_min, min(t.face(neg(v))), min(t.face(v)))
 
 
-@dataclass(frozen=True)
-class ThetaExtremal:
+class ThetaExtremal(NamedTuple):
     """v-extremal faces of a colon polytope with their tangent cones.
 
     Tangent cones are strongly convex at a vertex and a halfplane along an
@@ -237,8 +236,7 @@ def _tangent(t: RatPolygon, face) -> Cone2:
     return cone("M", *t.vertex_directions(face[0]))
 
 
-@dataclass(frozen=True)
-class NOBody:
+class NOBody(NamedTuple):
     """Newton-Okounkov polygon in (q, t)-coordinates: q is the slope k/l,
     t the normalized vanishing order at the flag point.  The region is
     exactly {(q, t) : 0 <= t <= d(q)} and breakpoints lists the vertices

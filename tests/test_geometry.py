@@ -36,6 +36,7 @@ from util import (
     random_smooth_fan,
     views,
 )
+from toricfg.criterion import max_segment
 from toricfg.semigroup import make_context, theta
 
 SQUARE = RatPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -577,3 +578,8 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     assert built == []
     assert p_d == ctx.p_d and p_d.dim == t.dim == 2 and len(points) > 1000
     assert big.vertices and built
+    # the maximal cross-section builds only its result: the level, the
+    # length, the two maximizing levels and one Fraction pair per end
+    built.clear()
+    seg = max_segment(p_d, (3, 7))
+    assert len(built) <= 8 and seg.q_hat == ctx.q_hat
