@@ -10,7 +10,6 @@ from .cones import (
     NotInInterior,
     NotPointed,
     cone,
-    cone_from_normals,
     dual_cone,
     exists_pairing_one,
     halfplane,

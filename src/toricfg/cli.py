@@ -419,7 +419,8 @@ def main(argv=None) -> int:
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the JSON problem file")
-        p.add_argument("--direction", help="flag direction 'x,y' (overrides input)")
+        p.add_argument("--direction", help="flag direction 'x,y' (overrides input); "
+                       "write a negative first coordinate as --direction=-2,3")
         p.add_argument("--output", help="write output here instead of stdout")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)

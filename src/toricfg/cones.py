@@ -3,8 +3,11 @@ strong-decomposability test, and exact search for lattice points with a
 prescribed pairing value.
 
 A cone knows which lattice it lives in ("M" or "N"); dualizing swaps the
-tag.  Halfplanes are supported because maximal-cross-section cones of
-polygons with parallel edges degenerate to halfplanes.
+tag.  Maximal-cross-section cones of polygons with parallel edges
+degenerate to halfplanes; a halfplane is stored as the cone on (g, -g),
+so membership, duality, the pairing-one search and decomposability read
+it exactly as a strongly convex cone.  Only the Hilbert basis (which a
+halfplane lacks) and the witness search treat it apart.
 """
 
 from __future__ import annotations
@@ -36,28 +39,24 @@ class NotInInterior(ValueError):
 
 class Cone2(NamedTuple):
     """kind is "ray" (one generator), "cone" (two generators, CCW order,
-    strongly convex) or "halfplane" (generators (g, -g); the set is
-    {x : det(g, x) >= 0}, i.e. the closed left side of g)."""
+    strongly convex) or "halfplane" (generators (g, -g)).  Both
+    two-generator kinds are the set {x : det(g1, x) >= 0, det(x, g2) >= 0};
+    for (g, -g) the two walls coincide in the closed left side of g."""
 
     lattice: str
     kind: str
     generators: tuple
 
     def contains(self, x) -> bool:
+        g1 = self.generators[0]
         if self.kind == "ray":
-            g = self.generators[0]
-            return det(g, x) == 0 and dot(g, x) >= 0
-        if self.kind == "halfplane":
-            return det(self.generators[0], x) >= 0
-        g1, g2 = self.generators
-        return det(g1, x) >= 0 and det(x, g2) >= 0
+            return det(g1, x) == 0 and dot(g1, x) >= 0
+        return det(g1, x) >= 0 and det(x, self.generators[1]) >= 0
 
     def strictly_contains(self, x) -> bool:
         """Topological-interior membership (always False for rays)."""
         if self.kind == "ray":
             return False
-        if self.kind == "halfplane":
-            return det(self.generators[0], x) > 0
         g1, g2 = self.generators
         return det(g1, x) > 0 and det(x, g2) > 0
 
@@ -66,17 +65,21 @@ def ray(lattice: str, g) -> Cone2:
     return Cone2(lattice, "ray", (primitivize(g),))
 
 
-def cone(lattice: str, g1, g2) -> Cone2:
-    """Strongly convex two-dimensional cone; generator order is normalized
-    to counterclockwise."""
+def cone(lattice: str, g1, g2, inside=None) -> Cone2:
+    """Cone spanned by g1 and g2: a ray when they point the same way, the
+    halfplane on the side of ``inside`` when they are antiparallel, and
+    otherwise the strongly convex cone with its generators in
+    counterclockwise order."""
     a, b = primitivize(g1), primitivize(g2)
     d = det(a, b)
     if d == 0:
         if a == b:
             return ray(lattice, a)
-        raise ValueError(
-            "antiparallel generators: construct a halfplane with an explicit side"
-        )
+        if inside is None:
+            raise ValueError(
+                "antiparallel generators: construct a halfplane with an explicit side"
+            )
+        return halfplane(lattice, a, inside)
     if d < 0:
         a, b = b, a
     return Cone2(lattice, "cone", (a, b))
@@ -88,23 +91,10 @@ def halfplane(lattice: str, boundary, inside) -> Cone2:
     g = primitivize(boundary)
     s = det(g, inside)
     if s == 0:
-        raise ValueError("side marker lies on the boundary line")
+        raise ValueError("inside point lies on the boundary line")
     if s < 0:
         g = neg(g)
     return Cone2(lattice, "halfplane", (g, neg(g)))
-
-
-def cone_from_normals(lattice: str, n1, n2, side_marker=None) -> Cone2:
-    """Cone spanned by two vectors, degenerating to a halfplane for
-    antiparallel input (the side containing ``side_marker``)."""
-    a, b = primitivize(n1), primitivize(n2)
-    if det(a, b) != 0:
-        return cone(lattice, a, b)
-    if a == b:
-        return ray(lattice, a)
-    if side_marker is None:
-        raise ValueError("antiparallel normals need a side marker")
-    return halfplane(lattice, a, side_marker)
 
 
 def _other_lattice(lattice: str) -> str:
@@ -112,16 +102,12 @@ def _other_lattice(lattice: str) -> str:
 
 
 def dual_cone(c: Cone2) -> Cone2:
-    """{u : <u, x> >= 0 for all x in c} in the dual lattice."""
-    lat = _other_lattice(c.lattice)
-    if c.kind == "halfplane":
-        return ray(lat, rot90(c.generators[0]))
-    if c.kind == "ray":
-        g = c.generators[0]
-        # boundary of the dual halfplane, left side containing g's rot90
-        return Cone2(lat, "halfplane", ((g[1], -g[0]), (-g[1], g[0])))
-    g1, g2 = c.generators
-    return cone(lat, (g2[1], -g2[0]), (-g1[1], g1[0]))
+    """{u : <u, x> >= 0 for all x in c} in the dual lattice: the cone on
+    the inner normals -rot90(g2) and rot90(g1) of the two walls.  A ray g
+    counts as the walls (g, g) and gives the halfplane containing g; the
+    walls (g, -g) of a halfplane give the ray rot90(g)."""
+    g1, g2 = c.generators[0], c.generators[-1]
+    return cone(_other_lattice(c.lattice), (g2[1], -g2[0]), rot90(g1), g1)
 
 
 def hilbert_basis(c: Cone2) -> tuple:
@@ -168,18 +154,17 @@ def is_strongly_decomposable(w, c: Cone2):
     """Decide whether w = w' + w'' with both summands interior lattice
     points of c.  Returns (verdict, witness-or-None).
 
-    In a pointed cone, w is indecomposable iff it is primitive and some
-    lattice point of the dual cone pairs to 1 with it (the pairing-one
-    search); a halfplane reduces to lattice distance > 1 from its boundary
-    line.  Witnesses come from the independent brute-force search.
+    w is indecomposable iff it is primitive and some lattice point of the
+    dual cone pairs to 1 with it (the pairing-one search).  For a
+    halfplane (g, -g) the dual is the ray rot90(g) and <rot90(g), w> =
+    det(g, w), so this reads: w lies at lattice distance 1 from the
+    boundary line.  Witnesses come from the independent brute-force
+    search.
     """
     w = int_vector(w)
     if not c.strictly_contains(w):
         raise NotInInterior(f"{w} is not an interior lattice point of the cone")
-    if c.kind == "halfplane":
-        decomposable = det(c.generators[0], w) > 1
-    else:
-        decomposable = gcd(*w) > 1 or not exists_pairing_one(dual_cone(c), w)
+    decomposable = gcd(*w) > 1 or not exists_pairing_one(dual_cone(c), w)
     witness = None
     if decomposable:
         from .oracles import brute_decompose
@@ -196,9 +181,9 @@ def exists_pairing_one(c: Cone2, v) -> bool:
     """Is there a lattice point u in c with <u, v> = 1?
 
     v is primitive, so the solutions of <u, v> = 1 form the affine lattice
-    line u* + Z*m with m spanning the kernel; the cone constraints cut a
-    rational interval in the line parameter, which is checked for an
-    integer.
+    line u* + Z*m with m spanning the kernel; the walls g1 and -g2 of a
+    two-generator cone (one wall twice for a halfplane) cut a rational
+    interval in the line parameter, which is checked for an integer.
     """
     v = int_vector(v)
     g = gcd(v[0], v[1])
@@ -206,13 +191,10 @@ def exists_pairing_one(c: Cone2, v) -> bool:
         raise ValueError("pairing target needs a primitive functional")
     if c.kind == "ray":
         return dot(c.generators[0], v) == 1
-    # the cone constraints det(a, u) >= 0 read <u, rot90(a)> >= 0
-    if c.kind == "halfplane":
-        walls = [c.generators[0]]
-    else:
-        walls = [c.generators[0], neg(c.generators[1])]
+    # the wall det(a, u) >= 0 reads <u, rot90(a)> >= 0, for a = g1 and a = -g2
+    g1, g2 = c.generators
     span = line_interval(
-        [(rot90(a), 0) for a in walls], solve_pairing_one(v), rot90(v)
+        [(rot90(g1), 0), (rot90(neg(g2)), 0)], solve_pairing_one(v), rot90(v)
     )
     if span is None:
         return False

@@ -14,10 +14,8 @@ from typing import NamedTuple
 from .cones import (
     Cone2,
     cone,
-    cone_from_normals,
     dual_cone,
     exists_pairing_one,
-    halfplane,
     is_strongly_decomposable,
 )
 from .fans import (
@@ -108,8 +106,8 @@ def sigma_cones(seg: SegmentData, v) -> tuple:
     if seg.n1_below is None or seg.n2_below is None:
         raise DegenerateSide("no edge parts below the maximal cross-section")
     v = int_vector(v)
-    sigma_minus = cone_from_normals("N", seg.n1_above, seg.n2_above, neg(v))
-    sigma_plus = cone_from_normals("N", seg.n1_below, seg.n2_below, v)
+    sigma_minus = cone("N", seg.n1_above, seg.n2_above, neg(v))
+    sigma_plus = cone("N", seg.n1_below, seg.n2_below, v)
     return sigma_plus, sigma_minus
 
 
@@ -132,10 +130,12 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     """Does the breakpoint (1, q, d(q)) of the Newton-Okounkov body lift
     to the semigroup?
 
-    Zero width at the top slope always lifts (clear denominators); an
-    extremal edge is an auto-yes; at an extremal vertex the tangent cone
-    must contain a lattice point pairing to +1 (minimum side) resp. -1
-    (maximum side) with the direction."""
+    Zero width at the top slope always lifts (clear denominators);
+    otherwise the tangent cone at the v-minimal face must contain a
+    lattice point pairing to +1 with the direction, and the one at the
+    v-maximal face a point pairing to -1.  At an extremal edge the
+    tangent cone is a halfplane containing the whole line <u, +-v> = 1,
+    so the search says yes there."""
     q = rational(q)
     t = theta(ctx, 1, q)
     if t.is_empty:
@@ -144,17 +144,8 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     if width(t, v) == 0:
         return True
     ext = theta_extremal(ctx, 1, q)
-    ok_minus = (
-        True
-        if ext.cone_minus.kind == "halfplane"
-        else exists_pairing_one(ext.cone_minus, v)
-    )
-    ok_plus = (
-        True
-        if ext.cone_plus.kind == "halfplane"
-        else exists_pairing_one(ext.cone_plus, neg(v))
-    )
-    return ok_minus and ok_plus
+    return (exists_pairing_one(ext.cone_minus, v)
+            and exists_pairing_one(ext.cone_plus, neg(v)))
 
 
 def lifting_table(ctx: FlagContext) -> tuple:
@@ -212,17 +203,14 @@ def failing_cones(fan: Fan2, v):
     if not is_primitive(v):
         raise ValueError("direction must be primitive")
     for ri, rj in itertools.combinations(fan.rays, 2):
-        if det(ri, rj) != 0:
-            c = cone("N", ri, rj)
-            candidates = [(c, w) for w in (v, neg(v)) if c.strictly_contains(w)]
-        elif rj == neg(ri) and det(ri, v) != 0:
-            candidates = [(halfplane("N", ri, w), w) for w in (v, neg(v))]
-        else:
-            continue
-        for c, w in candidates:
-            dec, wit = is_strongly_decomposable(w, c)
-            if dec:
-                yield c, w, wit
+        if det(ri, v) == 0 or det(rj, v) == 0:
+            continue  # +-v on a ray's line is interior to no cone of the pair
+        for w in (v, neg(v)):
+            c = cone("N", ri, rj, w)
+            if c.strictly_contains(w):
+                dec, wit = is_strongly_decomposable(w, c)
+                if dec:
+                    yield c, w, wit
 
 
 def fg_for_all_divisors(fan: Fan2, v) -> FGAllResult:

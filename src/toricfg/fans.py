@@ -47,7 +47,7 @@ class Fan2(NamedTuple):
         if len(rs) < 3:
             raise InvalidFan("a complete fan needs at least three rays")
         for r in rs:
-            if r == (0, 0) or not is_primitive(r):
+            if not is_primitive(r):
                 raise InvalidFan(f"ray {r} is not primitive")
         if len(set(rs)) != len(rs):
             raise InvalidFan("duplicate rays")
@@ -184,7 +184,7 @@ class FlagData(NamedTuple):
 
 def flag_data(fan: Fan2, v) -> FlagData:
     v = int_vector(v)
-    if v == (0, 0) or not is_primitive(v):
+    if not is_primitive(v):
         raise NonPrimitiveDirection(f"direction {v} is not primitive")
     m = rot90(v)
     nabla = RatPolygon.from_vertices([(0, 0), m])

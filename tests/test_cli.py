@@ -240,6 +240,16 @@ def test_direction_flag_overrides_input():
     assert "finitely_generated" in doc
 
 
+def test_negative_direction_in_the_equals_form():
+    # argparse reads a bare "-2,3" as an option, so a negative first
+    # coordinate is written --direction=-2,3
+    own = run_main("fg", "--input", inp("slanted_quad.json"))  # direction (-2, 3)
+    given = run_main("fg", "--input", inp("slanted_quad.json"), "--direction=-2,3")
+    other = run_main("fg", "--input", inp("slanted_quad.json"), "--direction=2,-3")
+    assert own.returncode == given.returncode == other.returncode == 0
+    assert given.stdout == own.stdout != other.stdout
+
+
 def test_degenerate_side_flagged_in_output(tmp_path):
     # simplex polytope with the diagonal direction: the longest
     # cross-section is the top edge, so one side cone is undefined and the

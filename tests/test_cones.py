@@ -7,7 +7,6 @@ from toricfg.cones import (
     NotInInterior,
     NotPointed,
     cone,
-    cone_from_normals,
     dual_cone,
     exists_pairing_one,
     halfplane,
@@ -15,10 +14,10 @@ from toricfg.cones import (
     is_strongly_decomposable,
     ray,
 )
-from toricfg.geometry import dot
+from toricfg.geometry import det, dot, neg, rot90, solve_pairing_one
 from toricfg.oracles import brute_decompose
 
-from util import interior_point, random_cone
+from util import interior_point, random_cone, random_direction
 
 FIRST_QUADRANT = cone("N", (1, 0), (0, 1))
 
@@ -148,6 +147,12 @@ def test_exists_pairing_one_fixtures():
     assert _brute_pairing_one(cone("M", (0, 1), (-1, 1)), (-2, 3)) is False
     assert exists_pairing_one(ray("M", (3, 5)), (2, -1))
     assert not exists_pairing_one(ray("M", (3, 5)), (1, 1))
+    # the halfplane y >= 0: a transverse line always meets it in lattice
+    # points; the parallel lines y = 1 and y = -1 lie inside resp. outside
+    upper = halfplane("M", (1, 0), (0, 1))
+    assert exists_pairing_one(upper, (1, 0)) and exists_pairing_one(upper, (2, 3))
+    assert exists_pairing_one(upper, (0, 1))
+    assert not exists_pairing_one(upper, (0, -1))
 
 
 def _brute_pairing_one(c, v, box=40):
@@ -167,17 +172,38 @@ def test_exists_pairing_one_against_brute_force():
 
         v = random_direction(rng, bound=3)
         assert exists_pairing_one(c, v) == _brute_pairing_one(c, v, box=25)
+    for _ in range(40):
+        g = random_direction(rng, bound=3)
+        h = halfplane("M", g, rng.choice((rot90(g), neg(rot90(g)))))
+        v = rng.choice((rot90(g), neg(rot90(g)), random_direction(rng, bound=3)))
+        assert exists_pairing_one(h, v) == _brute_pairing_one(h, v, box=25)
+
+
+def _bridge_cases(rng):
+    """150 pointed cones with an interior point, then 60 halfplanes with a
+    point at lattice distance 1 to 3 from the boundary line (a point
+    spread along (g, -g) would sit on that line)."""
+    for _ in range(150):
+        c = random_cone(rng, bound=5)
+        yield c, interior_point(rng, c, spread=3)
+    for _ in range(60):
+        g = random_direction(rng, bound=5)
+        h = halfplane("N", g, rng.choice((rot90(g), neg(rot90(g)))))
+        g = h.generators[0]
+        unit = solve_pairing_one(rot90(g))  # det(g, unit) == 1
+        d, t = rng.randint(1, 3), rng.randint(-3, 3)
+        yield h, (d * unit[0] + t * g[0], d * unit[1] + t * g[1])
 
 
 def test_pairing_bridge_to_decomposability():
-    # three independent routes to the same verdict: the pairing-one line
-    # search on the dual cone, the Hilbert-basis pairing test, and the
-    # exhaustive witness search; non-primitive w are always decomposable
+    # independent routes to the same verdict: the pairing-one line search
+    # on the dual cone, the Hilbert-basis pairing test, and the exhaustive
+    # witness search, plus boundary distance > 1 for halfplanes (whose
+    # dual is a ray); non-primitive w are always decomposable
     rng = random.Random(29)
     non_primitive = decomposable = 0
-    for _ in range(150):
-        c = random_cone(rng, bound=5)
-        w = interior_point(rng, c, spread=3)
+    halfplane_verdicts = set()
+    for c, w in _bridge_cases(rng):
         if rng.random() < 0.25:
             w = (2 * w[0], 2 * w[1])
         primitive = gcd(w[0], w[1]) == 1
@@ -186,15 +212,24 @@ def test_pairing_bridge_to_decomposability():
         by_brute = brute_decompose(w, c) is not None
         assert by_pairing == by_hilbert == by_brute
         assert is_strongly_decomposable(w, c)[0] == by_pairing
-        non_primitive += not primitive
-        decomposable += by_brute
+        if c.kind == "halfplane":
+            assert by_pairing == (det(c.generators[0], w) > 1)
+            halfplane_verdicts.add((primitive, by_pairing))
+        else:
+            non_primitive += not primitive
+            decomposable += by_brute
     assert non_primitive > 20 and 0 < decomposable < 150
+    assert halfplane_verdicts == {(True, False), (True, True), (False, True)}
 
 
-def test_cone_from_normals_degenerations():
-    c = cone_from_normals("N", (1, 0), (0, 1))
-    assert c.kind == "cone"
-    h = cone_from_normals("N", (0, 1), (0, -1), side_marker=(-1, 0))
-    assert h.kind == "halfplane" and h.strictly_contains((-1, 0))
-    r = cone_from_normals("N", (2, 0), (1, 0))
-    assert r.kind == "ray"
+def test_cone_degenerations():
+    c = cone("N", (1, 0), (0, 1), (5, -7))  # inside plays no part here
+    assert c == FIRST_QUADRANT
+    assert cone("N", (2, 0), (1, 0)) == ray("N", (1, 0))
+    left = cone("N", (0, 1), (0, -1), inside=(-1, 0))
+    right = cone("N", (0, 1), (0, -1), inside=(3, 2))
+    assert left == halfplane("N", (0, 1), (-1, 0)) and left.strictly_contains((-1, 0))
+    assert right == halfplane("N", (0, -2), (1, 0)) and right.strictly_contains((1, 0))
+    assert left.generators == ((0, 1), (0, -1)) and right.generators == ((0, -1), (0, 1))
+    with pytest.raises(ValueError):
+        cone("N", (0, 1), (0, -3))

@@ -175,12 +175,17 @@ def test_degenerate_side_fallback():
 
 def test_sigma_dual_contained_in_theta_tangents():
     # the side cones' duals sit inside the extremal tangent cones for all
-    # slopes below the top one
+    # slopes below the top one; at an extremal edge the tangent cone is a
+    # halfplane holding the whole line <u, v> = 1 (resp. <u, -v> = 1), so
+    # the pairing-one search that vertex_lifts runs says yes there
     from toricfg.cones import dual_cone
     from toricfg.semigroup import q_hat, theta_extremal
 
-    for ctx in (CTX, sevengon_context()):
+    square = make_context(divisor_from_polytope(unit_square()), (1, 0))
+    halfplanes = 0
+    for ctx in (CTX, sevengon_context(), square):
         verdict = is_finitely_generated(ctx)
+        v = ctx.flag.v
         qh = q_hat(ctx)
         for i in range(4):
             q = qh * F(i, 5)
@@ -191,8 +196,15 @@ def test_sigma_dual_contained_in_theta_tangents():
             dminus = dual_cone(verdict.sigma_minus)
             if ext.cone_minus.kind != "halfplane":
                 assert all(ext.cone_minus.contains(g) for g in dplus.generators)
+            else:
+                assert exists_pairing_one(ext.cone_minus, v)
+                halfplanes += 1
             if ext.cone_plus.kind != "halfplane":
                 assert all(ext.cone_plus.contains(g) for g in dminus.generators)
+            else:
+                assert exists_pairing_one(ext.cone_plus, neg(v))
+                halfplanes += 1
+    assert halfplanes == 8  # both sides of the square at four slopes
 
 
 def test_fg_for_all_divisors_fixtures():

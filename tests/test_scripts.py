@@ -39,3 +39,24 @@ def test_render_script(tmp_path):
     assert "sym16gon.svg" in names
     svg = (tmp_path / "slanted_quad_nobody.svg").read_text()
     assert svg.startswith("<svg")
+
+
+def test_code_lines_script(tmp_path):
+    res = run_script("code_lines.py")
+    assert res.returncode == 0, res.stderr
+    rows = dict(line.rsplit(None, 1) for line in res.stdout.splitlines())
+    counts = {name: int(n.replace(",", "")) for name, n in rows.items()}
+    total = counts.pop("total")
+    modules = {n[:-3] for n in os.listdir(os.path.join(ROOT, "src", "toricfg"))
+               if n.endswith(".py")}
+    assert set(counts) == modules and total == sum(counts.values())
+    # blank lines, comments and docstrings (module, class, function) are
+    # not code; other strings, decorators and signatures are
+    (tmp_path / "m.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\nX = """not a\ndocstring"""\n\n\n'
+        "@staticmethod\ndef f(a,\n      b):\n    '''Doc.'''\n    return a  # tail\n\n"
+        "class C:\n    \"\"\"Doc.\"\"\"\n\n    y = 1\n"
+    )
+    res = run_script("code_lines.py", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["m", "8", "total", "8"]
