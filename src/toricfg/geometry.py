@@ -21,6 +21,7 @@ integer steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -547,6 +548,35 @@ def lattice_points(p: RatPolygon):
         ys = range(-(-n // (d * scale)), n2 // (d2 * scale) + 1)
         out += zip(repeat(x, len(ys)), ys)
     return out
+
+
+def level_count(points, v) -> int:
+    """The number of distinct levels <p, v> over ``points``, the sorted
+    integer points of a convex polygon as ``lattice_points`` lists them,
+    for a primitive v = (a, b), in O(columns) steps.
+
+    A column x is a run of consecutive y whose end one bisection finds,
+    so its levels a*x + b*y are a progression of step |b|.  Columns with
+    equal a*x mod |b| share a residue class, and the count is the size of
+    each class's union of progressions.  With b = 0 a column is the one
+    level a*x, so the count is the number of columns.
+    """
+    (a, b), step = v, abs(v[1]) or 1
+    runs, i = [], 0
+    while i < len(points):
+        x, y = points[i]
+        j = bisect_left(points, (x + 1,), i)
+        lo = a * x + min(b * y, b * (y + j - i - 1))
+        runs.append((lo % step, lo, lo + abs(b) * (j - i - 1)))
+        i = j
+    count, residue, end = 0, None, None
+    for r, lo, hi in sorted(runs):
+        if r != residue or lo > end:
+            residue, end = r, lo - step
+        if hi > end:
+            count += (hi - end) // step
+            end = hi
+    return count
 
 
 def line_interval(halfplanes, base, step):

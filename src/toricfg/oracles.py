@@ -1,9 +1,13 @@
-"""Independent brute-force validators.
+"""Independent brute-force validators, and the lambda search of analyze.
 
-Everything here recomputes a quantity by the most naive correct method
-available (exhaustive enumeration, dense linear algebra) so the fast paths
-elsewhere can be checked against it.  None of these share the code paths
-they validate.
+Everything here but ``lift_search`` recomputes a quantity by the most
+naive correct method available (exhaustive enumeration, dense linear
+algebra) so the fast paths elsewhere can be checked against it, and
+shares no code path with what it validates.  ``lift_search`` is analyze's
+production lambda search: it counts the levels of each dilate's lattice
+points with the geometry kernel ``level_count``, and
+``tests/util.projection_lift_search``, which projects every point, is its
+oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .geometry import (
     floor_frac,
     int_vector,
     lattice_points,
+    level_count,
     neg,
     rational,
     rot90,
@@ -157,7 +162,12 @@ LAMBDA_MAX = 60
 def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     """Smallest lambda <= lambda_max such that the lambda-fold dilation of
     the colon polytope at slope q projects onto a lattice interval with no
-    gaps; None when no such lambda exists in range."""
+    gaps; None when no such lambda exists in range.
+
+    A dilate whose extreme levels <p, v> are integers lo and hi is gapless
+    when its lattice points take hi - lo + 1 distinct levels, which
+    ``level_count`` counts by column.  ``tests/util.projection_lift_search``
+    is its oracle."""
     q = rational(q)
     base = theta(ctx, 1, q)
     if base.is_empty:
@@ -170,7 +180,6 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
         lo, hi = min(levels), max(levels)
         if lo % poly.scale or hi % poly.scale:
             continue
-        values = {x * a + y * b for x, y in lattice_points(poly)}
-        if all(t in values for t in range(lo // poly.scale, hi // poly.scale + 1)):
+        if level_count(lattice_points(poly), (a, b)) == (hi - lo) // poly.scale + 1:
             return lam
     return None

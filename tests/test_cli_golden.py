@@ -70,6 +70,10 @@ CASES = [
     ("analyze", UNIT),
     ("analyze", EXT),  # exit 2: fan not smooth
     ("analyze", RQ, "--lambda-max", "6"),
+    # lambda above 1 and directions with b = 0, b < 0 and |b| > 1
+    ("analyze", SEVEN, "--direction=1,0", "--lambda-max", "10"),
+    ("analyze", SQ, "--direction=2,-5", "--lambda-max", "10"),
+    ("analyze", RQ, "--direction=1,-1", "--lambda-max", "10"),
     ("semigroup", SQ, "--lmax", "3"),
     ("semigroup", SQ, "--lmax", "2", "--expand"),
     ("semigroup", SEVEN, "--lmax", "2"),
@@ -177,6 +181,12 @@ GOLDEN = {
         '602f4e198c9b2447343735bb0fa023551a0502b069458f2bec4b0bb59e4afe0c',
     'analyze rational_quad.json --lambda-max 6':
         'fe4d342d838eeba0455a6d4585efd94cdcc65dd0497476b6bdb25b31741d7498',
+    'analyze sevengon.json --direction=1,0 --lambda-max 10':
+        '325d328d4e3a95471424bbd4e7272a9ec68fb25aa7ce8cedd3bc79658e238384',
+    'analyze slanted_quad.json --direction=2,-5 --lambda-max 10':
+        '79e807b9cf07832e2edb37c487c5067e7dbe666ae5c72ea1d00532f6a19ecec0',
+    'analyze rational_quad.json --direction=1,-1 --lambda-max 10':
+        'ec64cf8c53fdb0b3534f3d9136a6e706a8dbdb79c8746aa3b64a4c092fb34e8f',
     'semigroup slanted_quad.json --lmax 3':
         'a5b07dfea9fc44b1b3715d3e6be1fdd2f4115e8b3ea5032770082522007b50a5',
     'semigroup slanted_quad.json --lmax 2 --expand':

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from toricfg import geometry
 from toricfg.fans import ToricDivisor, divisor_from_polytope, divisor_polytope
-from toricfg.gallery import sym16gon
+from toricfg.gallery import slanted_quad_context, sym16gon
 from toricfg.geometry import (
     RatPolygon,
     UnboundedRegion,
@@ -15,6 +15,7 @@ from toricfg.geometry import (
     dot,
     int_vector,
     lattice_points,
+    level_count,
     line_interval,
     max_chord,
     minkowski_sum,
@@ -515,6 +516,60 @@ def test_lattice_points_match_naive_oracle_under_translation(points):
     moved = RatPolygon.from_vertices([(x + FAR[0], y + FAR[1]) for x, y in points])
     assert lattice_points(moved) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
 
+
+# primitive directions with |b| up to 9; (0, 0) stands for (1, 0)
+LEVEL_DIRECTION = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
+    lambda u: (u[0] // gcd(*u), u[1] // gcd(*u)) if u != (0, 0) else (1, 0))
+
+
+# rationals in [-6, 6] with denominators dividing 42, cheaper to draw
+# than st.fractions
+LEVEL_COORD = st.builds(F, st.integers(-42, 42), st.sampled_from((7, 14, 21, 42)))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(st.tuples(LEVEL_COORD, LEVEL_COORD), max_size=7), LEVEL_DIRECTION)
+@example([], (2, -5))  # no points
+@example([(F(1, 2), F(-7, 3)), (F(1, 2), 4)], (1, 0))  # no column
+@example([(0, 0), (0, 6), (4, 1)], (3, -2))  # columns of two residue classes
+@example([(0, 0), (7, 0), (7, 3), (0, 3)], (1, 7))  # progressions that overlap
+def test_level_count_is_the_number_of_distinct_levels(points, v):
+    p = RatPolygon.from_vertices(points) if points else RatPolygon.empty()
+    expected = len({dot(q, v) for q in naive_lattice_points(p)})
+    assert level_count(lattice_points(p), v) == expected
+    if points:
+        moved = RatPolygon.from_vertices([(x + FAR[0], y + FAR[1]) for x, y in points])
+        assert level_count(lattice_points(moved), v) == expected
+
+
+class _CountingReads:
+    """A read-only sequence that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+def test_level_count_work_grows_with_the_columns(monkeypatch):
+    # one column-end search per column and O(log) reads in each; projecting
+    # every point would read all 6,161 of them
+    ctx = slanted_quad_context()
+    points = lattice_points(theta(ctx, 1, 0).dilate(20))
+    columns = len({x for x, _ in points})
+    assert (len(points), columns) == (6161, 161)
+    searches = []
+    real = geometry.bisect_left
+    monkeypatch.setattr(geometry, "bisect_left", lambda *a: searches.append(a) or real(*a))
+    counted = _CountingReads(points)
+    assert level_count(counted, ctx.flag.v) == len({dot(q, ctx.flag.v) for q in points})
+    assert len(searches) == columns
+    assert counted.reads <= columns * (1 + len(points).bit_length())
 
 
 BOX = [((1, 0), -9), ((-1, 0), -9), ((0, 1), -9), ((0, -1), -9)]

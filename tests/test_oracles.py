@@ -13,6 +13,7 @@ from toricfg.criterion import vertex_lifts
 
 from util import (
     interior_point,
+    projection_lift_search,
     random_ample_divisor,
     random_cone,
     random_direction,
@@ -114,6 +115,18 @@ def test_lift_search_agrees_with_vertex_lifts():
         for q, _ in newton_okounkov_body(ctx).breakpoints:
             found = lift_search(ctx, q, 60)
             assert (found is not None) == vertex_lifts(ctx, q), (ctx, q)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, F(7, 3)]), st.integers(1, 8))
+def test_lift_search_matches_projection_oracle_on_random_fans(seed, scale, cap):
+    rng = random.Random(seed)
+    fan = random_smooth_fan(rng)
+    d = random_ample_divisor(rng, fan)
+    ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)),
+                       random_direction(rng))
+    for q, _ in newton_okounkov_body(ctx).breakpoints:
+        assert lift_search(ctx, q, cap) == projection_lift_search(ctx, q, cap), q
 
 
 def test_lift_search_out_of_range():

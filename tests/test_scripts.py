@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -60,3 +61,55 @@ def test_code_lines_script(tmp_path):
     res = run_script("code_lines.py", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["m", "8", "total", "8"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(ROOT, "scripts", name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(tail_ms, throughput, failed=0):
+    """A result line of bench/run.py --trace 0, parsed."""
+    metrics = {"latency_tail_ms": {"value": tail_ms, "unit": "ms"},
+               "throughput": {"value": throughput, "unit": "units/s"}}
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summary_on_canned_results():
+    bench_pairs = load_script("bench_pairs.py")
+    metrics = [{"name": "latency_tail_ms", "unit": "ms", "better": "lower"},
+               {"name": "throughput", "unit": "units/s", "better": "higher"}]
+    pairs = [
+        (301, result_line(36.0, 64.0), result_line(28.0, 78.0)),
+        (302, result_line(35.0, 66.0), result_line(29.0, 77.0)),
+        (303, result_line(34.0, 70.0), result_line(35.0, 60.0, failed=1)),
+        (304, result_line(37.0, 60.0), None),  # a run that failed
+    ]
+    lines = bench_pairs.summarize(metrics, pairs)
+    assert lines[0] == "seeds 301 302 303 304; 3 complete pairs"
+    assert lines[1] == "parent: 0 runs failed, 0 of 400 operations failed"
+    assert lines[2] == "change: 1 runs failed, 1 of 300 operations failed"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[4:6]}
+    # medians 35 -> 29 and 66 -> 77; inclusive quartiles of 36/35/34 are 34.5 and 35.5
+    assert rows["latency_tail_ms"] == ["35", "29", "-17.1%", "1", "3.5", "2/3"]
+    assert rows["throughput"] == ["66", "77", "+16.7%", "3", "9", "2/3"]
+    assert lines[6] == "latency_tail_ms (ms, lower is better): 36/35/34 -> 28/29/35"
+    assert bench_pairs.parse_seeds("301-303") == [301, 302, 303]
+    assert bench_pairs.parse_seeds("7") == [7]
+
+
+def test_bench_pairs_compares_the_benchmark_files(tmp_path):
+    bench_pairs = load_script("bench_pairs.py")
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("pass\n")
+        (tmp_path / side / "BENCHMARK.json").write_text("{}\n")
+        (tmp_path / side / "README.md").write_text(side)
+        sides.append(str(tmp_path / side))
+    # files outside bench/ and BENCHMARK.json may differ
+    assert bench_pairs.tree_digest(sides[0]) == bench_pairs.tree_digest(sides[1])
+    (tmp_path / "change" / "bench" / "run.py").write_text("pass  # changed\n")
+    assert bench_pairs.tree_digest(sides[0]) != bench_pairs.tree_digest(sides[1])

@@ -22,13 +22,17 @@ from toricfg.geometry import (
     det,
     dot,
     floor_frac,
+    lattice_points,
     line_interval,
     neg,
     primitivize,
+    rational,
     rot90,
     solve_pairing_one,
     vsub,
 )
+from toricfg.oracles import LAMBDA_MAX
+from toricfg.semigroup import theta
 
 
 def random_smooth_fan(rng: random.Random, max_subdivisions: int = 4) -> Fan2:
@@ -183,6 +187,30 @@ def line_interval_max_chord(p: RatPolygon, v):
         elif hi - lo == best:
             levels.append(c)
     return best, levels
+
+
+def projection_lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
+    """Smallest lambda <= lambda_max such that the lambda-fold dilation of
+    the colon polytope at slope q projects onto a lattice interval with no
+    gaps, by projecting every lattice point of each dilate into a set;
+    None when no such lambda exists in range.  The oracle for the column
+    count of oracles.lift_search."""
+    q = rational(q)
+    base = theta(ctx, 1, q)
+    if base.is_empty:
+        raise ValueError("colon polytope is empty at this slope")
+    a, b = ctx.flag.v
+    for lam in range(1, lambda_max + 1):
+        poly = base.dilate(lam)
+        # the extreme levels <p, v> times L, on the int ring
+        levels = [x * a + y * b for x, y in poly.ring]
+        lo, hi = min(levels), max(levels)
+        if lo % poly.scale or hi % poly.scale:
+            continue
+        values = {x * a + y * b for x, y in lattice_points(poly)}
+        if all(t in values for t in range(lo // poly.scale, hi // poly.scale + 1)):
+            return lam
+    return None
 
 
 def search_relaxation(theta_inf: RatPolygon, interior) -> int:
