@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Scan every primitive direction up to a bound over the symmetric
-16-gon and report the finite-generation verdicts.
+16-gon of inputs/sym16gon.json and report the finite-generation verdicts.
 
 The bundled polygon is tuned so that every direction fails; this script
 re-verifies that claim and prints a short witness per direction.
 """
 
 import argparse
+import os
 import time
 
+from toricfg.cli import load_problem
 from toricfg.criterion import fg_for_all_divisors, scan_directions
 from toricfg.fans import normal_fan
-from toricfg.gallery import sym16gon
+
+INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "inputs")
 
 
 def main():
@@ -20,7 +23,8 @@ def main():
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
 
-    polygon = sym16gon()
+    path = os.path.join(INPUTS, "sym16gon.json")
+    polygon = load_problem(argparse.Namespace(command="scan", input=path, direction=None)).p_d
     fan = normal_fan(polygon)
     print(f"polygon vertices: {[(int(x), int(y)) for x, y in polygon.vertices]}")
     print(f"normal fan: {len(fan.rays)} rays, smooth={fan.is_smooth}")

@@ -2,10 +2,15 @@
 """Search for symmetric 16-gons on the fixed smooth 16-ray fan for which
 no scanned direction yields a finitely generated semigroup.
 
-Candidate polygons are symmetric zonotopes over one ray per antipodal
-pair with weights constant on the orbits of the quarter-turn that
-preserves the ray set.  The bundled fixture (weights 1,1,1,3) came out of
-this search; rerun it to see which small weight vectors work.
+Candidate polygons are symmetric zonotopes: the sum of the segments
+[-k*rot90(r), k*rot90(r)] over one ray r per antipodal pair, with weights
+k constant on the orbits of the quarter-turn that preserves the ray set.
+The bundled fixture inputs/sym16gon.json is the zonotope of weights
+1,1,1,3, which came out of this search.  Those weights work because every
+maximal cross-section either crosses an edge whose normal pairs to at
+least 2 with the direction, or ends at a vertex whose side cones admit a
+strong decomposition.  Rerun the search to see which small weight
+vectors work.
 
 Two exact filters run before any scanning:
   * edge filter: for an edge with inner normal r at offset a, the scaled

@@ -16,12 +16,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .geometry import (
-    ceil_frac,
     det,
     dot,
-    floor_frac,
     int_vector,
-    line_interval,
     neg,
     primitivize,
     rot90,
@@ -180,10 +177,11 @@ def is_strongly_decomposable(w, c: Cone2):
 def exists_pairing_one(c: Cone2, v) -> bool:
     """Is there a lattice point u in c with <u, v> = 1?
 
-    v is primitive, so the solutions of <u, v> = 1 form the affine lattice
-    line u* + Z*m with m spanning the kernel; the walls g1 and -g2 of a
-    two-generator cone (one wall twice for a halfplane) cut a rational
-    interval in the line parameter, which is checked for an integer.
+    v is primitive, so the solutions of <u, v> = 1 form the lattice line
+    u* + t*rot90(v), t in Z.  On it the wall det(a, x) >= 0 of a
+    two-generator cone (a = g1 and a = -g2, one wall twice for a
+    halfplane) reads det(a, u*) + t*<a, v> >= 0, so each wall bounds t by
+    one floor division, or keeps or misses the whole line when <a, v> = 0.
     """
     v = int_vector(v)
     g = gcd(v[0], v[1])
@@ -191,12 +189,14 @@ def exists_pairing_one(c: Cone2, v) -> bool:
         raise ValueError("pairing target needs a primitive functional")
     if c.kind == "ray":
         return dot(c.generators[0], v) == 1
-    # the wall det(a, u) >= 0 reads <u, rot90(a)> >= 0, for a = g1 and a = -g2
-    g1, g2 = c.generators
-    span = line_interval(
-        [(rot90(g1), 0), (rot90(neg(g2)), 0)], solve_pairing_one(v), rot90(v)
-    )
-    if span is None:
-        return False
-    lo, hi = span
-    return lo is None or hi is None or ceil_frac(lo) <= floor_frac(hi)
+    u, (g1, g2) = solve_pairing_one(v), c.generators
+    lo, hi = [], []
+    for a in (g1, neg(g2)):
+        r, s = det(a, u), dot(a, v)
+        if s > 0:
+            lo.append(-(r // s))
+        elif s < 0:
+            hi.append(r // -s)
+        elif r < 0:
+            return False
+    return not lo or not hi or max(lo) <= min(hi)

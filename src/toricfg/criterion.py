@@ -342,9 +342,7 @@ def _lowering_ok(fan, coeffs, idx, cand, target, processed):
     trial = list(coeffs)
     trial[idx] = cand
     p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, trial)])
-    return p.contains_polygon(target) and (
-        processed | {fan.rays[idx]} <= edge_rays(p, fan.rays, trial)
-    )
+    return p.contains_polygon(target) and processed <= edge_rays(p, fan.rays, trial)
 
 
 def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstruction:

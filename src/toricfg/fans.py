@@ -90,12 +90,6 @@ class ToricDivisor(NamedTuple):
     @staticmethod
     def make(fan: Fan2, coeffs) -> "ToricDivisor":
         if isinstance(coeffs, dict):
-            vals_in = coeffs.values()
-        else:
-            vals_in = coeffs
-        if any(isinstance(a, float) for a in vals_in):
-            raise TypeError("floating point is banned here; use int or Fraction")
-        if isinstance(coeffs, dict):
             table = {int_vector(r): _coefficient(a) for r, a in coeffs.items()}
             vals = tuple(table.get(r, 0) for r in fan.rays)
             unknown = set(table) - set(fan.rays)

@@ -579,30 +579,6 @@ def level_count(points, v) -> int:
     return count
 
 
-def line_interval(halfplanes, base, step):
-    """The parameters t with <base + t*step, n> >= o for every (n, o).
-
-    Returns (lo, hi), either end None when unbounded (lo > hi when the
-    line misses the region), or None when a constraint parallel to the
-    line excludes it.
-    """
-    lo, hi = None, None
-    for n, o in halfplanes:
-        r = o - (n[0] * base[0] + n[1] * base[1])
-        s = n[0] * step[0] + n[1] * step[1]
-        if s > 0:
-            b = Fraction(r, s)
-            if lo is None or b > lo:
-                lo = b
-        elif s < 0:
-            b = Fraction(r, s)
-            if hi is None or b < hi:
-                hi = b
-        elif r > 0:
-            return None
-    return lo, hi
-
-
 def solve_pairing_one(v):
     """Some integer vector u with <u, v> = 1 (v primitive), by the
     extended Euclidean algorithm."""

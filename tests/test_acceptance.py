@@ -24,15 +24,6 @@ from toricfg.fans import (
     is_ample,
     normal_fan,
 )
-from toricfg.gallery import (
-    extended_quad_fan,
-    sevengon,
-    sevengon_context,
-    slanted_quad_context,
-    slanted_quad_fan,
-    sym16gon,
-    SYM16GON_VERTICES,
-)
 from toricfg.geometry import minkowski_sum, width
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search, vanishing_orders
 from toricfg.semigroup import (
@@ -49,13 +40,15 @@ from toricfg.semigroup import (
 
 from util import (
     interior_point,
+    load_example,
+    load_script,
     random_ample_divisor,
     random_cone,
     random_direction,
     random_smooth_fan,
 )
 
-CTX = slanted_quad_context()
+CTX = load_example("slanted_quad").context
 V = (-2, 3)
 
 
@@ -64,7 +57,7 @@ def _ok(n, text):
 
 
 def test_criterion_1_running_example_exact_values():
-    fan = slanted_quad_fan()
+    fan = CTX.fan
     fd = flag_data(fan, V)
     assert dict(zip(fan.rays, fd.cprime_coeffs)) == {
         (1, 2): 7, (0, 1): 2, (-1, 0): 0, (0, -1): 0,
@@ -105,13 +98,13 @@ def test_criterion_3_non_finite_generation_witness():
 
 
 def test_criterion_4_sevengon_finitely_generated():
-    p = sevengon()
+    p = load_example("sevengon").p_d
     seg = max_segment(p, (0, 1))
     assert {seg.v1, seg.v2} == {(F(8, 3), 3), (9, 3)}
     sp, sm = sigma_cones(seg, (0, 1))
     assert sp == cone("N", (3, 2), (-1, 2))
     assert sm == cone("N", (-2, -3), (3, 2))
-    ctx = sevengon_context()
+    ctx = load_example("sevengon").context
     assert is_finitely_generated(ctx).finitely_generated is True
     for q, _ in newton_okounkov_body(ctx).breakpoints:
         lam = lift_search(ctx, q, 60)
@@ -122,7 +115,7 @@ def test_criterion_4_sevengon_finitely_generated():
 
 
 def test_criterion_5_bad_divisor_pipeline():
-    fan2 = extended_quad_fan()
+    fan2 = load_example("extended_quad_fan", "fg-all").fan
     fd = flag_data(fan2, V)
     assert dict(zip(fan2.rays, fd.cprime_coeffs)) == {
         (1, 2): 7, (0, 1): 2, (1, 0): 3, (-1, 0): 0, (0, -1): 0, (-1, 1): 0,
@@ -260,8 +253,8 @@ def test_criterion_6g_criterion_equals_lifting():
 
 
 def test_criterion_7_sym16gon_no_good_direction():
-    p = sym16gon()
-    assert set((int(x), int(y)) for x, y in p.vertices) == set(SYM16GON_VERTICES)
+    p = load_example("sym16gon", "scan").p_d
+    assert p == load_script("search_sym16gon.py").zonotope((1, 1, 1, 3))
     assert all((-x, -y) in set(p.vertices) for x, y in p.vertices)
     fan = normal_fan(p)
     assert len(fan.rays) == 16 and fan.is_smooth
@@ -277,7 +270,7 @@ def test_criterion_7_sym16gon_no_good_direction():
 def test_criterion_8_oracle_agreement():
     for (l, k) in [(1, 1), (3, 2), (1, 0), (2, 2), (1, 7), (2, 40)]:
         assert brute_e_bar(CTX, l, k) == e_bar(CTX, l, k)
-    ctx7 = sevengon_context()
+    ctx7 = load_example("sevengon").context
     for (l, k) in [(1, 0), (1, 3), (2, 5)]:
         assert brute_e_bar(ctx7, l, k) == e_bar(ctx7, l, k)
     rng = random.Random(1006008)

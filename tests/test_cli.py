@@ -6,10 +6,9 @@ import sys
 from fractions import Fraction
 
 from toricfg import cli, criterion, fans, semigroup
-from toricfg.gallery import slanted_quad_divisor
 from toricfg.geometry import RatPolygon
 from toricfg.semigroup import make_context
-from util import run_main, src_env
+from util import load_example, run_main, src_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "inputs")
@@ -368,7 +367,7 @@ def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch):
         assert res.returncode == 0, res.stderr
         assert len(calls) <= most, (command, name, len(calls))
         assert len(flags) == flag_calls, (command, name, len(flags))
-    divisor = slanted_quad_divisor()
+    divisor = load_example("slanted_quad").divisor
     calls.clear()
     make_context(divisor, (-2, 3))
     assert len(calls) <= 2

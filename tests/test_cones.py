@@ -222,6 +222,59 @@ def test_pairing_bridge_to_decomposability():
     assert halfplane_verdicts == {(True, False), (True, True), (False, True)}
 
 
+def _large_bridge_cases(rng):
+    """Dual cones c of determinant up to about 2*10^3, each with points w
+    of the interior of sigma = c^dual with coordinates up to 10^5: most
+    pair to 1, 2 or 3 with a generator h of c and lie far out along the
+    wall <h, w> = 0, the rest anywhere inside."""
+    cones_made = 0
+    while cones_made < 12:
+        h1 = (rng.randint(-60, 60), rng.randint(-60, 60))
+        h2 = (rng.randint(-60, 60), rng.randint(-60, 60))
+        if gcd(*h1) != 1 or gcd(*h2) != 1 or not 500 < abs(det(h1, h2)) <= 2000:
+            continue
+        cones_made += 1
+        c = cone("M", h1, h2)
+        basis = hilbert_basis(c)
+        g1, g2 = dual_cone(c).generators
+        for h, other in (c.generators, c.generators[::-1]) * 8:
+            # <other, rot90(h)> = det(h, other), so t of that sign moves
+            # w deeper into sigma along the wall of h
+            far = 10**5 // (2 * max(map(abs, h)))
+            t = rng.randint(far // 2, far) * (1 if det(h, other) > 0 else -1)
+            k, u = rng.randint(1, 3), solve_pairing_one(h)
+            yield c, basis, (k * u[0] - t * h[1], k * u[1] + t * h[0])
+        for _ in range(4):
+            i, j = rng.randint(1, 10**3), rng.randint(1, 10**3)
+            yield c, basis, (i * g1[0] + j * g2[0], i * g1[1] + j * g2[1])
+
+
+def test_pairing_one_search_at_large_coordinates():
+    # the integer line search against the Hilbert-basis pairing test; the
+    # walls g1 and -g2 of c pair with w to opposite signs, and the line's
+    # base point has coordinates up to 10^5
+    rng = random.Random(31)
+    verdicts = set()
+    for c, basis, w in _large_bridge_cases(rng):
+        assert all(abs(x) <= 10**5 for x in w) and dual_cone(c).strictly_contains(w)
+        if gcd(*w) != 1:
+            continue
+        found = exists_pairing_one(c, w)
+        assert found == any(dot(h, w) == 1 for h in basis), (c, w)
+        verdicts.add(found)
+    assert verdicts == {True, False}
+    # a halfplane {det(g, x) >= 0} meets every line <x, w> = 1 that
+    # crosses its boundary, and the parallel line only when w = rot90(g)
+    for _ in range(200):
+        g = random_direction(rng, bound=300)
+        h = halfplane("M", g, rot90(g))
+        t, d = rng.randint(-300, 300), rng.choice((-1, 0, 0, 1, 2))
+        w = (t * g[0] - d * g[1], t * g[1] + d * g[0])  # <g, w> = t * |g|^2
+        if gcd(*w) != 1:
+            w = rng.choice((rot90(g), neg(rot90(g))))
+        assert exists_pairing_one(h, w) == (dot(g, w) != 0 or w == rot90(g)), (g, w)
+
+
 def test_cone_degenerations():
     c = cone("N", (1, 0), (0, 1), (5, -7))  # inside plays no part here
     assert c == FIRST_QUADRANT

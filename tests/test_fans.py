@@ -16,16 +16,11 @@ from toricfg.fans import (
     normal_fan,
 )
 from toricfg.geometry import DegeneratePolygon, RatPolygon, width
-from toricfg.gallery import (
-    extended_quad_fan,
-    p1p1_fan,
-    sevengon,
-    slanted_quad_divisor,
-    slanted_quad_fan,
-    unit_square,
-)
 
-from util import random_ample_divisor, random_direction, random_smooth_fan
+from util import load_example, p1p1_fan, random_ample_divisor, random_direction, random_smooth_fan
+
+SQ = load_example("slanted_quad")
+EXT_FAN = load_example("extended_quad_fan", "fg-all").fan
 
 
 def test_fan_validation():
@@ -35,16 +30,17 @@ def test_fan_validation():
         Fan2.from_rays([(1, 0), (0, 1)])  # not complete
     with pytest.raises(InvalidFan):
         Fan2.from_rays([(1, 0), (0, 1), (1, 1)])  # upper halfplane only
-    fan = slanted_quad_fan()
+    fan = SQ.fan
     assert fan.is_smooth
-    assert not extended_quad_fan().is_smooth
+    assert not EXT_FAN.is_smooth
 
 
 def test_normal_fan_fixtures():
-    assert set(normal_fan(unit_square()).rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    square = load_example("unit_square").p_d
+    assert set(normal_fan(square).rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     pd = RatPolygon.from_vertices([(0, 0), (-8, 0), (-2, -3), (0, -3)])
     assert set(normal_fan(pd).rays) == {(-1, 0), (0, -1), (1, 2), (0, 1)}
-    nf7 = normal_fan(sevengon())
+    nf7 = normal_fan(load_example("sevengon").p_d)
     assert set(nf7.rays) == {
         (-2, -3), (-3, -5), (1, 0), (3, 1), (3, 2), (-1, 3), (-1, 2),
     }
@@ -53,9 +49,9 @@ def test_normal_fan_fixtures():
 
 
 def test_divisor_polytope_fixtures():
-    d = slanted_quad_divisor()
+    d = SQ.divisor
     assert set(divisor_polytope(d).vertices) == {(0, 0), (-8, 0), (-2, -3), (0, -3)}
-    fan = slanted_quad_fan()
+    fan = SQ.fan
     cprime = ToricDivisor.make(fan, {(1, 2): 7, (0, 1): 2})
     assert set(divisor_polytope(cprime).vertices) == {
         (0, 0), (-7, 0), (-3, -2), (0, -2),
@@ -69,8 +65,8 @@ def test_divisor_polytope_fixtures():
 
 
 def test_is_ample_fixtures():
-    assert is_ample(slanted_quad_divisor())
-    fan2 = extended_quad_fan()
+    assert is_ample(SQ.divisor)
+    fan2 = EXT_FAN
     d_prime = ToricDivisor.make(fan2, {(1, 2): 13, (0, 1): 6, (1, 0): 5, (-1, 1): 6})
     assert not is_ample(d_prime)
     adjusted = ToricDivisor.make(
@@ -80,16 +76,16 @@ def test_is_ample_fixtures():
 
 
 def test_flag_data_running_example():
-    fd = flag_data(slanted_quad_fan(), (-2, 3))
+    fd = flag_data(SQ.fan, (-2, 3))
     assert fd.m == (-3, -2)
-    table = dict(zip(slanted_quad_fan().rays, fd.cprime_coeffs))
+    table = dict(zip(SQ.fan.rays, fd.cprime_coeffs))
     assert table == {(1, 2): 7, (0, 1): 2, (-1, 0): 0, (0, -1): 0}
     assert set(fd.nabla_prime.vertices) == {(0, 0), (-7, 0), (-3, -2), (0, -2)}
     assert fd.nabla_prime.contains_polygon(fd.nabla)
 
 
 def test_flag_data_extended_fan():
-    fan2 = extended_quad_fan()
+    fan2 = EXT_FAN
     fd = flag_data(fan2, (-2, 3))
     table = dict(zip(fan2.rays, fd.cprime_coeffs))
     assert table == {
@@ -132,15 +128,15 @@ def test_nabla_prime_supports_match_nabla():
 
 
 def test_glued_nef_polytope_fixture():
-    fan = slanted_quad_fan()
+    fan = SQ.fan
     fd = flag_data(fan, (-2, 3))
-    pd = divisor_polytope(slanted_quad_divisor())
+    pd = divisor_polytope(SQ.divisor)
     assert glued_nef_polytope(pd, fd) == fd.nabla_prime
 
 
 def test_glued_nef_polytope_degenerate_square():
     fd = flag_data(p1p1_fan(), (1, 0))
-    assert glued_nef_polytope(unit_square(), fd) == fd.nabla
+    assert glued_nef_polytope(load_example("unit_square").p_d, fd) == fd.nabla
 
 
 def test_glued_equals_halfplane_description_randomized():
@@ -162,34 +158,39 @@ def test_normal_fan_round_trip():
 
 
 def test_divisor_from_polytope_round_trip():
-    p = sevengon()
+    p = load_example("sevengon").p_d
     d = divisor_from_polytope(p)
     assert divisor_polytope(d) == p
     assert is_ample(d)
 
 
 def test_width_degree_inputs():
-    fan = slanted_quad_fan()
+    fan = SQ.fan
     fd = flag_data(fan, (-2, 3))
-    pd = divisor_polytope(slanted_quad_divisor())
+    pd = divisor_polytope(SQ.divisor)
     assert width(pd, fd.v) == 25
     assert width(fd.nabla_prime, fd.v) == 20
 
 
 def test_normal_fan_of_non_ample_divisor_is_subfan():
     # rays whose constraint carries no edge drop out of the normal fan
-    fan2 = extended_quad_fan()
+    fan2 = EXT_FAN
     d_prime = ToricDivisor.make(fan2, {(1, 2): 13, (0, 1): 6, (1, 0): 5, (-1, 1): 6})
     sub = normal_fan(divisor_polytope(d_prime))
     assert set(sub.rays) == set(fan2.rays) - {(-1, 1)}
 
 
 def test_float_coefficients_rejected():
-    with pytest.raises(TypeError):
-        ToricDivisor.make(slanted_quad_fan(), {(1, 2): 5.5})
+    banned = "floating point is banned here; use int or Fraction"
+    with pytest.raises(TypeError, match=banned):
+        ToricDivisor.make(SQ.fan, {(1, 2): 5.5})
+    with pytest.raises(TypeError, match=banned):
+        ToricDivisor.make(SQ.fan, [0, 0, 8.0, 3])
+    with pytest.raises(ValueError, match="ray count"):  # the length is checked first
+        ToricDivisor.make(SQ.fan, [0, 8.0, 3])
     from fractions import Fraction
 
-    ToricDivisor.make(slanted_quad_fan(), {(1, 2): Fraction(11, 2)})  # fine
+    ToricDivisor.make(SQ.fan, {(1, 2): Fraction(11, 2)})  # fine
 
 
 def test_integral_coefficients_are_stored_as_ints():
@@ -207,7 +208,7 @@ def test_integral_coefficients_are_stored_as_ints():
 
 
 def test_float_and_fractional_vectors_rejected():
-    fan = slanted_quad_fan()
+    fan = SQ.fan
     with pytest.raises(TypeError):
         flag_data(fan, (1.9, 1))
     with pytest.raises(ValueError):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from toricfg import geometry
-from toricfg.fans import ToricDivisor, divisor_from_polytope, divisor_polytope
-from toricfg.gallery import slanted_quad_context, sym16gon
+from toricfg.fans import ToricDivisor, divisor_polytope
 from toricfg.geometry import (
     RatPolygon,
     UnboundedRegion,
@@ -16,7 +15,6 @@ from toricfg.geometry import (
     int_vector,
     lattice_points,
     level_count,
-    line_interval,
     max_chord,
     minkowski_sum,
     neg,
@@ -31,10 +29,12 @@ from util import (
     fraction_polygon_of_points,
     helly_certificates,
     line_interval_max_chord,
+    load_example,
     naive_lattice_points,
     random_ample_divisor,
     random_polygon,
     random_smooth_fan,
+    rationals,
     views,
 )
 from toricfg.criterion import max_segment
@@ -270,7 +270,7 @@ def test_from_halfplanes_matches_fraction_kernel(halfplanes):
 
 
 def test_from_halfplanes_matches_fraction_kernel_on_dilated_16gon():
-    p = sym16gon().dilate(F(7, 3))
+    p = load_example("sym16gon", "scan").p_d.dilate(F(7, 3))
     hps = list(p.halfplanes)
     assert len(hps) == 16
     assert RatPolygon.from_halfplanes(hps) == p
@@ -325,8 +325,8 @@ def test_from_halfplanes_ignores_input_order(halfplanes, rng):
 
 
 @pytest.mark.parametrize("polygon", [
-    divisor_polytope(divisor_from_polytope(sym16gon())),
-    sym16gon().dilate(F(7, 3)),
+    load_example("sym16gon", "scan").p_d,
+    load_example("sym16gon", "scan").p_d.dilate(F(7, 3)),
 ], ids=["16-ray P_D", "7/3-dilated sym16gon"])
 def test_from_halfplanes_meets_each_line_a_bounded_number_of_times(polygon, monkeypatch):
     # the deque walk makes one meet per line; a search over every pair of
@@ -353,46 +353,6 @@ def test_primitivize_ints_and_rationals_agree():
 @given(st.lists(st.tuples(OFFSET, OFFSET), min_size=1, max_size=8))
 def test_from_vertices_matches_fraction_hull(points):
     assert views(RatPolygon.from_vertices(points)) == fraction_polygon_of_points(points)
-
-
-RATIONAL = st.fractions(-8, 8, max_denominator=5)
-VECTOR = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-
-
-@settings(max_examples=300, derandomize=True)
-@given(
-    st.lists(st.tuples(VECTOR.filter(lambda n: n != (0, 0)), RATIONAL), max_size=5),
-    st.tuples(RATIONAL, RATIONAL),
-    VECTOR.filter(lambda d: d != (0, 0)),
-)
-@example([((0, 1), 1)], (0, 0), (1, 0))  # parallel constraint excludes the line
-@example([((0, 1), -1)], (0, 0), (1, 0))  # parallel constraint keeps it: unbounded
-@example([((1, 0), 0)], (0, 0), (1, 0))  # bounded below only
-@example([((-1, 0), 0)], (0, 0), (1, 0))  # bounded above only
-def test_line_interval_is_the_feasible_parameter_set(halfplanes, base, step):
-    span = line_interval(halfplanes, base, step)
-    eps = F(1, 10**6)
-    samples = {F(0), F(10**6), F(-(10**6))}
-    if span is not None:
-        samples |= {e + d for e in span if e is not None for d in (-eps, 0, eps)}
-
-    def feasible(t):
-        u = (base[0] + t * step[0], base[1] + t * step[1])
-        return all(dot(u, n) >= o for n, o in halfplanes)
-
-    for t in samples:
-        inside = span is not None and (span[0] is None or span[0] <= t) and (
-            span[1] is None or t <= span[1]
-        )
-        assert inside == feasible(t)
-
-
-def test_line_interval_ends():
-    # the property above cannot tell these encodings of an empty or
-    # unbounded set apart
-    assert line_interval([((0, 1), 1)], (0, 0), (1, 0)) is None
-    assert line_interval([((0, 1), -1)], (0, 0), (1, 0)) == (None, None)
-    assert line_interval([((1, 0), 1), ((-1, 0), 1)], (0, 0), (1, 0)) == (1, -1)
 
 
 def test_lattice_points_against_naive_oracle():
@@ -431,7 +391,7 @@ def test_float_and_fractional_normals_are_rejected():
         int_vector(("1", 0))
 
 
-SMALL_RATIONAL = st.fractions(-6, 6, max_denominator=7)
+SMALL_RATIONAL = rationals(6, 7)
 RATIONAL_POINT = st.tuples(SMALL_RATIONAL, SMALL_RATIONAL)
 PRIMITIVE_8 = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
     lambda u: gcd(*u) == 1
@@ -559,7 +519,7 @@ class _CountingReads:
 def test_level_count_work_grows_with_the_columns(monkeypatch):
     # one column-end search per column and O(log) reads in each; projecting
     # every point would read all 6,161 of them
-    ctx = slanted_quad_context()
+    ctx = load_example("slanted_quad").context
     points = lattice_points(theta(ctx, 1, 0).dilate(20))
     columns = len({x for x, _ in points})
     assert (len(points), columns) == (6161, 161)
@@ -616,7 +576,7 @@ def test_stored_form_is_canonical_and_its_views_match_the_oracles(pair, lam, c):
 def test_integral_input_builds_no_fraction(monkeypatch):
     # the kernels run on the stored ints: on integral data no Fraction is
     # built until a Fraction view is read
-    divisor = divisor_from_polytope(sym16gon())
+    divisor = load_example("sym16gon", "scan").divisor
     ctx = make_context(divisor, (3, 7))
     hps = [(r, -a) for r, a in zip(divisor.fan.rays, divisor.coeffs)]
     built = []

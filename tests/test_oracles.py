@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from toricfg.cones import NotInInterior, cone
 from toricfg.fans import ToricDivisor
-from toricfg.gallery import sevengon_context, slanted_quad_context
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search, vanishing_orders
 from toricfg.semigroup import e_bar, make_context, newton_okounkov_body, q_hat
 from toricfg.criterion import vertex_lifts
 
 from util import (
     interior_point,
+    load_example,
     projection_lift_search,
     random_ample_divisor,
     random_cone,
@@ -20,7 +20,7 @@ from util import (
     random_smooth_fan,
 )
 
-CTX = slanted_quad_context()
+CTX = load_example("slanted_quad").context
 
 
 def test_vanishing_orders_fixtures():
@@ -105,13 +105,13 @@ def test_lift_search_fixtures():
     assert lift_search(CTX, F(2, 3), 60) is None
     assert lift_search(CTX, 0, 60) is None
     assert lift_search(CTX, F(8, 7), 60) == 1
-    ctx7 = sevengon_context()
+    ctx7 = load_example("sevengon").context
     for q, _ in newton_okounkov_body(ctx7).breakpoints:
         assert lift_search(ctx7, q, 60) is not None
 
 
 def test_lift_search_agrees_with_vertex_lifts():
-    for ctx in (CTX, sevengon_context()):
+    for ctx in (CTX, load_example("sevengon").context):
         for q, _ in newton_okounkov_body(ctx).breakpoints:
             found = lift_search(ctx, q, 60)
             assert (found is not None) == vertex_lifts(ctx, q), (ctx, q)

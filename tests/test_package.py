@@ -1,4 +1,3 @@
-import argparse
 import os
 import subprocess
 import sys
@@ -8,11 +7,8 @@ import pytest
 
 import toricfg
 from toricfg import cli, cones, criterion, semigroup
-from toricfg.gallery import p1p1_fan, slanted_quad_context
 from toricfg.geometry import RatPolygon
-from util import src_env
-
-INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "inputs")
+from util import SRC, load_example, p1p1_fan, src_env
 
 
 def test_star_import_binds_no_module():
@@ -34,12 +30,23 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     assert run.stdout.split() == []
 
 
+def test_importing_the_cli_loads_every_module_of_the_package():
+    # the package holds only what runs: a fresh import of the CLI reaches
+    # every module under src/toricfg, so none is kept for tests or scripts
+    names = sorted(n[:-3] for n in os.listdir(os.path.join(SRC, "toricfg")) if n.endswith(".py"))
+    expected = sorted("toricfg" if n == "__init__" else "toricfg." + n for n in names)
+    code = ("import sys, toricfg.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'toricfg'))")
+    run = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == expected
+
+
 def records():
     """One instance of every record type, built by the code that builds it."""
-    ctx = slanted_quad_context()
+    problem = load_example("slanted_quad")
+    ctx = problem.context
     verdict = criterion.is_finitely_generated(ctx)
-    problem = cli.load_problem(argparse.Namespace(
-        command="fg", input=os.path.join(INPUTS, "slanted_quad.json"), direction=None))
     return [
         ctx, ctx.flag, ctx.p_d, ctx.divisor, ctx.fan, cones.cone("N", (1, 0), (0, 1)),
         semigroup.semigroup_slice(ctx, 2), semigroup.cut_construction(ctx, 2, 1),
@@ -66,10 +73,10 @@ def test_record_fields_are_read_only():
 
 def test_cached_views_leave_equality_and_hash_alone():
     # a read view sits in the instance dict, outside the compared fields
-    p = slanted_quad_context().p_d
+    p = load_example("slanted_quad").context.p_d
     assert p.vertices and p.halfplanes and {"vertices", "halfplanes"} <= set(vars(p))
     fresh = RatPolygon.from_vertices(p.vertices)
     assert "vertices" not in vars(fresh) and p == fresh and hash(p) == hash(fresh)
-    ctx, fresh_ctx = slanted_quad_context(), slanted_quad_context()
+    ctx, fresh_ctx = load_example("slanted_quad").context, load_example("slanted_quad").context
     assert ctx.q_hat and "q_hat" in vars(ctx) and "q_hat" not in vars(fresh_ctx)
     assert ctx == fresh_ctx and hash(ctx) == hash(fresh_ctx)

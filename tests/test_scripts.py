@@ -1,11 +1,8 @@
-import importlib.util
 import os
 import subprocess
 import sys
 
-from util import src_env
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from util import ROOT, load_script, src_env
 
 
 def run_script(name, *args):
@@ -61,13 +58,6 @@ def test_code_lines_script(tmp_path):
     res = run_script("code_lines.py", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["m", "8", "total", "8"]
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(ROOT, "scripts", name))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def result_line(tail_ms, throughput, failed=0):

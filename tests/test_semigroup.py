@@ -4,13 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from toricfg.cones import cone, dual_cone
-from toricfg.fans import ToricDivisor, divisor_from_polytope
-from toricfg.gallery import (
-    p1p1_fan,
-    sevengon_context,
-    slanted_quad_context,
-    unit_square,
-)
+from toricfg.fans import ToricDivisor
 from toricfg import semigroup
 from toricfg.geometry import (
     RatPolygon,
@@ -34,9 +28,9 @@ from toricfg.semigroup import (
     xi_interval,
 )
 
-from util import random_ample_divisor, random_direction, random_smooth_fan
+from util import load_example, p1p1_fan, random_ample_divisor, random_direction, random_smooth_fan
 
-CTX = slanted_quad_context()
+CTX = load_example("slanted_quad").context
 
 
 def test_context_requires_ample():
@@ -87,7 +81,7 @@ def test_d_of_q_fixtures():
 
 def test_q_hat_fixtures():
     assert q_hat(CTX) == F(8, 7)
-    sq_ctx = make_context(divisor_from_polytope(unit_square()), (1, 0))
+    sq_ctx = load_example("unit_square").context
     assert q_hat(sq_ctx) == 1
     doubled = make_context(
         ToricDivisor.make(CTX.fan, {(1, 2): 16, (0, 1): 6}), (-2, 3)
@@ -198,7 +192,7 @@ def test_newton_okounkov_body_fixture():
 
 
 def test_newton_okounkov_square():
-    ctx = make_context(divisor_from_polytope(unit_square()), (1, 0))
+    ctx = load_example("unit_square").context
     body = newton_okounkov_body(ctx)
     assert d_of_q(ctx, 0) == 1 and q_hat(ctx) == 1
     assert set(body.vertices) == {(0, 0), (0, 1), (1, 1), (1, 0)}
@@ -209,13 +203,10 @@ def test_newton_okounkov_square():
 
 
 def test_no_body_area_identity():
-    from toricfg.gallery import extended_quad_fan
-
     rng = random.Random(31)
-    adjusted = ToricDivisor.make(
-        extended_quad_fan(), {(1, 2): 13, (0, 1): 6, (1, 0): 5, (-1, 1): F(11, 2)}
-    )
-    ctxs = [CTX, sevengon_context(), make_context(adjusted, (-2, 3))]
+    fan2 = load_example("extended_quad_fan", "fg-all").fan
+    adjusted = ToricDivisor.make(fan2, {(1, 2): 13, (0, 1): 6, (1, 0): 5, (-1, 1): F(11, 2)})
+    ctxs = [CTX, load_example("sevengon").context, make_context(adjusted, (-2, 3))]
     tries = 0
     while len(ctxs) < 8 and tries < 100:
         tries += 1
@@ -280,7 +271,7 @@ def test_e_bar_asymptotics_improve():
 
 
 def test_theta_extremal_edge_faces_are_halfplanes():
-    sq_ctx = make_context(divisor_from_polytope(unit_square()), (1, 0))
+    sq_ctx = load_example("unit_square").context
     ext = theta_extremal(sq_ctx, 1, 0)
     assert ext.cone_minus.kind == "halfplane"
     assert ext.cone_plus.kind == "halfplane"

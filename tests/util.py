@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import io
 import os
 import random
@@ -10,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
 from toricfg import cli
 from toricfg.criterion import SegmentData
 from toricfg.fans import Fan2, ToricDivisor
@@ -23,7 +26,6 @@ from toricfg.geometry import (
     dot,
     floor_frac,
     lattice_points,
-    line_interval,
     neg,
     primitivize,
     rational,
@@ -33,6 +35,47 @@ from toricfg.geometry import (
 )
 from toricfg.oracles import LAMBDA_MAX
 from toricfg.semigroup import theta
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def load_example(name: str, command: str = "fg") -> cli.Problem:
+    """The worked example inputs/<name>.json as the CLI loads it for
+    ``command``: "fg" gives the context at the file's direction, "scan"
+    reads a file with no direction and "fg-all" one with no divisor."""
+    path = os.path.join(ROOT, "inputs", name + ".json")
+    return cli.load_problem(argparse.Namespace(command=command, input=path, direction=None))
+
+
+def load_script(name):
+    """The module of scripts/<name>, run from its file."""
+    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(ROOT, "scripts", name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def p1p1_fan() -> Fan2:
+    return Fan2.from_rays([(1, 0), (0, 1), (-1, 0), (0, -1)])
+
+
+def p2_fan() -> Fan2:
+    return Fan2.from_rays([(1, 0), (0, 1), (-1, -1)])
+
+
+def rationals(bound: int, max_denominator: int):
+    """The values of st.fractions(-bound, bound, max_denominator=...),
+    every p/q with q <= max_denominator in [-bound, bound], sampled from
+    precomputed lists, which is much cheaper to draw.  Half the draws
+    pick an integer and half any value, so integers come at least as
+    often as from st.fractions, and examples shrink towards 0."""
+    values = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
+                     for p in range(-bound * q, bound * q + 1)},
+                    key=lambda x: (x.denominator, abs(x), x))
+    return st.one_of(st.sampled_from([x for x in values if x.denominator == 1]),
+                     st.sampled_from(values))
 
 
 def random_smooth_fan(rng: random.Random, max_subdivisions: int = 4) -> Fan2:
@@ -126,25 +169,42 @@ def random_full_polygon(rng: random.Random, bound: int = 6) -> RatPolygon:
             return p
 
 
-def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
-    """The maximal cross-section from explicit point sets: the section at
-    every vertex level, then the side normals re-matched from the edges
-    through each endpoint.  The independent oracle for max_segment."""
-    v = (int(v[0]), int(v[1]))
-    w = solve_pairing_one(rot90(v))  # <m, w> = 1 measures lengths in m-units
+def section(p: RatPolygon, v, c) -> tuple:
+    """The two ends of p's section by the line <x, v> = c, ordered along
+    rot90(v): the extremes of the vertices on that level and of the points
+    where edges cross it.  A point or a segment counts too."""
+    w = solve_pairing_one(rot90(v))  # <rot90(v), w> = 1
+    pts = {q for q in p.vertices if dot(q, v) == c}
+    for a, b in p.edges():
+        fa, fb = dot(a, v) - c, dot(b, v) - c
+        if (fa < 0 < fb) or (fb < 0 < fa):
+            t = fa / (fa - fb)
+            pts.add((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return min(pts, key=lambda q: dot(q, w)), max(pts, key=lambda q: dot(q, w))
 
-    def endpoints(c):
-        pts = set()
-        for a, b in p_d.edges():
-            fa, fb = dot(a, v) - c, dot(b, v) - c
-            if fa == 0:
-                pts.add(a)
-            if fb == 0:
-                pts.add(b)
-            if (fa < 0 < fb) or (fb < 0 < fa):
-                t = fa / (fa - fb)
-                pts.add((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-        return min(pts, key=lambda p: dot(p, w)), max(pts, key=lambda p: dot(p, w))
+
+def line_interval_max_chord(p: RatPolygon, v):
+    """The longest chord orthogonal to v, in rot90(v)-units, and the vertex
+    levels where it is reached, from the interval that each vertex-level
+    line cuts out of p (its ``section``).  The independent oracle for the
+    chain walk of max_chord."""
+    w = solve_pairing_one(rot90(v))
+    best, levels = None, []
+    for c in sorted({dot(q, v) for q in p.vertices}):
+        lo, hi = section(p, v, c)
+        length = dot(vsub(hi, lo), w)
+        if best is None or length > best:
+            best, levels = length, [c]
+        elif length == best:
+            levels.append(c)
+    return best, levels
+
+
+def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
+    """The maximal cross-section from explicit point sets: the longest
+    section at a vertex level, then the side normals re-matched from the
+    edges through each endpoint.  The independent oracle for max_segment."""
+    v = (int(v[0]), int(v[1]))
 
     def side_normals(c, pt):
         above, below = None, None
@@ -159,34 +219,12 @@ def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
                 below = n
         return above, below
 
-    best, maximizers = None, []
-    for c in sorted({dot(p, v) for p in p_d.vertices}):
-        lo, hi = endpoints(c)
-        length = dot(vsub(hi, lo), w)
-        if best is None or length > best:
-            best, maximizers = length, [c]
-        elif length == best:
-            maximizers.append(c)
+    length, maximizers = line_interval_max_chord(p_d, v)
     c = Fraction(maximizers[0] + maximizers[-1]) / 2
-    v1, v2 = endpoints(c)
+    v1, v2 = section(p_d, v, c)
     n1a, n1b = side_normals(c, v1)
     n2a, n2b = side_normals(c, v2)
-    return SegmentData(c, v1, v2, dot(vsub(v2, v1), w), n1a, n2a, n1b, n2b)
-
-
-def line_interval_max_chord(p: RatPolygon, v):
-    """The longest chord orthogonal to v from one line_interval per vertex
-    level: the chord at level c runs along c*u + t*rot90(v) with
-    <u, v> = 1.  The independent oracle for the chain walk of max_chord."""
-    u, m = solve_pairing_one(v), rot90(v)
-    best, levels = None, []
-    for c in sorted({dot(q, v) for q in p.vertices}):
-        lo, hi = line_interval(p.halfplanes, (c * u[0], c * u[1]), m)
-        if best is None or hi - lo > best:
-            best, levels = hi - lo, [c]
-        elif hi - lo == best:
-            levels.append(c)
-    return best, levels
+    return SegmentData(c, v1, v2, length, n1a, n2a, n1b, n2b)
 
 
 def projection_lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
@@ -337,9 +375,6 @@ def fraction_polygon_of_points(points) -> tuple:
             hps.append((n, dot(a, n)))
         hps = tuple(hps)
     return tuple(hull), hps, min(len(hull), 3) - 1
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def src_env() -> dict:
