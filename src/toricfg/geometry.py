@@ -17,11 +17,16 @@ sorted by angle, a gap of pi or more between neighbours decides an
 unbounded or empty region in closed form, and otherwise one deque walk
 over the sorted lines keeps the edges of the polygon, in O(n log n) exact
 integer steps.
+
+Lattice points are held as columns: ``lattice_points`` returns one
+(x, y_lo, y_hi) per integer x whose column holds a point, and
+``level_count`` counts the distinct levels <p, v> on those columns, so
+neither lists a point and their cost grows with the number of columns,
+not with the area.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -525,50 +530,74 @@ def project_interval(p: RatPolygon, v):
     return (p.support_min(v), p.support_max(v))
 
 
-def lattice_points(p: RatPolygon):
-    """All integer points of a polygon, lexicographically sorted, by one
-    walk up its two boundary chains.
+class LatticePoints:
+    """The integer points of a convex polygon as columns: ``columns`` is a
+    list of (x, y_lo, y_hi), x increasing, one entry per integer x whose
+    column y_lo <= y <= y_hi holds a point.  A rational polygon can miss
+    an integer column inside its x-range; such a column has no entry.
+
+    ``len`` is the exact number of points, and iterating yields them
+    lexicographically sorted; no point is built until a caller iterates.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __len__(self):
+        return sum(hi - lo + 1 for _, lo, hi in self.columns)
+
+    def __iter__(self):
+        for x, lo, hi in self.columns:
+            yield from zip(repeat(x), range(lo, hi + 1))
+
+    def __repr__(self):
+        return f"LatticePoints({self.columns!r})"
+
+
+def lattice_points(p: RatPolygon) -> LatticePoints:
+    """The integer points of a polygon, by columns, from one walk up its
+    two boundary chains, in O(n + columns) int steps whatever the area.
 
     With v = (1, 0) the chain coordinates (s, t) of the int ring
     (``RatPolygon.ring``, vertices times L) are (x, y) itself, so the
     integer columns are the levels x * L.  At each column ``_heights``
     gives the lower and upper chain heights N/D in L-units, and the
     column's points are y = ceil(N/(D*L)) .. floor(N'/(D'*L)), by int
-    floor division; no Fraction is built.
+    floor division; no Fraction and no point is built.
     """
     if p.is_empty:
-        return []
+        return LatticePoints([])
     scale, st = p.scale, p.ring
     lower, upper = _chains(st)
     xs = range(-(-st[lower[0]][0] // scale), st[lower[-1]][0] // scale + 1)
     levels = range(xs.start * scale, xs.stop * scale, scale)
-    out = []
+    columns = []
     for x, (n, d, _), (n2, d2, _) in zip(xs, _heights(st, lower, levels),
                                        _heights(st, upper, levels)):
-        ys = range(-(-n // (d * scale)), n2 // (d2 * scale) + 1)
-        out += zip(repeat(x, len(ys)), ys)
-    return out
+        lo, hi = -(-n // (d * scale)), n2 // (d2 * scale)
+        if lo <= hi:
+            columns.append((x, lo, hi))
+    return LatticePoints(columns)
 
 
-def level_count(points, v) -> int:
-    """The number of distinct levels <p, v> over ``points``, the sorted
-    integer points of a convex polygon as ``lattice_points`` lists them,
-    for a primitive v = (a, b), in O(columns) steps.
+def level_count(points: LatticePoints, v) -> int:
+    """The number of distinct levels <p, v> over ``points``, the integer
+    points of a convex polygon as ``lattice_points`` returns them, for
+    v = (a, b), in O(columns log columns) steps; no point is read.
 
-    A column x is a run of consecutive y whose end one bisection finds,
-    so its levels a*x + b*y are a progression of step |b|.  Columns with
-    equal a*x mod |b| share a residue class, and the count is the size of
-    each class's union of progressions.  With b = 0 a column is the one
-    level a*x, so the count is the number of columns.
+    A column x, y_lo <= y <= y_hi, has the levels a*x + b*y, a progression
+    of step |b|.  Columns with equal a*x mod |b| share a residue class,
+    and the count is the size of each class's union of progressions.
+    With b = 0 a column is the one level a*x, so the count is the number
+    of columns.
     """
     (a, b), step = v, abs(v[1]) or 1
-    runs, i = [], 0
-    while i < len(points):
-        x, y = points[i]
-        j = bisect_left(points, (x + 1,), i)
-        lo = a * x + min(b * y, b * (y + j - i - 1))
-        runs.append((lo % step, lo, lo + abs(b) * (j - i - 1)))
-        i = j
+    runs = []
+    for x, y_lo, y_hi in points.columns:
+        lo = a * x + min(b * y_lo, b * y_hi)
+        runs.append((lo % step, lo, lo + abs(b) * (y_hi - y_lo)))
     count, residue, end = 0, None, None
     for r, lo, hi in sorted(runs):
         if r != residue or lo > end:

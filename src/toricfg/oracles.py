@@ -98,7 +98,9 @@ def brute_decompose(w, c: Cone2):
     points of c; returns the lexicographically smallest witness or None.
 
     For pointed cones the candidates fill the bounded region
-    c intersect (w - c); for a halfplane the witness (when the boundary
+    c intersect (w - c), read in lexicographic order as ``lattice_points``
+    yields them, so the search builds only the points up to the first
+    witness; for a halfplane the witness (when the boundary
     distance allows one) is taken on the first interior lattice line,
     as close to w/2 as possible.
     """

@@ -20,6 +20,7 @@ from .geometry import (
     dot,
     floor_frac,
     lattice_points,
+    level_count,
     max_chord,
     meet,
     minkowski_sum,
@@ -101,12 +102,13 @@ def theta(ctx: FlagContext, l, k) -> RatPolygon:
 
 def e_bar(ctx: FlagContext, l: int, k: int) -> int:
     """Number of distinct pairings <u, v> over lattice points of the colon
-    polytope; the dimension of the restricted section space."""
+    polytope; the dimension of the restricted section space.  Counted on
+    the polygon's lattice-point columns by ``level_count``, so no point
+    is listed."""
     t = theta(ctx, l, k)
     if t.is_empty:
         return 0
-    a, b = ctx.flag.v
-    return len({x * a + y * b for x, y in lattice_points(t)})
+    return level_count(lattice_points(t), ctx.flag.v)
 
 
 def d_bar(ctx: FlagContext, l, k) -> Fraction:

@@ -154,6 +154,36 @@ def test_fg_and_fg_all():
     assert doc["holds"] is False and doc["failing_cone"] is not None
 
 
+def _strictly_inside(cone, p):
+    (a, b), (c, d) = cone["generators"]
+    return cone["kind"] == "cone" and a * p[1] - b * p[0] > 0 and p[0] * d - p[1] * c > 0
+
+
+def test_long_directions_find_their_witness(tmp_path):
+    # c and w - c share about 10**8 lattice points at these directions; the
+    # witness search reads them column by column and stops at the first
+    # witness instead of listing them all
+    fan = tmp_path / "five_rays.json"
+    fan.write_text(json.dumps({"fan": {"rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]]}}))
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps({"polytope": {"vertices": [[0, 0], [2, 0], [0, 2]]}}))
+    res = run_main("fg-all", "--input", str(fan), "--direction", "2001,1000")
+    assert json.loads(res.stdout)["witness"] == [[2, 1], [1999, 999]]
+    res = run_main("fg-all", "--input", str(fan), "--direction", "20001,10000")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    cases = [(doc["failing_cone"], doc["failing_direction"], doc["witness"])]
+    assert doc["holds"] is False and doc["failing_direction"] == [20001, 10000]
+    res = run_main("fg", "--input", str(triangle), "--direction", "10001,1")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["finitely_generated"] is False and doc["witness_plus"] is None
+    cases.append((doc["sigma_minus"], [-10001, -1], doc["witness_minus"]))
+    for cone, w, (p, q) in cases:
+        assert [p[0] + q[0], p[1] + q[1]] == w
+        assert _strictly_inside(cone, p) and _strictly_inside(cone, q)
+
+
 def test_scan_and_construct_bad():
     res = run_main("scan", "--input", inp("unit_square.json"), "--bound", "2")
     rows = json.loads(res.stdout)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from toricfg import geometry
 from toricfg.fans import ToricDivisor, divisor_polytope
 from toricfg.geometry import (
+    LatticePoints,
     RatPolygon,
     UnboundedRegion,
     colon,
@@ -114,13 +116,13 @@ def test_width_values():
 def test_lattice_points_fixtures():
     assert len(lattice_points(SQUARE)) == 4
     theta11 = colon(PD, NABLA_PRIME)
-    assert lattice_points(theta11) == [(-1, 0), (0, 0)]
+    assert list(lattice_points(theta11)) == [(-1, 0), (0, 0)]
     theta32 = colon(PD.dilate(3), NABLA_PRIME.dilate(2))
     assert len(lattice_points(theta32)) == 36
     segment = RatPolygon.from_vertices([(1, F(-1, 2)), (1, F(5, 2))])
-    assert lattice_points(segment) == [(1, 0), (1, 1), (1, 2)]
+    assert list(lattice_points(segment)) == [(1, 0), (1, 1), (1, 2)]
     trapezoid = RatPolygon.from_vertices([(0, 0), (3, 0), (3, 2), (0, 1)])
-    assert lattice_points(trapezoid) == [
+    assert list(lattice_points(trapezoid)) == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
     ]
 
@@ -135,9 +137,9 @@ def test_project_interval_values():
 def test_degenerate_polygons_first_class():
     seg = RatPolygon.from_vertices([(0, 0), (2, 4), (1, 2)])
     assert seg.dim == 1
-    assert lattice_points(seg) == [(0, 0), (1, 2), (2, 4)]
+    assert list(lattice_points(seg)) == [(0, 0), (1, 2), (2, 4)]
     pt = RatPolygon.from_vertices([(3, 5)])
-    assert pt.dim == 0 and lattice_points(pt) == [(3, 5)]
+    assert pt.dim == 0 and list(lattice_points(pt)) == [(3, 5)]
     assert width(pt, (7, 9)) == 0
 
 
@@ -248,10 +250,33 @@ def _intersect_or_unbounded(kernel, halfplanes):
 
 
 DENOMINATORS = (1, 2, 3, 7, 2**40 + 15)
-OFFSET = st.sampled_from(DENOMINATORS).flatmap(
-    lambda den: st.integers(-10 * den, 3 * den).map(lambda a: F(a, den))
+
+
+def _offsets(den):
+    """Offsets a/den with -10 den <= a <= 3 den, nearest 0 first: every
+    one for a small den; for the large one the integers, their
+    neighbours +-1/den and +-2**e/den, the spread of sizes that a drawn
+    integer in that range takes."""
+    if den < 2**16:
+        nums = range(-10 * den, 3 * den + 1)
+    else:
+        nums = {k * den + r for k in range(-10, 4) for r in (-1, 0, 1)}
+        nums |= {sign * 2**e for sign in (1, -1) for e in range(44)}
+    return sorted((F(a, den) for a in nums if -10 * den <= a <= 3 * den),
+                  key=lambda x: (abs(x), x))
+
+
+# one pick from a precomputed list: an integer, or for one denominator any
+# offset or one in [-1, 1], where a drawn integer mostly lands; so integral
+# and near-zero offsets come at least as often as from drawn numerators
+OFFSET = st.one_of(
+    [st.sampled_from(_offsets(1))]
+    + [st.sampled_from(values) for den in DENOMINATORS
+       for values in (_offsets(den), [x for x in _offsets(den) if abs(x) <= 1])]
 )
-NORMAL = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda n: n != (0, 0))
+NORMAL = st.sampled_from(sorted(
+    ((a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)),
+    key=lambda n: (max(map(abs, n)), n)))
 
 
 @settings(max_examples=400, derandomize=True)
@@ -362,7 +387,7 @@ def test_lattice_points_against_naive_oracle():
     for p in polys:
         if p.is_empty:
             continue
-        assert lattice_points(p) == naive_lattice_points(p)
+        assert list(lattice_points(p)) == naive_lattice_points(p)
 
 
 def test_area_shoelace():
@@ -472,9 +497,9 @@ def test_lattice_points_match_naive_oracle_under_translation(points):
     # the oracle scans a bounding box, so it is shifted rather than run far out
     p = RatPolygon.from_vertices(points)
     expected = naive_lattice_points(p)
-    assert lattice_points(p) == expected
+    assert list(lattice_points(p)) == expected
     moved = RatPolygon.from_vertices([(x + FAR[0], y + FAR[1]) for x, y in points])
-    assert lattice_points(moved) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
+    assert list(lattice_points(moved)) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
 
 
 # primitive directions with |b| up to 9; (0, 0) stands for (1, 0)
@@ -502,34 +527,49 @@ def test_level_count_is_the_number_of_distinct_levels(points, v):
         assert level_count(lattice_points(moved), v) == expected
 
 
-class _CountingReads:
-    """A read-only sequence that counts the items read from it."""
+class _ColumnsOnly(LatticePoints):
+    """Lattice-point columns that refuse to be read point by point."""
 
-    def __init__(self, items):
-        self.items, self.reads = items, 0
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return self.items[i]
+    def __iter__(self):
+        raise AssertionError("the points were iterated")
 
 
-def test_level_count_work_grows_with_the_columns(monkeypatch):
-    # one column-end search per column and O(log) reads in each; projecting
-    # every point would read all 6,161 of them
+def test_level_count_work_grows_with_the_columns():
+    # one progression per column; projecting every point would build all
+    # 6,161 of them
     ctx = load_example("slanted_quad").context
     points = lattice_points(theta(ctx, 1, 0).dilate(20))
     columns = len({x for x, _ in points})
-    assert (len(points), columns) == (6161, 161)
-    searches = []
-    real = geometry.bisect_left
-    monkeypatch.setattr(geometry, "bisect_left", lambda *a: searches.append(a) or real(*a))
-    counted = _CountingReads(points)
-    assert level_count(counted, ctx.flag.v) == len({dot(q, ctx.flag.v) for q in points})
-    assert len(searches) == columns
-    assert counted.reads <= columns * (1 + len(points).bit_length())
+    assert (len(points), columns, len(points.columns)) == (6161, 161, 161)
+    expected = len({dot(q, ctx.flag.v) for q in points})
+    assert level_count(_ColumnsOnly(points.columns), ctx.flag.v) == expected
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.lists(RATIONAL_POINT, max_size=7))
+@example([])  # empty
+@example([(0, 0), (2, 1)])  # a segment that misses the column x = 1
+@example([(0, 0), (2, 1), (0, F(1, 3))])  # a triangle that misses it
+@example([(F(1, 3), 0), (F(2, 3), 5)])  # no column at all
+def test_lattice_point_columns_match_naive_oracle(points):
+    p = RatPolygon.from_vertices(points) if points else RatPolygon.empty()
+    found, expected = lattice_points(p), naive_lattice_points(p)
+    xs = [x for x, _, _ in found.columns]
+    assert all(x < x2 for x, x2 in zip(xs, xs[1:]))
+    assert all(lo <= hi for _, lo, hi in found.columns)
+    assert len(found) == len(expected)
+    assert list(found) == expected
+
+
+def test_tall_triangle_is_counted_without_listing_its_points():
+    # 1.5 * 10**12 points in three columns
+    start = time.perf_counter()
+    points = lattice_points(RatPolygon.from_vertices([(0, 0), (2, 0), (0, 10**12)]))
+    assert points.columns == [(0, 0, 10**12), (1, 0, 5 * 10**11), (2, 0, 0)]
+    assert len(points) == 15 * 10**11 + 3
+    assert level_count(points, (1, 0)) == 3
+    assert level_count(points, (1, 1)) == 10**12 + 1
+    assert time.perf_counter() - start < 0.5
 
 
 BOX = [((1, 0), -9), ((-1, 0), -9), ((0, 1), -9), ((0, -1), -9)]

@@ -1,4 +1,6 @@
+import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -67,7 +69,7 @@ def result_line(tail_ms, throughput, failed=0):
     return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
 
 
-def test_bench_pairs_summary_on_canned_results():
+def test_bench_pairs_summary_on_canned_results(tmp_path):
     bench_pairs = load_script("bench_pairs.py")
     metrics = [{"name": "latency_tail_ms", "unit": "ms", "better": "lower"},
                {"name": "throughput", "unit": "units/s", "better": "higher"}]
@@ -88,6 +90,26 @@ def test_bench_pairs_summary_on_canned_results():
     assert lines[6] == "latency_tail_ms (ms, lower is better): 36/35/34 -> 28/29/35"
     assert bench_pairs.parse_seeds("301-303") == [301, 302, 303]
     assert bench_pairs.parse_seeds("7") == [7]
+    # the --json summary, stored under its workload next to another one
+    revisions = {"parent": {"rev": "HEAD~1", "commit": "a" * 40},
+                 "change": {"rev": "HEAD", "commit": "b" * 40}}
+    path = tmp_path / "bench.json"
+    for workload in ("semigroup", "analyze"):
+        record = bench_pairs.summary_record(workload, revisions, 20, metrics, pairs)
+        bench_pairs.store(str(path), record)
+    doc = json.loads(path.read_text())
+    assert sorted(doc["workloads"]) == ["analyze", "semigroup"]
+    stored = doc["workloads"]["semigroup"]
+    assert stored["revisions"] == revisions and stored["seconds"] == 20
+    assert stored["python"] == platform.python_version()
+    assert stored["seeds"] == [301, 302, 303, 304]
+    assert stored["pairs"][3] == {"seed": 304, "parent": pairs[3][1], "change": None}
+    tail, throughput = stored["metrics"]
+    assert tail["name"] == "latency_tail_ms" and tail["better"] == "lower"
+    assert (tail["parent"], tail["change"]) == ([36.0, 35.0, 34.0], [28.0, 29.0, 35.0])
+    assert tail["medians"] == [35, 29] and tail["quartiles"][0] == [34.5, 35.5]
+    assert (tail["wins"], throughput["wins"]) == (2, 2)
+    assert throughput["medians"] == [66, 77]
 
 
 def test_bench_pairs_compares_the_benchmark_files(tmp_path):
