@@ -24,13 +24,14 @@ def main():
     args = ap.parse_args()
 
     path = os.path.join(INPUTS, "sym16gon.json")
-    polygon = load_problem(argparse.Namespace(command="scan", input=path, direction=None)).p_d
+    problem = load_problem(argparse.Namespace(command="scan", input=path, direction=None))
+    polygon = problem.p_d
     fan = normal_fan(polygon)
     print(f"polygon vertices: {[(int(x), int(y)) for x, y in polygon.vertices]}")
     print(f"normal fan: {len(fan.rays)} rays, smooth={fan.is_smooth}")
 
     t0 = time.time()
-    results = scan_directions(polygon, args.bound)
+    results = scan_directions(problem.divisor, args.bound)
     finitely_generated = [v for v, verdict in results if verdict.finitely_generated]
     print(
         f"scanned {len(results)} directions up to bound {args.bound} "

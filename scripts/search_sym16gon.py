@@ -31,7 +31,7 @@ import argparse
 import itertools
 
 from toricfg.criterion import scan_directions
-from toricfg.fans import normal_fan
+from toricfg.fans import divisor_from_polytope, normal_fan
 from toricfg.geometry import RatPolygon, rot90
 
 RAY_ORBITS = (
@@ -123,7 +123,7 @@ def main():
             continue
         if not filters_pass(polygon):
             continue
-        results = scan_directions(polygon, args.bound)
+        results = scan_directions(divisor_from_polytope(polygon), args.bound)
         if any(v.finitely_generated for _, v in results):
             print(f"weights {weights}: passed the filters, but some scanned "
                   "direction is finitely generated")

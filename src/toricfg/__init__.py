@@ -42,7 +42,6 @@ from .fans import (
     divisor_from_polytope,
     divisor_polytope,
     flag_data,
-    glued_nef_polytope,
     is_ample,
     normal_fan,
 )
@@ -53,7 +52,6 @@ from .geometry import (
     colon,
     lattice_points,
     minkowski_sum,
-    project_interval,
     width,
 )
 from .semigroup import (
@@ -62,8 +60,6 @@ from .semigroup import (
     NOBody,
     NotAmple,
     SemigroupSlice,
-    cut_construction,
-    d_bar,
     d_of_q,
     e_bar,
     make_context,
@@ -72,7 +68,6 @@ from .semigroup import (
     semigroup_slice,
     theta,
     theta_extremal,
-    xi_interval,
 )
 
 __all__ = sorted(

@@ -35,9 +35,7 @@ from .semigroup import FlagContext
 
 
 class InputError(Exception):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+    """Invalid input; the message is the reason reported on stderr."""
 
 
 def _frac_in(x) -> Fraction:
@@ -432,8 +430,8 @@ def main(argv=None) -> int:
             if type(val) is int and val < 1:  # --bound, --lmax, --lambda-max
                 raise InputError(f"--{dest.replace('_', '-')} must be a positive integer")
         out = handler(load_problem(args), args)
-    except InputError as exc:
-        print(json.dumps({"error": exc.reason}), file=sys.stderr)
+    except (InputError, svgfig.FigureTooLarge) as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     if not isinstance(out, str):
         out = json.dumps(out, indent=2) + "\n"

@@ -22,7 +22,6 @@ from .fans import (
     Fan2,
     ToricDivisor,
     ample_polytope,
-    divisor_from_polytope,
     divisor_polytope,
     edge_rays,
     flag_data,
@@ -47,6 +46,7 @@ from .semigroup import (
     FlagContext,
     make_context,
     newton_okounkov_body,
+    tangent_cone,
     theta,
     theta_extremal,
 )
@@ -309,7 +309,7 @@ def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
     face = theta0.face(v)
     if len(face) != 1:
         raise ConstructionFailed("v-minimal face of the model polytope is not a vertex")
-    if cone("M", *theta0.vertex_directions(face[0])) != dual_cone(sigma):
+    if tangent_cone(theta0, face) != dual_cone(sigma):
         raise ConstructionFailed(
             "model polytope does not have the dual cone as tangent cone"
         )
@@ -372,18 +372,12 @@ def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstructi
     raise ConstructionFailed("edge stretching never produced the halfplane cones")
 
 
-def scan_directions(target, bound: int):
+def scan_directions(divisor: ToricDivisor, bound: int):
     """is_finitely_generated for every primitive direction of max-norm at
     most the bound, one representative per antipodal pair, in
     lexicographic order."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if isinstance(target, RatPolygon):
-        divisor = divisor_from_polytope(target)
-    elif isinstance(target, ToricDivisor):
-        divisor = target
-    else:
-        raise TypeError("scan a divisor or a polygon")
     if not is_ample(divisor):
         raise ValueError("scan needs an ample divisor")
     out = []

@@ -5,7 +5,6 @@ curve replacement and its nef polytope)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import (
@@ -17,7 +16,6 @@ from .geometry import (
     dot,
     int_vector,
     is_primitive,
-    neg,
     rational,
     rot90,
     wide_turn,
@@ -188,32 +186,3 @@ def flag_data(fan: Fan2, v) -> FlagData:
     )
     return FlagData(v, m, nabla, cprime, nabla_prime)
 
-
-def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:
-    """Rebuild nabla_prime by the gluing construction: translate the
-    Newton segment into the vertex cone at each v-extremal vertex of P_D
-    until it hits both rays, then glue the two resulting triangles along
-    the segment.  Must agree with flag.nabla_prime."""
-    if p_d.dim != 2:
-        raise DegeneratePolygon("gluing needs a two-dimensional polytope")
-    m = flag.m
-    points = [(Fraction(0), Fraction(0)), (Fraction(m[0]), Fraction(m[1]))]
-    for direction in (neg(flag.v), flag.v):
-        face = p_d.face(direction)
-        if len(face) != 1:
-            continue  # extremal edge: this side degenerates onto nabla
-        d1, d2 = p_d.vertex_directions(face[0])
-        dd = det(d1, d2)
-        # t*d2 - s*d1 = m  (base corner on the d1-ray goes to the origin)
-        s = Fraction(-det(m, d2), dd)
-        t = Fraction(-det(m, d1), dd)
-        if s >= 0 and t >= 0:
-            points.append((-s * d1[0], -s * d1[1]))
-            continue
-        # t*d2 - s*d1 = -m  (base corner on the d2-ray goes to the origin)
-        s, t = -s, -t
-        if s >= 0 and t >= 0:
-            points.append((m[0] - s * d1[0], m[1] - s * d1[1]))
-        else:
-            raise ValueError("Newton segment does not fit into the vertex cone")
-    return RatPolygon.from_vertices(points)

@@ -361,12 +361,6 @@ class RatPolygon(_PolygonFields):
     def is_empty(self) -> bool:
         return self.dim < 0
 
-    def contains(self, point) -> bool:
-        if self.is_empty:
-            return False
-        x, y = (rational(c) for c in point)
-        return all((n[0] * x + n[1] * y) * self.scale >= o for n, o in self.lines)
-
     def contains_polygon(self, other: "RatPolygon") -> bool:
         if other.is_empty:
             return True
@@ -521,13 +515,6 @@ def width(p: RatPolygon, v):
     if p.is_empty:
         return None
     return p.support_max(v) - p.support_min(v)
-
-
-def project_interval(p: RatPolygon, v):
-    """The interval [min <p,v>, max <p,v>], or None for the empty polygon."""
-    if p.is_empty:
-        return None
-    return (p.support_min(v), p.support_max(v))
 
 
 class LatticePoints:

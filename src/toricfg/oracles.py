@@ -1,13 +1,16 @@
-"""Independent brute-force validators, and the lambda search of analyze.
+"""Exhaustive searches: the section recount, the decomposition witness
+search, and the lambda search of analyze.
 
-Everything here but ``lift_search`` recomputes a quantity by the most
-naive correct method available (exhaustive enumeration, dense linear
-algebra) so the fast paths elsewhere can be checked against it, and
-shares no code path with what it validates.  ``lift_search`` is analyze's
-production lambda search: it counts the levels of each dilate's lattice
-points with the geometry kernel ``level_count``, and
-``tests/util.projection_lift_search``, which projects every point, is its
-oracle.
+``brute_e_bar`` recounts e_bar by bounding-box enumeration and direct
+halfplane membership, sharing no counting code with ``semigroup.e_bar``,
+so that the tests and the benchmark's checks can compare the two.
+``brute_decompose`` is on the production witness path:
+``cones.is_strongly_decomposable`` imports it lazily and calls it for the
+witness of every decomposable verdict, and raises when it finds none.
+``lift_search`` is analyze's production lambda search: it counts the
+levels of each dilate's lattice points with the geometry kernel
+``level_count``, and ``tests/util.projection_lift_search``, which projects
+every point, is its oracle.
 """
 
 from __future__ import annotations
@@ -30,67 +33,6 @@ from .geometry import (
     solve_pairing_one,
 )
 from .semigroup import theta
-
-
-def vanishing_orders(support, c) -> set:
-    """Orders of vanishing at t = c achieved by nonzero Laurent polynomials
-    with exponent support ``support``.
-
-    Order k is achieved iff some coefficient vector kills the first k
-    derivative rows at c but not the k-th; equivalently, iff appending the
-    k-th falling-factorial row raises the rank.  Exact rational linear
-    algebra, row by row.
-    """
-    z = sorted(set(int(p) for p in support))
-    if not z:
-        raise ValueError("empty support")
-    c = Fraction(rational(c))
-    if c == 0:
-        raise ValueError("vanishing order at 0 is read off the support directly")
-    e = len(z)
-    rows = []
-    achieved = set()
-    rank = 0
-    for k in range(e):
-        rows.append([_falling(p, k) * c ** (p - k) for p in z])
-        new_rank = _rank(rows)
-        if new_rank > rank:
-            achieved.add(k)
-        rank = new_rank
-    return achieved
-
-
-def _falling(p: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= p - i
-    return out
-
-
-def _rank(rows) -> int:
-    m = [list(r) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    col = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for cc in range(col, n_cols):
-                    m[r][cc] -= f * m[rank][cc]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
 
 
 def brute_decompose(w, c: Cone2):

@@ -1,7 +1,7 @@
 """The valuation-semigroup layer: colon polytopes of an ample divisor
-against the flag's nef segment polytope, section counts by projection,
-semigroup slices, the cut construction, and the Newton-Okounkov body in
-(q, t)-coordinates.
+against the flag's nef segment polytope, section counts by level, semigroup
+slices, tangent cones at the extremal faces of a colon polytope, and the
+Newton-Okounkov body in (q, t)-coordinates.
 
 All (l, k) arguments may be rational; integral callers are unaffected and
 the normalized polytope at slope q is just the (1, q) case.
@@ -23,9 +23,7 @@ from .geometry import (
     level_count,
     max_chord,
     meet,
-    minkowski_sum,
     neg,
-    project_interval,
     rational,
     vsub,
     width,
@@ -50,10 +48,10 @@ class FlagContext(_ContextFields):
     """What the criterion reads of (D, v): the divisor, the flag data of
     the direction and P_D.  Callers that have already validated D and v
     build it directly from the polygons they hold; make_context builds it
-    from scratch.  Widths are computed where a degree formula needs them
-    (d_bar, d_of_q at slope 0), so the record holds nothing derived but
-    the cached q_hat, kept in the instance dict that this class has over
-    its named-tuple base."""
+    from scratch.  Widths are computed where a formula needs them
+    (d_of_q at slope 0), so the record holds nothing derived but the
+    cached q_hat, kept in the instance dict that this class has over its
+    named-tuple base."""
 
     @property
     def fan(self) -> Fan2:
@@ -111,26 +109,6 @@ def e_bar(ctx: FlagContext, l: int, k: int) -> int:
     return level_count(lattice_points(t), ctx.flag.v)
 
 
-def d_bar(ctx: FlagContext, l, k) -> Fraction:
-    """l * wid_v(P_D) - k * wid_v(nabla'): the degree of the pulled-back
-    line bundle on the normalized flag curve."""
-    v = ctx.flag.v
-    return rational(l) * width(ctx.p_d, v) - rational(k) * width(ctx.flag.nabla_prime, v)
-
-
-def xi_interval(ctx: FlagContext, l, k):
-    """One-dimensional colon of the projected intervals; contains the
-    projection of the colon polytope, possibly strictly."""
-    a, b = project_interval(ctx.p_d, ctx.flag.v)
-    c, d = project_interval(ctx.flag.nabla_prime, ctx.flag.v)
-    l, k = rational(l), rational(k)
-    lo = l * a - k * c
-    hi = l * b - k * d
-    if lo > hi:
-        return None
-    return (lo, hi)
-
-
 def d_of_q(ctx: FlagContext, q):
     """Width of the slope-q colon polytope; None when it is empty."""
     q = rational(q)
@@ -170,37 +148,6 @@ def semigroup_slice(ctx: FlagContext, l: int) -> SemigroupSlice:
     return SemigroupSlice(l, tuple((k, e_bar(ctx, l, k)) for k in range(kmax + 1)))
 
 
-class CutPieces(NamedTuple):
-    box_max: RatPolygon
-    p_cut: RatPolygon
-    box_min: RatPolygon
-    v_plus: tuple
-    v_minus: tuple
-
-
-def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
-    """Cut l*P_D along the two translated Newton segments at the extreme
-    pairing levels of the colon polytope.  The middle piece always equals
-    the Minkowski sum of the colon polytope with the scaled Newton
-    segment; this identity is checked."""
-    l, k = rational(l), rational(k)
-    t = theta(ctx, l, k)
-    if t.is_empty:
-        raise DegenerateTheta("cut needs a non-empty colon polytope")
-    v = ctx.flag.v
-    big = ctx.p_d.dilate(l)
-    lo, hi = t.support_min(v), t.support_max(v)
-    band = RatPolygon.from_halfplanes(
-        list(big.halfplanes) + [(v, lo), (neg(v), -hi)]
-    )
-    box_max = RatPolygon.from_halfplanes(list(big.halfplanes) + [(v, hi)])
-    box_min = RatPolygon.from_halfplanes(list(big.halfplanes) + [(neg(v), -lo)])
-    summed = minkowski_sum(t, ctx.flag.nabla.dilate(k)) if k > 0 else t
-    if summed != band:
-        raise ArithmeticError("cut identity failed: theta + k*nabla != middle piece")
-    return CutPieces(box_max, band, box_min, min(t.face(neg(v))), min(t.face(v)))
-
-
 class ThetaExtremal(NamedTuple):
     """v-extremal faces of a colon polytope with their tangent cones.
 
@@ -227,11 +174,14 @@ def theta_extremal(ctx: FlagContext, l, k) -> ThetaExtremal:
         return ThetaExtremal(vm, max(t.vertices), None, None, True)
     low, high = t.face(v), t.face(neg(v))
     return ThetaExtremal(
-        min(low), min(high), _tangent(t, low), _tangent(t, high), False
+        min(low), min(high), tangent_cone(t, low), tangent_cone(t, high), False
     )
 
 
-def _tangent(t: RatPolygon, face) -> Cone2:
+def tangent_cone(t: RatPolygon, face) -> Cone2:
+    """The tangent cone of t at a face given by its vertices: the cone
+    spanned by the edge directions at a vertex, the halfplane on t's side
+    of an edge."""
     if len(face) > 1:
         other = next(p for p in t.vertices if p not in face)
         return halfplane("M", vsub(face[1], face[0]), vsub(other, face[0]))

@@ -5,6 +5,8 @@ for identical input."""
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .fans import Fan2
@@ -16,6 +18,10 @@ DOT = 2.2
 # the grid has a dot per lattice point of the bounding box; past this many
 # they would bury the figure, and their number grows with its area
 MAX_GRID_DOTS = 10_000
+
+
+class FigureTooLarge(ValueError):
+    """A coordinate of the figure has no finite float pixel position."""
 
 
 def _fmt(x: float) -> str:
@@ -32,10 +38,13 @@ def _label(p) -> str:
 
 class _Canvas:
     def __init__(self, xmin, xmax, ymin, ymax):
-        self.xmin, self.ymin = xmin, ymin
+        # a pixel position or canvas size is a float of at most 2 * SCALE
+        # times the largest bound plus margins: keep it finite with room
+        if 4 * SCALE * max(map(abs, (xmin, xmax, ymin, ymax))) > sys.float_info.max:
+            raise FigureTooLarge("the figure's coordinates are too large to draw")
+        self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
         self.width = (xmax - xmin) * SCALE + 2 * MARGIN
         self.height = (ymax - ymin) * SCALE + 2 * MARGIN
-        self.ymax = ymax
         self.parts = []
 
     def to_px(self, p):
@@ -56,12 +65,11 @@ class _Canvas:
 
 
 def _grid(cv: _Canvas):
-    xs = range(int(cv.xmin), int(cv.xmin + (cv.width - 2 * MARGIN) / SCALE) + 1)
-    ys = range(int(cv.ymax - (cv.height - 2 * MARGIN) / SCALE), int(cv.ymax) + 1)
-    if len(xs) * len(ys) > MAX_GRID_DOTS:
+    # counted on the int bounds: len() of a range past sys.maxsize raises
+    if (cv.xmax - cv.xmin + 1) * (cv.ymax - cv.ymin + 1) > MAX_GRID_DOTS:
         return
-    for x in xs:
-        for y in ys:
+    for x in range(cv.xmin, cv.xmax + 1):
+        for y in range(cv.ymin, cv.ymax + 1):
             px, py = cv.to_px((x, y))
             cv.add(
                 f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{DOT}" fill="#c8c8c8"/>'
@@ -69,10 +77,8 @@ def _grid(cv: _Canvas):
 
 
 def _bounds(points, pad=1):
-    import math
-
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     return (
         math.floor(min(xs)) - pad,
         math.ceil(max(xs)) + pad,

@@ -1,0 +1,183 @@
+"""Statements of the paper that the tests check against the engine.
+
+Each function rebuilds an object by the construction the paper states
+for it, or evaluates a bound the paper proves, so that a test can compare
+it with what toricfg computes on the way to a verdict.  No command,
+script or benchmark calls them, so they live with the tests.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple
+
+from toricfg.fans import FlagData
+from toricfg.geometry import (
+    DegeneratePolygon,
+    RatPolygon,
+    det,
+    minkowski_sum,
+    neg,
+    rational,
+    width,
+)
+from toricfg.semigroup import DegenerateTheta, FlagContext, theta
+
+
+def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:
+    """Rebuild nabla_prime by the gluing construction: translate the
+    Newton segment into the vertex cone at each v-extremal vertex of P_D
+    until it hits both rays, then glue the two resulting triangles along
+    the segment.
+
+    Statement checked: the nef polytope of the torus-invariant
+    replacement C' of the flag curve is the union of these two triangles
+    (a side collapses onto the Newton segment where P_D has an extremal
+    edge), so it equals the halfplane description flag.nabla_prime."""
+    if p_d.dim != 2:
+        raise DegeneratePolygon("gluing needs a two-dimensional polytope")
+    m = flag.m
+    points = [(Fraction(0), Fraction(0)), (Fraction(m[0]), Fraction(m[1]))]
+    for direction in (neg(flag.v), flag.v):
+        face = p_d.face(direction)
+        if len(face) != 1:
+            continue  # extremal edge: this side degenerates onto nabla
+        d1, d2 = p_d.vertex_directions(face[0])
+        dd = det(d1, d2)
+        # t*d2 - s*d1 = m  (base corner on the d1-ray goes to the origin)
+        s = Fraction(-det(m, d2), dd)
+        t = Fraction(-det(m, d1), dd)
+        if s >= 0 and t >= 0:
+            points.append((-s * d1[0], -s * d1[1]))
+            continue
+        # t*d2 - s*d1 = -m  (base corner on the d2-ray goes to the origin)
+        s, t = -s, -t
+        if s >= 0 and t >= 0:
+            points.append((m[0] - s * d1[0], m[1] - s * d1[1]))
+        else:
+            raise ValueError("Newton segment does not fit into the vertex cone")
+    return RatPolygon.from_vertices(points)
+
+
+def d_bar(ctx: FlagContext, l, k) -> Fraction:
+    """l * wid_v(P_D) - k * wid_v(nabla'): the degree of the pulled-back
+    line bundle on the normalized flag curve.
+
+    Statement checked: the sandwich e_bar(l, k) - 1 <= wid_v(theta(l, k))
+    <= d_bar(l, k) for every non-empty colon polytope with lattice
+    points."""
+    v = ctx.flag.v
+    return rational(l) * width(ctx.p_d, v) - rational(k) * width(ctx.flag.nabla_prime, v)
+
+
+def xi_interval(ctx: FlagContext, l, k):
+    """One-dimensional colon of the projected intervals
+    (l*[min, max]<P_D, v> : k*[min, max]<nabla', v>); None when empty.
+
+    Statement checked: the projection of theta(l, k) to the v-axis lies
+    in this interval, possibly strictly."""
+    v = ctx.flag.v
+    p, q = ctx.p_d, ctx.flag.nabla_prime
+    l, k = rational(l), rational(k)
+    lo = l * p.support_min(v) - k * q.support_min(v)
+    hi = l * p.support_max(v) - k * q.support_max(v)
+    if lo > hi:
+        return None
+    return (lo, hi)
+
+
+class CutPieces(NamedTuple):
+    box_max: RatPolygon
+    p_cut: RatPolygon
+    box_min: RatPolygon
+    v_plus: tuple
+    v_minus: tuple
+
+
+def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
+    """Cut l*P_D along the two translated Newton segments at the extreme
+    pairing levels of the colon polytope.
+
+    Statement checked: the middle piece equals the Minkowski sum
+    theta(l, k) + k*nabla of the colon polytope with the scaled Newton
+    segment; ArithmeticError when it does not."""
+    l, k = rational(l), rational(k)
+    t = theta(ctx, l, k)
+    if t.is_empty:
+        raise DegenerateTheta("cut needs a non-empty colon polytope")
+    v = ctx.flag.v
+    big = ctx.p_d.dilate(l)
+    lo, hi = t.support_min(v), t.support_max(v)
+    band = RatPolygon.from_halfplanes(
+        list(big.halfplanes) + [(v, lo), (neg(v), -hi)]
+    )
+    box_max = RatPolygon.from_halfplanes(list(big.halfplanes) + [(v, hi)])
+    box_min = RatPolygon.from_halfplanes(list(big.halfplanes) + [(neg(v), -lo)])
+    summed = minkowski_sum(t, ctx.flag.nabla.dilate(k)) if k > 0 else t
+    if summed != band:
+        raise ArithmeticError("cut identity failed: theta + k*nabla != middle piece")
+    return CutPieces(box_max, band, box_min, min(t.face(neg(v))), min(t.face(v)))
+
+
+def vanishing_orders(support, c) -> set:
+    """Orders of vanishing at t = c achieved by nonzero Laurent polynomials
+    with exponent support ``support``.
+
+    Order k is achieved iff some coefficient vector kills the first k
+    derivative rows at c but not the k-th; equivalently, iff appending the
+    k-th falling-factorial row raises the rank.  Exact rational linear
+    algebra, row by row.
+
+    Statement checked: for a support of e exponents and a point c != 0
+    of the torus, the achieved orders are exactly 0, ..., e - 1, whatever
+    the point."""
+    z = sorted(set(int(p) for p in support))
+    if not z:
+        raise ValueError("empty support")
+    c = Fraction(rational(c))
+    if c == 0:
+        raise ValueError("vanishing order at 0 is read off the support directly")
+    e = len(z)
+    rows = []
+    achieved = set()
+    rank = 0
+    for k in range(e):
+        rows.append([_falling(p, k) * c ** (p - k) for p in z])
+        new_rank = _rank(rows)
+        if new_rank > rank:
+            achieved.add(k)
+        rank = new_rank
+    return achieved
+
+
+def _falling(p: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out *= p - i
+    return out
+
+
+def _rank(rows) -> int:
+    m = [list(r) for r in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    col = 0
+    for col in range(n_cols):
+        piv = None
+        for r in range(rank, n_rows):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            if m[r][col] != 0:
+                f = m[r][col] / pv
+                for cc in range(col, n_cols):
+                    m[r][cc] -= f * m[rank][cc]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank

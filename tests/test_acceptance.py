@@ -18,26 +18,24 @@ from toricfg.criterion import (
 )
 from toricfg.fans import (
     ToricDivisor,
+    divisor_from_polytope,
     divisor_polytope,
     flag_data,
-    glued_nef_polytope,
     is_ample,
     normal_fan,
 )
 from toricfg.geometry import minkowski_sum, width
-from toricfg.oracles import brute_decompose, brute_e_bar, lift_search, vanishing_orders
+from toricfg.oracles import brute_decompose, brute_e_bar, lift_search
 from toricfg.semigroup import (
-    cut_construction,
-    d_bar,
     d_of_q,
     e_bar,
     make_context,
     newton_okounkov_body,
     q_hat,
     theta,
-    xi_interval,
 )
 
+from paper import cut_construction, d_bar, glued_nef_polytope, vanishing_orders, xi_interval
 from util import (
     interior_point,
     load_example,
@@ -64,11 +62,10 @@ def test_criterion_1_running_example_exact_values():
     }
     assert set(fd.nabla_prime.vertices) == {(0, 0), (-7, 0), (-3, -2), (0, -2)}
     assert set(theta(CTX, 1, 1).vertices) == {(0, 0), (-1, 0), (0, F(-1, 2))}
-    from toricfg.geometry import project_interval
-
-    assert project_interval(CTX.p_d, V) == (-9, 16)
-    assert project_interval(fd.nabla_prime, V) == (-6, 14)
-    assert project_interval(theta(CTX, 1, 1), V) == (F(-3, 2), 2)
+    projection = lambda p: (p.support_min(V), p.support_max(V))
+    assert projection(CTX.p_d) == (-9, 16)
+    assert projection(fd.nabla_prime) == (-6, 14)
+    assert projection(theta(CTX, 1, 1)) == (F(-3, 2), 2)
     assert xi_interval(CTX, 1, 1) == (-3, 2)
     assert d_bar(CTX, 1, 1) == 5
     assert e_bar(CTX, 1, 1) == 2
@@ -258,7 +255,7 @@ def test_criterion_7_sym16gon_no_good_direction():
     assert all((-x, -y) in set(p.vertices) for x, y in p.vertices)
     fan = normal_fan(p)
     assert len(fan.rays) == 16 and fan.is_smooth
-    results = scan_directions(p, 20)
+    results = scan_directions(divisor_from_polytope(p), 20)
     assert len(results) >= 200
     assert all(not verdict.finitely_generated for _, verdict in results)
     assert all(not fg_for_all_divisors(fan, v).holds for v, _ in results)

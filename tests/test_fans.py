@@ -11,12 +11,12 @@ from toricfg.fans import (
     divisor_from_polytope,
     divisor_polytope,
     flag_data,
-    glued_nef_polytope,
     is_ample,
     normal_fan,
 )
 from toricfg.geometry import DegeneratePolygon, RatPolygon, width
 
+from paper import glued_nef_polytope
 from util import load_example, p1p1_fan, random_ample_divisor, random_direction, random_smooth_fan
 
 SQ = load_example("slanted_quad")

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from toricfg.cones import NotInInterior, cone
 from toricfg.fans import ToricDivisor
-from toricfg.oracles import brute_decompose, brute_e_bar, lift_search, vanishing_orders
+from toricfg.oracles import brute_decompose, brute_e_bar, lift_search
 from toricfg.semigroup import e_bar, make_context, newton_okounkov_body, q_hat
 from toricfg.criterion import vertex_lifts
 
+from paper import vanishing_orders
 from util import (
     interior_point,
     load_example,

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ import pytest
 import toricfg
 from toricfg import cli, cones, criterion, semigroup
 from toricfg.geometry import RatPolygon
-from util import SRC, load_example, p1p1_fan, src_env
+from paper import cut_construction
+from util import ROOT, SRC, load_example, p1p1_fan, src_env
 
 
 def test_star_import_binds_no_module():
@@ -49,7 +52,7 @@ def records():
     verdict = criterion.is_finitely_generated(ctx)
     return [
         ctx, ctx.flag, ctx.p_d, ctx.divisor, ctx.fan, cones.cone("N", (1, 0), (0, 1)),
-        semigroup.semigroup_slice(ctx, 2), semigroup.cut_construction(ctx, 2, 1),
+        semigroup.semigroup_slice(ctx, 2), cut_construction(ctx, 2, 1),
         semigroup.theta_extremal(ctx, 1, 0), semigroup.newton_okounkov_body(ctx),
         verdict, verdict.segment, criterion.fg_for_all_divisors(p1p1_fan(), (1, 2)),
         criterion.construct_bad_divisor(p1p1_fan(), cones.halfplane("N", (1, 0), (1, 2)), (1, 2)),
@@ -80,3 +83,49 @@ def test_cached_views_leave_equality_and_hash_alone():
     ctx, fresh_ctx = load_example("slanted_quad").context, load_example("slanted_quad").context
     assert ctx.q_hat and "q_hat" in vars(ctx) and "q_hat" not in vars(fresh_ctx)
     assert ctx == fresh_ctx and hash(ctx) == hash(fresh_ctx)
+
+
+# bench/spans.py traces cones.hilbert_basis by that string, which a name
+# scan does not see; it is the Hilbert-basis oracle of the pairing-one
+# decomposability test, and the benchmark counts its calls
+TRACED_BY_NAME = {("cones", "hilbert_basis")}
+
+
+def _referenced_names(node, own=None):
+    """Names, attributes and import aliases under node, but own."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names = [n.id]
+        elif isinstance(n, ast.Attribute):
+            names = [n.attr]
+        elif isinstance(n, ast.alias):
+            names = [n.name.rpartition(".")[2], n.asname]
+        else:
+            continue
+        yield from (name for name in names if name and name != own)
+
+
+def test_every_definition_of_the_package_has_a_program_caller():
+    # the package holds the engine: each top-level function and class is
+    # named by other code of the package, a script or the benchmark (its
+    # own body and the re-exports of __init__ do not count), so code that
+    # only tests use lives under tests/
+    package = os.path.join(SRC, "toricfg")
+    defined, referenced = set(), set()
+    paths = (glob.glob(os.path.join(package, "*.py")) + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+             + glob.glob(os.path.join(ROOT, "bench", "**", "*.py"), recursive=True))
+    for path in paths:
+        if path == os.path.join(package, "__init__.py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            own = None
+            if os.path.dirname(path) == package and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.add((os.path.basename(path)[:-3], own))
+            referenced.update(_referenced_names(stmt, own))
+    assert len(defined) > 100
+    unused = {d for d in defined if d[1] not in referenced}
+    assert sorted(unused - TRACED_BY_NAME) == []

@@ -154,6 +154,12 @@ def naive_lattice_points(p: RatPolygon):
     return out
 
 
+def polygon_contains(p: RatPolygon, point) -> bool:
+    """Whether the point lies in p, read off p's halfplanes."""
+    x, y = (rational(c) for c in point)
+    return not p.is_empty and all(n[0] * x + n[1] * y >= o for n, o in p.halfplanes)
+
+
 def random_polygon(rng: random.Random, bound: int = 6, points: int = 6) -> RatPolygon:
     pts = [
         (rng.randint(-bound, bound), rng.randint(-bound, bound))
