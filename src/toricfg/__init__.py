@@ -49,9 +49,7 @@ from .geometry import (
     DegeneratePolygon,
     RatPolygon,
     UnboundedRegion,
-    colon,
     lattice_points,
-    minkowski_sum,
     width,
 )
 from .semigroup import (

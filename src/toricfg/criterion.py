@@ -36,9 +36,7 @@ from .geometry import (
     det,
     floor_frac,
     int_vector,
-    minkowski_sum,
     neg,
-    colon,
     rational,
     width,
 )
@@ -241,7 +239,9 @@ def construct_bad_divisor(
     every ray outside the interior of sigma, relaxed coefficients
     inside); (2) add the invariant flag-curve divisor; (3) lower the
     interior-ray coefficients minimally, midpoint of the first feasible
-    interval, until ample while the Minkowski sum stays inside.
+    interval, until ample.  P_D is cut out by the ray halfplanes, so it
+    contains theta + nabla' iff every coefficient a_r stays at or above
+    its floor c'_r - min <theta, r>; the lowering never goes below it.
     A halfplane sigma instead stretches the antiparallel edge pair until
     the maximal cross-section ends on both edge interiors."""
     v = int_vector(v)
@@ -265,7 +265,7 @@ def construct_bad_divisor(
     _check_tangent(theta0, sigma, v)
 
     d_prime = ToricDivisor.make(fan, flag.cprime_coeffs) + d_theta
-    target = minkowski_sum(theta0, flag.nabla_prime)
+    floors = [c - theta0.support_min(r) for r, c in zip(fan.rays, flag.cprime_coeffs)]
     coeffs = list(d_prime.coeffs)
     processed = set(outer)
     for r in fan.rays:
@@ -276,16 +276,17 @@ def construct_bad_divisor(
         p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, coeffs)])
         if r in edge_rays(p, fan.rays, coeffs):
             continue
-        coeffs[idx] = _lower_coefficient(fan, coeffs, idx, target, processed)
+        coeffs[idx] = _lower_coefficient(fan, coeffs, idx, floors[idx], processed)
     divisor = ToricDivisor.make(fan, coeffs)
     p_d = ample_polytope(divisor)
     if p_d is None:
         raise ConstructionFailed("lowering did not reach an ample divisor")
-    if not p_d.contains_polygon(target):
-        raise ConstructionFailed("Minkowski-sum containment lost while lowering")
-    if colon(p_d, flag.nabla_prime) != theta0:
+    if any(a < b for a, b in zip(coeffs, floors)):
+        raise ConstructionFailed("a coefficient fell below its floor while lowering")
+    ctx = FlagContext(divisor, flag, p_d)
+    if theta(ctx, 1, 1) != theta0:
         raise ConstructionFailed("colon polytope drifted from the prescribed one")
-    verdict = is_finitely_generated(FlagContext(divisor, flag, p_d))
+    verdict = is_finitely_generated(ctx)
     if verdict.finitely_generated:
         raise ConstructionFailed("constructed divisor is unexpectedly finitely generated")
     return BadDivisorConstruction(divisor, d_prime, d_theta, theta0, p_d)
@@ -315,7 +316,7 @@ def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
         )
 
 
-def _lower_coefficient(fan, coeffs, idx, target, processed):
+def _lower_coefficient(fan, coeffs, idx, floor, processed):
     r = fan.rays[idx]
     others = [
         (rr, -a) for k, (rr, a) in enumerate(zip(fan.rays, coeffs)) if k != idx
@@ -324,7 +325,7 @@ def _lower_coefficient(fan, coeffs, idx, target, processed):
     current = Fraction(coeffs[idx])
     crit = sorted(
         {-Fraction(dot(u, r)) for u in p_wo.vertices}
-        | {-target.support_min(r)},
+        | {floor},
         reverse=True,
     )
     upper = current
@@ -332,17 +333,17 @@ def _lower_coefficient(fan, coeffs, idx, target, processed):
         if c >= upper:
             continue
         cand = (upper + c) / 2
-        if _lowering_ok(fan, coeffs, idx, cand, target, processed):
+        if cand >= floor and _lowering_ok(fan, coeffs, idx, cand, processed):
             return cand
         upper = c
     raise ConstructionFailed(f"no feasible coefficient below {current} at ray {r}")
 
 
-def _lowering_ok(fan, coeffs, idx, cand, target, processed):
+def _lowering_ok(fan, coeffs, idx, cand, processed):
     trial = list(coeffs)
     trial[idx] = cand
     p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, trial)])
-    return p.contains_polygon(target) and processed <= edge_rays(p, fan.rays, trial)
+    return processed <= edge_rays(p, fan.rays, trial)
 
 
 def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstruction:
@@ -366,7 +367,7 @@ def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstructi
             and verdict.sigma_plus.kind == "halfplane"
         ):
             return BadDivisorConstruction(
-                divisor, divisor, divisor, colon(ctx.p_d, ctx.flag.nabla_prime), ctx.p_d
+                divisor, divisor, divisor, theta(ctx, 1, 1), ctx.p_d
             )
         weight *= 2
     raise ConstructionFailed("edge stretching never produced the halfplane cones")

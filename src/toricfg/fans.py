@@ -159,17 +159,17 @@ def divisor_from_polytope(p: RatPolygon) -> ToricDivisor:
 class FlagData(NamedTuple):
     """Combinatorics of the flag given by a one-parameter subgroup.
 
-    v is the primitive direction in N; m spans its orthogonal in M; nabla
-    is the Newton segment conv(0, m) of the binomial cutting out the flag
+    v is the primitive direction in N; m spans its orthogonal in M, so
+    conv(0, m) is the Newton segment of the binomial cutting out the flag
     curve in the torus; cprime_coeffs are the coefficients of the
     torus-invariant replacement of that curve, and nabla_prime its nef
-    polytope (the smallest polytope containing nabla whose normal fan is
-    refined by the ambient fan).
+    polytope (the smallest polytope containing the Newton segment whose
+    normal fan is refined by the ambient fan).  nabla_prime attains
+    min(0, <m, r>) = -cprime at every ray r.
     """
 
     v: tuple
     m: tuple
-    nabla: RatPolygon
     cprime_coeffs: tuple
     nabla_prime: RatPolygon
 
@@ -179,10 +179,9 @@ def flag_data(fan: Fan2, v) -> FlagData:
     if not is_primitive(v):
         raise NonPrimitiveDirection(f"direction {v} is not primitive")
     m = rot90(v)
-    nabla = RatPolygon.from_vertices([(0, 0), m])
     cprime = tuple(-min(0, dot(m, r)) for r in fan.rays)
     nabla_prime = RatPolygon.from_halfplanes(
         [(r, min(0, dot(m, r))) for r in fan.rays]
     )
-    return FlagData(v, m, nabla, cprime, nabla_prime)
+    return FlagData(v, m, cprime, nabla_prime)
 

@@ -361,14 +361,6 @@ class RatPolygon(_PolygonFields):
     def is_empty(self) -> bool:
         return self.dim < 0
 
-    def contains_polygon(self, other: "RatPolygon") -> bool:
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        return all(dot(r, n) * self.scale >= o * other.scale
-                   for r in other.ring for n, o in self.lines)
-
     def _levels(self, direction) -> list:
         """<p, direction> * L for every vertex p, on the int ring."""
         a, b = direction
@@ -484,31 +476,6 @@ def _halfplanes_of_hull(hull):
 
 
 # -- the polygon operations used downstream --------------------------------
-
-def colon(p: RatPolygon, q: RatPolygon) -> RatPolygon:
-    """The colon polygon {u : u + q subset of p}.
-
-    Computed purely on the H-representation: each offset of ``p`` rises by
-    the support of ``q`` in that normal direction, both read on ints over
-    the product of the two scales.  May be empty.
-    """
-    if p.is_empty or q.is_empty:
-        raise ValueError("colon needs non-empty polygons")
-    lp, lq = p.scale, q.scale
-    return RatPolygon.from_halfplanes(
-        [(n, Fraction(o * lq - min(q._levels(n)) * lp, lp * lq)) for n, o in p.lines]
-    )
-
-
-def minkowski_sum(p: RatPolygon, q: RatPolygon) -> RatPolygon:
-    if p.is_empty or q.is_empty:
-        raise ValueError("minkowski_sum needs non-empty polygons")
-    lp, lq = p.scale, q.scale
-    return _hull_polygon(
-        [(a[0] * lq + b[0] * lp, a[1] * lq + b[1] * lp) for a in p.ring for b in q.ring],
-        lp * lq,
-    )
-
 
 def width(p: RatPolygon, v):
     """max <p, v> - min <p, v>; None for the empty polygon."""

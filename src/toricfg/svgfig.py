@@ -123,7 +123,7 @@ def fan_svg(fan: Fan2, title: str = "") -> str:
             'stroke="#1a4f8b" stroke-width="2"/>'
         )
         dx, dy = px - ox, py - oy
-        n = (dx * dx + dy * dy) ** 0.5
+        n = math.hypot(dx, dy)
         ux, uy = dx / n, dy / n
         for sgn in (1, -1):
             wx = px - 8 * ux + sgn * 4 * -uy

@@ -2,8 +2,12 @@
 
 Each function rebuilds an object by the construction the paper states
 for it, or evaluates a bound the paper proves, so that a test can compare
-it with what toricfg computes on the way to a verdict.  No command,
-script or benchmark calls them, so they live with the tests.
+it with what toricfg computes on the way to a verdict.  The general
+polygon algebra of those statements (the Newton segment, colon polygons,
+Minkowski sums, containment) is here too, as the tests' oracles: the
+engine cuts every colon polytope out of the fan's halfplanes
+(``semigroup.theta``).  No command, script or benchmark calls them, so
+they live with the tests.
 """
 
 from __future__ import annotations
@@ -16,12 +20,40 @@ from toricfg.geometry import (
     DegeneratePolygon,
     RatPolygon,
     det,
-    minkowski_sum,
     neg,
     rational,
     width,
 )
 from toricfg.semigroup import DegenerateTheta, FlagContext, theta
+from util import polygon_contains
+
+
+def newton_segment(flag: FlagData) -> RatPolygon:
+    """nabla = conv(0, m), the Newton segment of the binomial cutting out
+    the flag curve in the torus."""
+    return RatPolygon.from_vertices([(0, 0), flag.m])
+
+
+def colon(p: RatPolygon, q: RatPolygon) -> RatPolygon:
+    """The colon polygon {u : u + q subset of p}: each halfplane of p
+    moved in by the support of q in its normal direction.  May be empty."""
+    if p.is_empty or q.is_empty:
+        raise ValueError("colon needs non-empty polygons")
+    return RatPolygon.from_halfplanes([(n, o - q.support_min(n)) for n, o in p.halfplanes])
+
+
+def minkowski_sum(p: RatPolygon, q: RatPolygon) -> RatPolygon:
+    """p + q as the hull of the pairwise vertex sums."""
+    if p.is_empty or q.is_empty:
+        raise ValueError("minkowski_sum needs non-empty polygons")
+    return RatPolygon.from_vertices(
+        [(a[0] + b[0], a[1] + b[1]) for a in p.vertices for b in q.vertices]
+    )
+
+
+def contains_polygon(p: RatPolygon, q: RatPolygon) -> bool:
+    """Is q a subset of p?  Every vertex of q in p."""
+    return all(polygon_contains(p, u) for u in q.vertices)
 
 
 def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:
@@ -113,7 +145,7 @@ def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
     )
     box_max = RatPolygon.from_halfplanes(list(big.halfplanes) + [(v, hi)])
     box_min = RatPolygon.from_halfplanes(list(big.halfplanes) + [(neg(v), -lo)])
-    summed = minkowski_sum(t, ctx.flag.nabla.dilate(k)) if k > 0 else t
+    summed = minkowski_sum(t, newton_segment(ctx.flag).dilate(k)) if k > 0 else t
     if summed != band:
         raise ArithmeticError("cut identity failed: theta + k*nabla != middle piece")
     return CutPieces(box_max, band, box_min, min(t.face(neg(v))), min(t.face(v)))

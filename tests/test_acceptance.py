@@ -24,7 +24,7 @@ from toricfg.fans import (
     is_ample,
     normal_fan,
 )
-from toricfg.geometry import minkowski_sum, width
+from toricfg.geometry import width
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search
 from toricfg.semigroup import (
     d_of_q,
@@ -35,7 +35,15 @@ from toricfg.semigroup import (
     theta,
 )
 
-from paper import cut_construction, d_bar, glued_nef_polytope, vanishing_orders, xi_interval
+from paper import (
+    cut_construction,
+    d_bar,
+    glued_nef_polytope,
+    minkowski_sum,
+    newton_segment,
+    vanishing_orders,
+    xi_interval,
+)
 from util import (
     interior_point,
     load_example,
@@ -202,7 +210,7 @@ def test_criterion_6d_cut_identity():
         if theta(ctx, l, k).is_empty:
             continue
         cut = cut_construction(ctx, l, k)  # asserts the identity internally
-        scaled = ctx.flag.nabla.dilate(k)
+        scaled = newton_segment(ctx.flag).dilate(k)
         expect = minkowski_sum(theta(ctx, l, k), scaled) if k else theta(ctx, l, k)
         assert cut.p_cut == expect
         checked += 1

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -260,6 +261,21 @@ def test_plot_rejects_coordinates_too_large_to_draw(tmp_path):
         res = run_main("plot", "--input", large, "--what", what)
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("<svg") and 'fill="#c8c8c8"' not in res.stdout
+
+
+def test_fan_plot_keeps_arrowheads_on_huge_rays(tmp_path):
+    # the normal ray (-1, -10**300) of this triangle ends about 10**302 px
+    # from the origin; its length still fits a float, so both wings of its
+    # arrowhead leave the tip
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"polytope": {"vertices": [[0, 0], [10**300, 0], [0, 1]]},
+                                "direction": [1, 2]}))
+    res = run_main("plot", "--input", str(path), "--what", "fan")
+    assert res.returncode == 0, res.stderr
+    lines = re.findall(r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)"', res.stdout)
+    assert len(lines) == 9  # a shaft and two wings per ray
+    wings = [ends for i, ends in enumerate(lines) if i % 3]
+    assert all(ends[:2] != ends[2:] for ends in wings)
 
 
 def test_module_entry_point_matches_in_process_run():

@@ -35,6 +35,7 @@ from toricfg.geometry import (
 )
 from toricfg.semigroup import make_context, newton_okounkov_body
 
+from paper import colon, contains_polygon, minkowski_sum
 from util import (
     helly_q_hat,
     line_interval_max_chord,
@@ -264,10 +265,9 @@ def test_construct_bad_divisor_postconditions_randomized():
         out = construct_bad_divisor(fan, res.failing_cone, res.failing_direction)
         ctx = make_context(out.divisor, res.failing_direction)
         assert not is_finitely_generated(ctx).finitely_generated
-        from toricfg.geometry import colon
-
         assert colon(ctx.p_d, ctx.flag.nabla_prime) == out.theta
         assert out.p_d == divisor_polytope(out.divisor)
+        assert contains_polygon(out.p_d, minkowski_sum(out.theta, ctx.flag.nabla_prime))
         built += 1
     assert built >= 5
 
@@ -275,8 +275,10 @@ def test_construct_bad_divisor_postconditions_randomized():
 def test_construct_bad_divisor_halfplane_sigma():
     h = halfplane("N", (1, 0), (1, 2))
     out = construct_bad_divisor(p1p1_fan(), h, (1, 2))
-    verdict = is_finitely_generated(make_context(out.divisor, (1, 2)))
-    assert not verdict.finitely_generated
+    ctx = make_context(out.divisor, (1, 2))
+    assert not is_finitely_generated(ctx).finitely_generated
+    assert colon(ctx.p_d, ctx.flag.nabla_prime) == out.theta
+    assert contains_polygon(out.p_d, minkowski_sum(out.theta, ctx.flag.nabla_prime))
 
 
 def test_construct_bad_divisor_rejects_non_decomposable():

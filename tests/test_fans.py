@@ -16,7 +16,7 @@ from toricfg.fans import (
 )
 from toricfg.geometry import DegeneratePolygon, RatPolygon, width
 
-from paper import glued_nef_polytope
+from paper import contains_polygon, glued_nef_polytope, newton_segment
 from util import load_example, p1p1_fan, random_ample_divisor, random_direction, random_smooth_fan
 
 SQ = load_example("slanted_quad")
@@ -81,7 +81,7 @@ def test_flag_data_running_example():
     table = dict(zip(SQ.fan.rays, fd.cprime_coeffs))
     assert table == {(1, 2): 7, (0, 1): 2, (-1, 0): 0, (0, -1): 0}
     assert set(fd.nabla_prime.vertices) == {(0, 0), (-7, 0), (-3, -2), (0, -2)}
-    assert fd.nabla_prime.contains_polygon(fd.nabla)
+    assert contains_polygon(fd.nabla_prime, newton_segment(fd))
 
 
 def test_flag_data_extended_fan():
@@ -97,8 +97,8 @@ def test_flag_data_extended_fan():
 def test_flag_data_p1p1():
     fd = flag_data(p1p1_fan(), (1, 0))
     assert fd.m == (0, 1)
-    assert fd.nabla_prime == fd.nabla
-    assert set(fd.nabla.vertices) == {(0, 0), (0, 1)}
+    assert fd.nabla_prime == newton_segment(fd)
+    assert set(fd.nabla_prime.vertices) == {(0, 0), (0, 1)}
     with pytest.raises(NonPrimitiveDirection):
         flag_data(p1p1_fan(), (2, 4))
 
@@ -123,8 +123,9 @@ def test_nabla_prime_supports_match_nabla():
         fan = random_smooth_fan(rng)
         v = random_direction(rng)
         fd = flag_data(fan, v)
+        nabla = newton_segment(fd)
         for r in fan.rays:
-            assert fd.nabla_prime.support_min(r) == fd.nabla.support_min(r)
+            assert fd.nabla_prime.support_min(r) == nabla.support_min(r)
 
 
 def test_glued_nef_polytope_fixture():
@@ -136,7 +137,7 @@ def test_glued_nef_polytope_fixture():
 
 def test_glued_nef_polytope_degenerate_square():
     fd = flag_data(p1p1_fan(), (1, 0))
-    assert glued_nef_polytope(load_example("unit_square").p_d, fd) == fd.nabla
+    assert glued_nef_polytope(load_example("unit_square").p_d, fd) == newton_segment(fd)
 
 
 def test_glued_equals_halfplane_description_randomized():

@@ -91,8 +91,8 @@ def test_cached_views_leave_equality_and_hash_alone():
 TRACED_BY_NAME = {("cones", "hilbert_basis")}
 
 
-def _referenced_names(node, own=None):
-    """Names, attributes and import aliases under node, but own."""
+def _referenced_names(node, own=()):
+    """Names, attributes and import aliases under node, but those in own."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             names = [n.id]
@@ -102,14 +102,14 @@ def _referenced_names(node, own=None):
             names = [n.name.rpartition(".")[2], n.asname]
         else:
             continue
-        yield from (name for name in names if name and name != own)
+        yield from (name for name in names if name and name not in own)
 
 
 def test_every_definition_of_the_package_has_a_program_caller():
-    # the package holds the engine: each top-level function and class is
-    # named by other code of the package, a script or the benchmark (its
-    # own body and the re-exports of __init__ do not count), so code that
-    # only tests use lives under tests/
+    # the package holds the engine: each top-level function and class, and
+    # each public method of a class, is named by other code of the package,
+    # a script or the benchmark (its own body and the re-exports of
+    # __init__ do not count), so code that only tests use lives under tests/
     package = os.path.join(SRC, "toricfg")
     defined, referenced = set(), set()
     paths = (glob.glob(os.path.join(package, "*.py")) + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
@@ -119,13 +119,50 @@ def test_every_definition_of_the_package_has_a_program_caller():
             continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
         for stmt in tree.body:
-            own = None
-            if os.path.dirname(path) == package and isinstance(
+            if os.path.dirname(path) != package or not isinstance(
                     stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined.add((os.path.basename(path)[:-3], own))
-            referenced.update(_referenced_names(stmt, own))
-    assert len(defined) > 100
-    unused = {d for d in defined if d[1] not in referenced}
+                referenced.update(_referenced_names(stmt))
+                continue
+            defined.add((module, stmt.name))
+            if isinstance(stmt, ast.FunctionDef):
+                referenced.update(_referenced_names(stmt, {stmt.name}))
+                continue
+            for item in stmt.bases + stmt.keywords + stmt.decorator_list + stmt.body:
+                own = {stmt.name}
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    own.add(item.name)
+                    defined.add((module, f"{stmt.name}.{item.name}"))
+                referenced.update(_referenced_names(item, own))
+    assert len(defined) > 150
+    unused = {d for d in defined if d[1].rpartition(".")[2] not in referenced}
     assert sorted(unused - TRACED_BY_NAME) == []
+
+
+def _compact(value):
+    """A value as the README writes it: tuples and points without spaces,
+    rationals as p/q."""
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_compact, value)) + ")"
+    return str(value)
+
+
+def test_readme_quick_start_values_match_their_comments():
+    # each expression of README's "Library quick start" block is followed
+    # by its value as a comment, on its own line or on the next one
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + [""]
+    namespace, checked = {}, 0
+    for stmt in ast.parse(block).body:
+        code = compile(ast.Module([stmt], []), "README.md", "exec")
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = lines[stmt.end_lineno - 1].partition("#")[2] or lines[stmt.end_lineno].partition("#")[2]
+        expected = "".join(comment.partition(" \u2014 ")[0].split())
+        assert _compact(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)) == expected
+        checked += 1
+    assert checked == 5

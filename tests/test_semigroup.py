@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfg.cones import cone, dual_cone
 from toricfg.fans import ToricDivisor
@@ -9,7 +11,6 @@ from toricfg.geometry import (
     RatPolygon,
     dot,
     lattice_points,
-    minkowski_sum,
     width,
 )
 from toricfg.semigroup import (
@@ -25,7 +26,7 @@ from toricfg.semigroup import (
 )
 
 import paper
-from paper import cut_construction, d_bar, xi_interval
+from paper import contains_polygon, cut_construction, d_bar, minkowski_sum, newton_segment, xi_interval
 from util import (
     load_example,
     p1p1_fan,
@@ -33,9 +34,11 @@ from util import (
     random_ample_divisor,
     random_direction,
     random_smooth_fan,
+    rationals,
 )
 
 CTX = load_example("slanted_quad").context
+PRIMITIVE_6 = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda u: gcd(*u) == 1)
 
 
 def test_context_requires_ample():
@@ -51,6 +54,21 @@ def test_theta_fixtures():
     assert theta(CTX, 1, 10**6).is_empty
     assert not theta(CTX, 1, F(8, 7)).is_empty
     assert theta(CTX, 1, F(8, 7) + F(1, 1000)).is_empty
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, F(7, 3)]), PRIMITIVE_6,
+       rationals(4, 3), rationals(8, 3))
+def test_theta_is_the_colon_of_the_dilates(seed, scale, v, l, k):
+    # theta cuts (l*P_D : k*nabla') out of the fan's halfplanes; the oracle
+    # moves each halfplane of l*P_D in by the support of k*nabla'
+    rng = random.Random(seed)
+    fan = random_smooth_fan(rng)
+    d = random_ample_divisor(rng, fan)
+    ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)), v)
+    l, k = 1 + abs(l), abs(k)
+    expect = paper.colon(ctx.p_d.dilate(l), ctx.flag.nabla_prime.dilate(k))
+    assert theta(ctx, l, k) == expect
 
 
 def test_e_bar_fixtures():
@@ -131,10 +149,10 @@ def test_cut_construction_fixture():
     }
     assert cut.v_plus == (-1, 0)
     assert cut.v_minus == (0, F(-1, 2))
-    assert cut.p_cut == minkowski_sum(theta(CTX, 1, 1), CTX.flag.nabla)
+    assert cut.p_cut == minkowski_sum(theta(CTX, 1, 1), newton_segment(CTX.flag))
     # the sum with the full nef polytope is strictly smaller than P_D
     bigger = minkowski_sum(theta(CTX, 1, 1), CTX.flag.nabla_prime)
-    assert CTX.p_d.contains_polygon(bigger) and bigger != CTX.p_d
+    assert contains_polygon(CTX.p_d, bigger) and bigger != CTX.p_d
 
 
 def test_cut_construction_trivial_at_k_zero():
