@@ -157,9 +157,8 @@ def test_readme_quick_start_values_match_their_comments():
     lines = block.splitlines() + [""]
     namespace, checked = {}, 0
     for stmt in ast.parse(block).body:
-        code = compile(ast.Module([stmt], []), "README.md", "exec")
         if not isinstance(stmt, ast.Expr):
-            exec(code, namespace)
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
             continue
         comment = lines[stmt.end_lineno - 1].partition("#")[2] or lines[stmt.end_lineno].partition("#")[2]
         expected = "".join(comment.partition(" \u2014 ")[0].split())
