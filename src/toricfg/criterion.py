@@ -23,7 +23,6 @@ from .fans import (
     ToricDivisor,
     ample_polytope,
     divisor_polytope,
-    edge_rays,
     flag_data,
     is_ample,
     is_primitive,
@@ -237,11 +236,20 @@ def construct_bad_divisor(
     Pointed sigma: (1) pick a divisor whose polytope has the dual of
     sigma as tangent cone at its v-minimal vertex (strict convexity at
     every ray outside the interior of sigma, relaxed coefficients
-    inside); (2) add the invariant flag-curve divisor; (3) lower the
-    interior-ray coefficients minimally, midpoint of the first feasible
-    interval, until ample.  P_D is cut out by the ray halfplanes, so it
-    contains theta + nabla' iff every coefficient a_r stays at or above
-    its floor c'_r - min <theta, r>; the lowering never goes below it.
+    inside); (2) add the invariant flag-curve divisor; (3) lower each
+    interior-ray coefficient a_r in turn until r supports an edge.  P_D is
+    cut out by the ray halfplanes, so it contains theta + nabla' iff
+    every a_r stays at or above its floor c'_r - min <theta, r>.  With
+    the other coefficients fixed, let p_wo be the polygon of the other
+    rays: r supports an edge iff a_r < top = -min <p_wo, r>, and each
+    earlier ray keeps its edge iff a_r stays above the level -<u, r> of
+    one vertex u of that edge in p_wo.  So the accepted values of a_r
+    form one interval whose ends are vertex levels or the floor, and
+    lowering takes the midpoint of top and the largest vertex level or
+    floor below it; there is none when the floor is at least top.  The
+    accepted set only shrinks as a_r falls, so when that midpoint costs
+    an earlier ray its edge no lower value helps either, and the
+    ampleness check at the end fails.
     A halfplane sigma instead stretches the antiparallel edge pair until
     the maximal cross-section ends on both edge interiors."""
     v = int_vector(v)
@@ -267,16 +275,9 @@ def construct_bad_divisor(
     d_prime = ToricDivisor.make(fan, flag.cprime_coeffs) + d_theta
     floors = [c - theta0.support_min(r) for r, c in zip(fan.rays, flag.cprime_coeffs)]
     coeffs = list(d_prime.coeffs)
-    processed = set(outer)
-    for r in fan.rays:
-        if r not in interior:
-            continue
-        processed.add(r)
-        idx = fan.index_of(r)
-        p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, coeffs)])
-        if r in edge_rays(p, fan.rays, coeffs):
-            continue
-        coeffs[idx] = _lower_coefficient(fan, coeffs, idx, floors[idx], processed)
+    for idx, r in enumerate(fan.rays):
+        if r in interior:
+            coeffs[idx] = _lower_coefficient(fan, coeffs, idx, floors[idx])
     divisor = ToricDivisor.make(fan, coeffs)
     p_d = ample_polytope(divisor)
     if p_d is None:
@@ -316,34 +317,22 @@ def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
         )
 
 
-def _lower_coefficient(fan, coeffs, idx, floor, processed):
+def _lower_coefficient(fan, coeffs, idx, floor):
+    """a_r unchanged when ray r already supports an edge, else the
+    midpoint of top and the largest vertex level or floor below it (see
+    construct_bad_divisor); levels are read on the int ring of p_wo."""
     r = fan.rays[idx]
-    others = [
-        (rr, -a) for k, (rr, a) in enumerate(zip(fan.rays, coeffs)) if k != idx
-    ]
-    p_wo = RatPolygon.from_halfplanes(others)
-    current = Fraction(coeffs[idx])
-    crit = sorted(
-        {-Fraction(dot(u, r)) for u in p_wo.vertices}
-        | {floor},
-        reverse=True,
+    p_wo = RatPolygon.from_halfplanes(
+        [(rr, -a) for k, (rr, a) in enumerate(zip(fan.rays, coeffs)) if k != idx]
     )
-    upper = current
-    for c in crit:
-        if c >= upper:
-            continue
-        cand = (upper + c) / 2
-        if cand >= floor and _lowering_ok(fan, coeffs, idx, cand, processed):
-            return cand
-        upper = c
-    raise ConstructionFailed(f"no feasible coefficient below {current} at ray {r}")
-
-
-def _lowering_ok(fan, coeffs, idx, cand, processed):
-    trial = list(coeffs)
-    trial[idx] = cand
-    p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, trial)])
-    return processed <= edge_rays(p, fan.rays, trial)
+    scale = p_wo.scale
+    levels = sorted({-dot(u, r) for u in p_wo.ring}, reverse=True)
+    top = levels[0]
+    if coeffs[idx] * scale < top:
+        return coeffs[idx]
+    if floor * scale >= top:
+        raise ConstructionFailed(f"no feasible coefficient below {coeffs[idx]} at ray {r}")
+    return (Fraction(top, scale) + max(Fraction(levels[1], scale), floor)) / 2
 
 
 def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstruction:

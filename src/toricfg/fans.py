@@ -63,9 +63,6 @@ class Fan2(NamedTuple):
         rs = self.rays
         return all(det(rs[i], rs[(i + 1) % len(rs)]) == 1 for i in range(len(rs)))
 
-    def index_of(self, ray) -> int:
-        return self.rays.index(int_vector(ray))
-
 
 def _coefficient(a):
     """a in the int normal form: an int when it is integral, else a
@@ -125,21 +122,14 @@ def ample_polytope(d: ToricDivisor) -> RatPolygon | None:
         p = divisor_polytope(d)
     except UnboundedPolytope:
         return None
-    return p if len(edge_rays(p, d.fan.rays, d.coeffs)) == len(d.fan.rays) else None
+    offsets = dict(p.lines)
+    edges = all(offsets.get(r) == -a * p.scale for r, a in zip(d.fan.rays, d.coeffs))
+    return p if p.dim == 2 and edges else None
 
 
 def is_ample(d: ToricDivisor) -> bool:
     """True iff D is ample (see ample_polytope)."""
     return ample_polytope(d) is not None
-
-
-def edge_rays(p: RatPolygon, rays, coeffs) -> set:
-    """The rays whose constraint <u, rho> >= -a_rho cuts an edge of
-    positive length out of p."""
-    if p.dim < 2:
-        return set()
-    offsets = dict(p.lines)
-    return {r for r, a in zip(rays, coeffs) if offsets.get(r) == -a * p.scale}
 
 
 def normal_fan(p: RatPolygon) -> Fan2:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from toricfg import cli, criterion, fans, semigroup
 from toricfg.geometry import RatPolygon
 from toricfg.semigroup import make_context
+from test_cli_golden import DOCS
 from util import load_example, run_main, src_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -399,12 +400,15 @@ def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch):
+def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch, tmp_path):
     # the input's ampleness check builds P_D and keeps it, the direction's
     # primitivity needs no polygon, and the one context of the call holds
     # that P_D and a single nabla': fg makes 2 intersections on sym16gon,
-    # plot of P_D 1, and construct-bad builds its flag data once and reads
-    # the verdict and the printed P_D off the polygons it already has
+    # plot of P_D 1, and construct-bad builds its flag data once, one
+    # polygon per interior ray it lowers, and reads the verdict and the
+    # printed P_D off the polygons it already has
+    lowers = tmp_path / "lowers_two_rays.json"
+    lowers.write_text(json.dumps(DOCS["lowers_two_rays.json"]), encoding="utf-8")
     calls = []
     kernel = RatPolygon.from_halfplanes
 
@@ -427,6 +431,7 @@ def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch):
         (("plot", "slanted_quad.json", "--what", "polytope"), 1, 0),
         (("construct-bad", "slanted_quad.json"), 10, 1),
         (("construct-bad", "extended_quad_fan.json"), 9, 1),
+        (("construct-bad", str(lowers)), 11, 1),
     ]
     for (command, name, *rest), most, flag_calls in cases:
         calls.clear()

@@ -35,8 +35,9 @@ BIG = "big_rational_zonotope.json"  # offsets near 2^43 / 3: bit-size stress
 SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1]]
 TRI = {"vertices": [[0, 0], [2, 0], [0, 2]]}
 
-# Invalid or incomplete documents, written to a temporary directory.  No
-# reason they fail with names the path, so their digests do not depend on it.
+# Documents written to a temporary directory: invalid or incomplete ones,
+# and fans with no bundled input.  No reason they fail with names the path,
+# so their digests do not depend on it.
 DOCS = {
     "not_json.json": "{",
     "not_object.json": [1, 2],
@@ -62,6 +63,12 @@ DOCS = {
     "bound_zero.json": {"polytope": TRI, "bound": 0},
     "lambda_max_negative.json": {"polytope": TRI, "direction": [1, 2], "lambda_max": -1},
     "no_lk.json": {"polytope": TRI, "direction": [1, 2]},
+    # a valid fan: construct-bad lowers two interior rays to non-integral
+    # coefficients
+    "lowers_two_rays.json": {
+        "fan": {"rays": [[3, 2], [7, 5], [3, 4], [1, 3], [-3, -1], [-1, -6]]},
+        "direction": [0, -1],
+    },
 }
 
 CASES = [
@@ -105,6 +112,8 @@ CASES = [
     ("construct-bad", EXT),  # skips the halfplane for a pointed cone
     ("construct-bad", EXT, "--direction", "1,2"),
     ("construct-bad", SQ),
+    ("construct-bad", "lowers_two_rays.json"),
+    ("fg-all", "lowers_two_rays.json"),
     ("plot", SQ, "--what", "polytope"),
     ("plot", SQ, "--what", "fan"),
     ("plot", SQ, "--what", "theta"),
@@ -245,6 +254,10 @@ GOLDEN = {
         '85ef566b4ccb7b2234943203b876c2afc571d9e300dcd0c414c97f2de3d7407c',
     'construct-bad slanted_quad.json':
         'd7749a00a8e1c8c8809109a759d882042114c11b98d8fabfd60ec8059da32512',
+    'construct-bad lowers_two_rays.json':
+        '5617d26711cc20cadf22ed159acec9e39923fdd0f09a77e7cc6d8e8783084772',
+    'fg-all lowers_two_rays.json':
+        'c83d16e548deff61b6fb189eda644c17032cb0b260d15fbf950ae0dbd1cf349d',
     'plot slanted_quad.json --what polytope':
         'd5be8b7c285b42633946e3228b2bbae325e6c9250353a3d51c4464e744a7a1eb',
     'plot slanted_quad.json --what fan':

@@ -7,10 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toricfg.cones import cone, exists_pairing_one, halfplane
 from toricfg.criterion import (
+    ConstructionFailed,
     DegenerateSide,
+    _check_tangent,
+    _lower_coefficient,
     _relaxation,
     _synthesize_d_theta,
     construct_bad_divisor,
+    failing_cones,
     fg_for_all_divisors,
     is_finitely_generated,
     lifting_table,
@@ -25,6 +29,7 @@ from toricfg.fans import (
     ToricDivisor,
     divisor_from_polytope,
     divisor_polytope,
+    flag_data,
 )
 from toricfg.geometry import (
     RatPolygon,
@@ -46,6 +51,7 @@ from util import (
     random_direction,
     random_smooth_fan,
     rationals,
+    search_lowered_coefficients,
     search_relaxation,
     vertex_level_max_segment,
 )
@@ -286,6 +292,74 @@ def test_construct_bad_divisor_rejects_non_decomposable():
         construct_bad_divisor(p1p1_fan(), cone("N", (1, 0), (0, 1)), (1, 1))
 
 
+def test_lowering_takes_the_midpoint_below_top_and_stops_at_the_floor():
+    # the other rays cut out the square [-1, 1]^2, whose vertex levels
+    # -<u, r> at r = (1, 1) are top = 2, then 0 and -2: ray r supports an
+    # edge iff a_r < 2, and a lowered a_r is the midpoint of 2 and the
+    # larger of 0 and the floor
+    fan = Fan2.from_rays([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)])
+    idx = fan.rays.index((1, 1))
+    for a, floor, lowered in ((3, -5, 1), (2, -5, 1), (2, 1, F(3, 2)), (F(7, 4), 1, F(7, 4))):
+        coeffs = [a if r == (1, 1) else 1 for r in fan.rays]
+        floors = [floor if r == (1, 1) else -5 for r in fan.rays]
+        assert _lower_coefficient(fan, coeffs, idx, floor) == lowered
+        assert search_lowered_coefficients(fan, [(1, 1)], coeffs, floors)[idx] == lowered
+    # a floor at top leaves no value: each lower a_r cuts into theta + nabla'
+    coeffs = [2 if r == (1, 1) else 1 for r in fan.rays]
+    with pytest.raises(ConstructionFailed, match="no feasible coefficient"):
+        _lower_coefficient(fan, coeffs, idx, 2)
+    with pytest.raises(ConstructionFailed, match="no feasible coefficient"):
+        search_lowered_coefficients(fan, [(1, 1)], coeffs, [2] * len(fan.rays))
+
+
+def _random_fan(rng, smooth):
+    if smooth:
+        return random_smooth_fan(rng)
+    while True:
+        rays = {(a, b) for a, b in ((rng.randint(-7, 7), rng.randint(-7, 7))
+                                    for _ in range(rng.randint(3, 8))) if gcd(a, b) == 1}
+        try:
+            return Fan2.from_rays(rays)
+        except InvalidFan:
+            continue
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda u: gcd(*u) == 1),
+)
+def test_closed_form_lowering_matches_trial_search(seed, smooth, v):
+    # on every failing pointed cone the lowered divisor is the one the trial
+    # search over the midpoints of the critical intervals finds, and the
+    # construction fails exactly when that search (or the tangent check
+    # before it) does
+    fan = _random_fan(random.Random(seed), smooth)
+    for sigma, w, _ in failing_cones(fan, v):
+        if sigma.kind != "cone":
+            continue
+        interior = [r for r in fan.rays if sigma.strictly_contains(r)]
+        d_theta = _synthesize_d_theta(fan, interior, [r for r in fan.rays if r not in interior])
+        theta0 = divisor_polytope(d_theta)
+        cprime = flag_data(fan, w).cprime_coeffs
+        d_prime = ToricDivisor.make(fan, cprime) + d_theta
+        floors = [c - theta0.support_min(r) for r, c in zip(fan.rays, cprime)]
+        try:
+            _check_tangent(theta0, sigma, w)
+            expected = search_lowered_coefficients(fan, interior, d_prime.coeffs, floors)
+        except ConstructionFailed:
+            expected = None
+        try:
+            out = construct_bad_divisor(fan, sigma, w)
+        except ConstructionFailed:
+            out = None
+        assert (out is None) == (expected is None), (fan, sigma, w)
+        if out is not None:
+            assert (out.d_prime, out.theta) == (d_prime, theta0)
+            assert out.divisor == ToricDivisor.make(fan, expected)
+
+
 def test_scan_directions_fixtures():
     results = scan_directions(divisor_from_polytope(CTX.p_d), 3)
     table = dict(results)
@@ -382,7 +456,7 @@ def test_relaxation_matches_search_on_random_fans():
         relax = search_relaxation(theta_inf, interior)
         assert _relaxation(theta_inf, interior) == relax
         coeffs = _synthesize_d_theta(fan, interior, outer).coeffs
-        assert [coeffs[fan.index_of(r)] for r in interior] == [relax] * size
+        assert [coeffs[fan.rays.index(r)] for r in interior] == [relax] * size
         relaxed.append(relax)
     assert len(set(relaxed)) > 20
     # the floor of 1, an integral and a fractional support value

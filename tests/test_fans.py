@@ -216,7 +216,4 @@ def test_float_and_fractional_vectors_rejected():
         flag_data(fan, (F(3, 2), 1))
     with pytest.raises(TypeError):
         Fan2.from_rays([(1, 0), (0, 1.0), (-1, -1)])
-    with pytest.raises(ValueError):
-        fan.index_of((F(1, 2), 2))
     assert flag_data(fan, (F(4, 2), 1)).v == (2, 1)
-    assert fan.index_of((F(1), F(2))) == fan.rays.index((1, 2))

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 from toricfg import cli
-from toricfg.criterion import SegmentData
+from toricfg.criterion import ConstructionFailed, SegmentData
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
@@ -264,6 +264,61 @@ def search_relaxation(theta_inf: RatPolygon, interior) -> int:
     while not all(theta_inf.support_min(r) > -relax for r in interior):
         relax += 1
     return relax
+
+
+def _edge_rays(p: RatPolygon, rays, coeffs) -> set:
+    """The rays whose constraint <u, rho> >= -a_rho cuts an edge of
+    positive length out of p."""
+    if p.dim < 2:
+        return set()
+    offsets = dict(p.lines)
+    return {r for r, a in zip(rays, coeffs) if offsets.get(r) == -a * p.scale}
+
+
+def _lowering_ok(fan, coeffs, idx, cand, processed):
+    trial = list(coeffs)
+    trial[idx] = cand
+    p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, trial)])
+    return processed <= _edge_rays(p, fan.rays, trial)
+
+
+def _search_coefficient(fan, coeffs, idx, floor, processed):
+    """Walk the vertex levels of p_wo and the floor downwards and try the
+    midpoint of each interval below the current coefficient."""
+    r = fan.rays[idx]
+    others = [
+        (rr, -a) for k, (rr, a) in enumerate(zip(fan.rays, coeffs)) if k != idx
+    ]
+    p_wo = RatPolygon.from_halfplanes(others)
+    current = Fraction(coeffs[idx])
+    crit = sorted({-Fraction(dot(u, r)) for u in p_wo.vertices} | {floor}, reverse=True)
+    upper = current
+    for c in crit:
+        if c >= upper:
+            continue
+        cand = (upper + c) / 2
+        if cand >= floor and _lowering_ok(fan, coeffs, idx, cand, processed):
+            return cand
+        upper = c
+    raise ConstructionFailed(f"no feasible coefficient below {current} at ray {r}")
+
+
+def search_lowered_coefficients(fan: Fan2, interior, coeffs, floors) -> list:
+    """The coefficients after lowering each interior ray by trial search:
+    a ray that supports no edge yet gets the first midpoint that keeps an
+    edge on it and on every ray handled before, without going below its
+    floor.  Raises ConstructionFailed when no midpoint does; the oracle
+    for the closed-form lowering of criterion.construct_bad_divisor."""
+    coeffs = list(coeffs)
+    processed = {r for r in fan.rays if r not in interior}
+    for idx, r in enumerate(fan.rays):
+        if r not in interior:
+            continue
+        processed.add(r)
+        p = RatPolygon.from_halfplanes([(rr, -a) for rr, a in zip(fan.rays, coeffs)])
+        if r not in _edge_rays(p, fan.rays, coeffs):
+            coeffs[idx] = _search_coefficient(fan, coeffs, idx, floors[idx], processed)
+    return coeffs
 
 
 def helly_certificates(normals):
