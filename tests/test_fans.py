@@ -73,6 +73,10 @@ def test_is_ample_fixtures():
         fan2, {(1, 2): 13, (0, 1): 6, (1, 0): 5, (-1, 1): F(11, 2)}
     )
     assert is_ample(adjusted)
+    # P_D is the segment [-1, 1] x {0}: it lies on the line of every ray,
+    # but no ray supports an edge of positive length
+    segment = ToricDivisor.make(p1p1_fan(), {(1, 0): 1, (-1, 0): 1})
+    assert divisor_polytope(segment).dim == 1 and not is_ample(segment)
 
 
 def test_flag_data_running_example():
