@@ -18,11 +18,13 @@ unbounded or empty region in closed form, and otherwise one deque walk
 over the sorted lines keeps the edges of the polygon, in O(n log n) exact
 integer steps.
 
-Lattice points are held as columns: ``lattice_points`` returns one
-(x, y_lo, y_hi) per integer x whose column holds a point, and
-``level_count`` counts the distinct levels <p, v> on those columns, so
-neither lists a point and their cost grows with the number of columns,
-not with the area.
+Lattice points are counted, not listed: ``lattice_points`` returns the
+polygon wrapped as ``LatticePoints``, whose ``len`` is the number of
+points and whose ``level_count`` is the number of levels <p, v> they
+take.  Both sum the lattice points of each chord by floor sums over the
+pieces between vertex levels, in O(n log size) int steps, so their cost
+grows with the vertex count and the bit size, not with the width or the
+area.  Iterating walks the columns one at a time.
 """
 
 from __future__ import annotations
@@ -485,34 +487,51 @@ def width(p: RatPolygon, v):
 
 
 class LatticePoints:
-    """The integer points of a convex polygon as columns: ``columns`` is a
-    list of (x, y_lo, y_hi), x increasing, one entry per integer x whose
-    column y_lo <= y <= y_hi holds a point.  A rational polygon can miss
-    an integer column inside its x-range; such a column has no entry.
+    """The integer points of a convex polygon, held as the polygon itself.
 
-    ``len`` is the exact number of points, and iterating yields them
-    lexicographically sorted; no point is built until a caller iterates.
+    ``len`` is the exact number of points and ``level_count`` the number
+    of their levels <p, v>, both read off the polygon by floor sums
+    (``_chord_sum``) in O(n log size) steps whatever the area.  Iterating
+    yields the points lexicographically sorted, walking the columns one at
+    a time (or reading ``columns`` once it is built), so a caller that
+    stops early builds only what it read.  ``columns`` lists
+    (x, y_lo, y_hi), x increasing, one entry per integer x whose column
+    holds a point (a rational polygon can miss an integer column inside
+    its x-range), and is built on first read.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("polygon", "_columns")
 
-    def __init__(self, columns):
-        self.columns = columns
+    def __init__(self, polygon):
+        self.polygon, self._columns = polygon, None
 
     def __len__(self):
-        return sum(hi - lo + 1 for _, lo, hi in self.columns)
+        return _chord_sum(self.polygon, (1, 0), capped=False)
+
+    @property
+    def columns(self) -> list:
+        if self._columns is None:
+            self._columns = list(_column_walk(self.polygon))
+        return self._columns
 
     def __iter__(self):
-        for x, lo, hi in self.columns:
+        walk = _column_walk(self.polygon) if self._columns is None else self.columns
+        for x, lo, hi in walk:
             yield from zip(repeat(x), range(lo, hi + 1))
 
     def __repr__(self):
-        return f"LatticePoints({self.columns!r})"
+        return f"LatticePoints({self.polygon!r})"
 
 
 def lattice_points(p: RatPolygon) -> LatticePoints:
-    """The integer points of a polygon, by columns, from one walk up its
-    two boundary chains, in O(n + columns) int steps whatever the area.
+    """The integer points of a polygon; nothing is walked or counted until
+    a caller asks (see ``LatticePoints``)."""
+    return LatticePoints(p)
+
+
+def _column_walk(p: RatPolygon):
+    """The non-empty integer columns (x, y_lo, y_hi) of p, x increasing,
+    from one walk up its two boundary chains, yielded as they are reached.
 
     With v = (1, 0) the chain coordinates (s, t) of the int ring
     (``RatPolygon.ring``, vertices times L) are (x, y) itself, so the
@@ -522,44 +541,115 @@ def lattice_points(p: RatPolygon) -> LatticePoints:
     floor division; no Fraction and no point is built.
     """
     if p.is_empty:
-        return LatticePoints([])
+        return
     scale, st = p.scale, p.ring
     lower, upper = _chains(st)
     xs = range(-(-st[lower[0]][0] // scale), st[lower[-1]][0] // scale + 1)
     levels = range(xs.start * scale, xs.stop * scale, scale)
-    columns = []
     for x, (n, d, _), (n2, d2, _) in zip(xs, _heights(st, lower, levels),
                                        _heights(st, upper, levels)):
         lo, hi = -(-n // (d * scale)), n2 // (d2 * scale)
         if lo <= hi:
-            columns.append((x, lo, hi))
-    return LatticePoints(columns)
+            yield x, lo, hi
 
 
 def level_count(points: LatticePoints, v) -> int:
     """The number of distinct levels <p, v> over ``points``, the integer
-    points of a convex polygon as ``lattice_points`` returns them, for
-    v = (a, b), in O(columns log columns) steps; no point is read.
+    points of a convex polygon as ``lattice_points`` returns them, for a
+    primitive v, in O(n log size) steps; no point or column is read."""
+    return _chord_sum(points.polygon, v, capped=True)
 
-    A column x, y_lo <= y <= y_hi, has the levels a*x + b*y, a progression
-    of step |b|.  Columns with equal a*x mod |b| share a residue class,
-    and the count is the size of each class's union of progressions.
-    With b = 0 a column is the one level a*x, so the count is the number
-    of columns.
+
+def floor_sum(n, m, a, b):
+    """sum of floor((a*i + b) / m) over 0 <= i < n, for n >= 0, m > 0 and
+    any ints a and b, in O(log m) steps by the Euclid-like reduction
+    (Graham, Knuth and Patashnik, Concrete Mathematics, section 3.5; the
+    ``floor_sum`` of the AtCoder Library).  With 0 <= a, b < m the sum
+    counts the lattice points under a line, and counting them by the
+    other axis gives the same sum with m and a swapped."""
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        q2, b = divmod(b, m)
+        total += q * (n * (n - 1) // 2) + q2 * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _edge_line(lo, hi, scale):
+    """(p, q, r) with t = (p*s + q) / r on the chain edge from lo to hi,
+    two int (s, t) vertices times scale, for s the level itself."""
+    (s1, t1), (s2, t2) = lo, hi
+    return (t2 - t1) * scale, t1 * (s2 - s1) - (t2 - t1) * s1, scale * (s2 - s1)
+
+
+def _chord_sum(p: RatPolygon, v, capped: bool) -> int:
+    """The sum over the integer levels s of p of n(s), the number of
+    lattice points on the chord of p at level <x, v> = s, or of min(n(s), 1)
+    when capped, for a primitive v.  Uncapped it is the number of lattice
+    points of p, capped the number of levels they take.
+
+    In ``ChordWalk``'s unimodular (s, t) coordinates the chord at level s
+    is t in [A(s), B(s)], the lower and upper chain heights, and
+    n(s) = floor(B) - ceil(A) + 1 >= 0 since B >= A.  Between consecutive
+    vertex levels of the two chains A and B are affine, so on each such
+    piece the sum of n(s) is n plus two floor sums (floor(B) and
+    floor(-A)).  Capped, every level with B - A >= 1 holds a point; B - A
+    is affine on the piece, so those levels are a prefix or a suffix found
+    by one division, and on the other levels n(s) is 0 or 1 and is summed
+    as before.  Each piece costs O(log size) int steps.
     """
-    (a, b), step = v, abs(v[1]) or 1
-    runs = []
-    for x, y_lo, y_hi in points.columns:
-        lo = a * x + min(b * y_lo, b * y_hi)
-        runs.append((lo % step, lo, lo + abs(b) * (y_hi - y_lo)))
-    count, residue, end = 0, None, None
-    for r, lo, hi in sorted(runs):
-        if r != residue or lo > end:
-            residue, end = r, lo - step
-        if hi > end:
-            count += (hi - end) // step
-            end = hi
-    return count
+    if p.is_empty:
+        return 0
+    scale = p.scale
+    (a, b), (c, d) = v, solve_pairing_one(v)
+    st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
+    lower, upper = _chains(st)
+    if len(lower) == 1:  # one level: a point or a chord
+        (s, t0), t1 = st[lower[0]], st[upper[0]][1]
+        if s % scale:
+            return 0
+        n = t1 // scale + (-t0) // scale + 1
+        return min(n, 1) if capped else n
+    levels = sorted({st[k][0] for k in lower + upper})
+    total, start, i, j = 0, -(-levels[0] // scale), 0, 0
+    for k in range(1, len(levels)):
+        s1 = levels[k]
+        while st[lower[i + 1]][0] < s1:
+            i += 1
+        while st[upper[j + 1]][0] < s1:
+            j += 1
+        # the integer levels in [levels[k - 1], s1), and s1 itself at the end
+        stop = s1 // scale if k == len(levels) - 1 else (s1 - 1) // scale
+        n = stop - start + 1
+        if n <= 0:
+            continue
+        pa, qa, ra = _edge_line(st[lower[i]], st[lower[i + 1]], scale)
+        pb, qb, rb = _edge_line(st[upper[j]], st[upper[j + 1]], scale)
+        first = start
+        start = stop + 1
+        if capped:
+            # B - A >= 1, so the level holds a point, at first + i iff
+            # e1 * i + e0 >= 0; the other levels, a prefix or a suffix of
+            # the piece, are i0 <= i < i1
+            e1 = pb * ra - pa * rb
+            e0 = e1 * first + qb * ra - qa * rb - ra * rb
+            if e1 > 0:
+                i0, i1 = 0, min(n, max(0, -(e0 // e1)))
+            elif e1 < 0:
+                i0, i1 = min(n, max(0, e0 // -e1 + 1)), n
+            else:
+                i0, i1 = 0, n if e0 < 0 else 0
+            total += n - i1 + i0
+            first, n = first + i0, i1 - i0
+            if n == 0:
+                continue
+        total += (floor_sum(n, rb, pb, pb * first + qb)
+                  + floor_sum(n, ra, -pa, -pa * first - qa) + n)
+    return total
 
 
 def solve_pairing_one(v):

@@ -8,9 +8,9 @@ so that the tests and the benchmark's checks can compare the two.
 ``cones.is_strongly_decomposable`` imports it lazily and calls it for the
 witness of every decomposable verdict, and raises when it finds none.
 ``lift_search`` is analyze's production lambda search: it counts the
-levels of each dilate's lattice points with the geometry kernel
-``level_count``, and ``tests/util.projection_lift_search``, which projects
-every point, is its oracle.
+levels of each dilate's lattice points by floor sums with the geometry
+kernel ``level_count``, and ``tests/util.projection_lift_search``, which
+projects every point, is its oracle.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def brute_decompose(w, c: Cone2):
 
     For pointed cones the candidates fill the bounded region
     c intersect (w - c), read in lexicographic order as ``lattice_points``
-    yields them, so the search builds only the points up to the first
-    witness; for a halfplane the witness (when the boundary
-    distance allows one) is taken on the first interior lattice line,
-    as close to w/2 as possible.
+    yields them, column by column, so the search builds only the columns
+    and points up to the first witness; for a halfplane the witness (when
+    the boundary distance allows one) is taken on the first interior
+    lattice line, as close to w/2 as possible.
     """
     w = int_vector(w)
     if not c.strictly_contains(w):
@@ -110,8 +110,9 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
 
     A dilate whose extreme levels <p, v> are integers lo and hi is gapless
     when its lattice points take hi - lo + 1 distinct levels, which
-    ``level_count`` counts by column.  ``tests/util.projection_lift_search``
-    is its oracle."""
+    ``level_count`` counts by floor sums in O(n log size) steps, so a
+    dilate costs the same however wide it is and no point or column is
+    read.  ``tests/util.projection_lift_search`` is its oracle."""
     q = rational(q)
     base = theta(ctx, 1, q)
     if base.is_empty:

@@ -100,9 +100,9 @@ def theta(ctx: FlagContext, l, k) -> RatPolygon:
 
 def e_bar(ctx: FlagContext, l: int, k: int) -> int:
     """Number of distinct pairings <u, v> over lattice points of the colon
-    polytope; the dimension of the restricted section space.  Counted on
-    the polygon's lattice-point columns by ``level_count``, so no point
-    is listed."""
+    polytope; the dimension of the restricted section space.  Counted by
+    ``level_count`` with floor sums over the polygon's chords orthogonal
+    to v, in O(n log size) steps, so no point or column is read."""
     t = theta(ctx, l, k)
     if t.is_empty:
         return 0

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 from toricfg import cli, criterion, fans, semigroup
@@ -181,9 +182,52 @@ def test_long_directions_find_their_witness(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["finitely_generated"] is False and doc["witness_plus"] is None
     cases.append((doc["sigma_minus"], [-10001, -1], doc["witness_minus"]))
+    # about 10**6 columns: only the first few are walked, so neither the
+    # time nor the memory grows with the direction's length
+    tracemalloc.start()
+    try:
+        res = run_main("fg-all", "--input", str(fan), "--direction", "2000001,1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(res.stdout)
+    assert peak < 2**20 and doc["witness"] == [[2, 1], [1999999, 999999]]
+    cases.append((doc["failing_cone"], doc["failing_direction"], doc["witness"]))
     for cone, w, (p, q) in cases:
         assert [p[0] + q[0], p[1] + q[1]] == w
         assert _strictly_inside(cone, p) and _strictly_inside(cone, q)
+
+
+def test_big_lifting_and_e_bar_are_lattice_invariant(tmp_path):
+    # g = [[2, 1], [1, 1]] on the rays and the direction moves P_D by the
+    # inverse transpose of g, and a_rho + <u, rho> moves it by -u; neither
+    # changes the lambda column of analyze or a section count
+    with open(inp("big_rational_zonotope.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    rays = doc["fan"]["rays"]
+    coeffs = [Fraction(*a) if isinstance(a, list) else Fraction(a)
+              for a in doc["divisor"]["coefficients"]]
+
+    def g(r):
+        return [2 * r[0] + r[1], r[0] + r[1]]
+
+    moved = {"fan": {"rays": [g(r) for r in rays]}, "divisor": doc["divisor"],
+             "direction": g(doc["direction"])}
+    shifted = dict(doc, divisor={"coefficients": [
+        [(a + 5 * r[0] - 3 * r[1]).numerator, (a + 5 * r[0] - 3 * r[1]).denominator]
+        for r, a in zip(rays, coeffs)]})
+    cells = [(1, 0), (2, 7 * 10**11), (15, 25288767439192), (15, 25288767439193)]
+    seen = []
+    for name, d in (("big", doc), ("moved", moved), ("shifted", shifted)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        res = run_main("analyze", "--input", str(path))
+        assert res.returncode == 0, res.stderr
+        ctx = cli.load_problem(argparse.Namespace(command="fg", input=str(path), direction=None)).context
+        seen.append((json.loads(res.stdout)["lifting"], [semigroup.e_bar(ctx, l, k) for l, k in cells]))
+    assert seen[0] == seen[1] == seen[2]
+    assert [row["lambda"] for row in seen[0][0]] == [3, 3, None, None, 15]
+    assert seen[0][1][:2] == [13560643409421, 25021286818843]
 
 
 def test_scan_and_construct_bad():

@@ -104,9 +104,10 @@ CASES = [
     ("scan", SEVEN, "--bound", "3"),
     ("scan", SYM16, "--bound", "2"),
     ("scan", RQ, "--bound", "3"),
-    # no semigroup or analyze case: both enumerate lattice points of a
-    # polygon about 2^43 wide
+    # no semigroup case: it would print about 10**12 rows
     ("scan", BIG, "--bound", "3"),
+    ("analyze", BIG),
+    ("analyze", BIG, "--direction", "3,7"),
     ("fg", BIG),
     ("nobody", BIG),
     ("construct-bad", EXT),  # skips the halfplane for a pointed cone
@@ -244,6 +245,10 @@ GOLDEN = {
         '897dc9c49007d1dd0b2c8a8d6b5c325fee98aef56aac82bb76679ba6317b4901',
     'scan big_rational_zonotope.json --bound 3':
         'ba4d4420c4e84347ae97b2052cffa73c36aeb0925156b2530eb5c7185f40c091',
+    'analyze big_rational_zonotope.json':
+        '0991a7eea482737ea4cdcf0a13c24250fdeadd55dd33eca3c123c7c5f9670fe8',
+    'analyze big_rational_zonotope.json --direction 3,7':
+        '533a52383c860616fb4f0196e8ab50c57531f47e4b608336f0977c4ec6c76612',
     'fg big_rational_zonotope.json':
         'a7c6dc1eba32aca5c88047ac47f581219e60d53bb0aef29d42b0c8e5cad6875c',
     'nobody big_rational_zonotope.json':

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from toricfg import geometry
 from toricfg.fans import ToricDivisor, divisor_polytope
 from toricfg.geometry import (
-    LatticePoints,
     RatPolygon,
     UnboundedRegion,
     dot,
@@ -25,6 +24,7 @@ from toricfg.geometry import (
 
 from paper import colon, contains_polygon, minkowski_sum
 from util import (
+    column_level_count,
     fraction_from_halfplanes,
     fraction_polygon_of_points,
     helly_certificates,
@@ -502,47 +502,63 @@ def test_lattice_points_match_naive_oracle_under_translation(points):
     assert list(lattice_points(moved)) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
 
 
-# primitive directions with |b| up to 9; (0, 0) stands for (1, 0)
-LEVEL_DIRECTION = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
+# primitive directions with entries up to 10**3; (0, 0) stands for (1, 0)
+LEVEL_DIRECTION = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).map(
     lambda u: (u[0] // gcd(*u), u[1] // gcd(*u)) if u != (0, 0) else (1, 0))
 
 
-# rationals in [-6, 6] with denominators dividing 42, cheaper to draw
-# than st.fractions
-LEVEL_COORD = st.builds(F, st.integers(-42, 42), st.sampled_from((7, 14, 21, 42)))
-
-
 @settings(max_examples=150, derandomize=True)
-@given(st.lists(st.tuples(LEVEL_COORD, LEVEL_COORD), max_size=7), LEVEL_DIRECTION)
-@example([], (2, -5))  # no points
-@example([(F(1, 2), F(-7, 3)), (F(1, 2), 4)], (1, 0))  # no column
-@example([(0, 0), (0, 6), (4, 1)], (3, -2))  # columns of two residue classes
-@example([(0, 0), (7, 0), (7, 3), (0, 3)], (1, 7))  # progressions that overlap
-def test_level_count_is_the_number_of_distinct_levels(points, v):
-    p = RatPolygon.from_vertices(points) if points else RatPolygon.empty()
-    expected = len({dot(q, v) for q in naive_lattice_points(p)})
-    assert level_count(lattice_points(p), v) == expected
+@given(st.lists(RATIONAL_POINT, max_size=7), st.sampled_from((1, F(7, 3))), LEVEL_DIRECTION)
+@example([], 1, (2, -5))  # no points
+@example([(F(1, 2), F(-7, 3)), (F(1, 2), 4)], 1, (1, 0))  # no column
+@example([(F(1, 3), 1), (F(2, 3), 1)], 1, (0, 1))  # a chord with no point
+@example([(0, 0), (0, 6), (4, 1)], 1, (3, -2))  # columns of two residue classes
+@example([(0, 0), (7, 0), (7, 3), (0, 3)], 1, (1, 7))  # progressions that overlap
+@example([(0, 0), (6, 1), (5, 2)], F(7, 3), (997, -1000))  # thin chords, long v
+def test_level_count_is_the_number_of_distinct_levels(points, scale, v):
+    # the floor sums against the column oracle and the bounding-box points,
+    # on polygons of dim -1 to 2, and on their translates far out
+    p = RatPolygon.from_vertices([(scale * x, scale * y) for x, y in points]) \
+        if points else RatPolygon.empty()
+    expected = naive_lattice_points(p)
+    levels = len({dot(q, v) for q in expected})
+    found = lattice_points(p)
+    assert len(found) == len(expected)
+    assert level_count(found, v) == column_level_count(found.columns, v) == levels
     if points:
-        moved = RatPolygon.from_vertices([(x + FAR[0], y + FAR[1]) for x, y in points])
-        assert level_count(lattice_points(moved), v) == expected
+        moved = lattice_points(RatPolygon.from_vertices(
+            [(x + FAR[0], y + FAR[1]) for x, y in p.vertices]))
+        assert (len(moved), level_count(moved, v)) == (len(expected), levels)
 
 
-class _ColumnsOnly(LatticePoints):
-    """Lattice-point columns that refuse to be read point by point."""
-
-    def __iter__(self):
-        raise AssertionError("the points were iterated")
-
-
-def test_level_count_work_grows_with_the_columns():
-    # one progression per column; projecting every point would build all
-    # 6,161 of them
+def test_level_count_reads_no_column(monkeypatch):
+    # len and level_count read the polygon, not its 161 columns or 6,161
+    # points, which are read once before for the expected values
     ctx = load_example("slanted_quad").context
-    points = lattice_points(theta(ctx, 1, 0).dilate(20))
-    columns = len({x for x, _ in points})
-    assert (len(points), columns, len(points.columns)) == (6161, 161, 161)
-    expected = len({dot(q, ctx.flag.v) for q in points})
-    assert level_count(_ColumnsOnly(points.columns), ctx.flag.v) == expected
+    poly = theta(ctx, 1, 0).dilate(20)
+    listed = list(lattice_points(poly))
+    expected = len({dot(q, ctx.flag.v) for q in listed})
+    assert (len(listed), len({x for x, _ in listed})) == (6161, 161)
+
+    def refuse(*args):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(geometry, "_column_walk", refuse)
+    monkeypatch.setattr(geometry, "_heights", refuse)
+    points = lattice_points(poly)
+    assert len(points) == 6161
+    assert level_count(points, ctx.flag.v) == expected
+
+
+def test_first_point_of_a_wide_triangle_reads_one_column():
+    # 10**15 + 1 columns; iterating reads them one at a time
+    start = time.perf_counter()
+    points = lattice_points(RatPolygon.from_vertices([(0, 0), (10**15, 0), (0, 1)]))
+    walk = iter(points)
+    assert (next(walk), next(walk), next(walk)) == ((0, 0), (0, 1), (1, 0))
+    assert len(points) == 10**15 + 2
+    assert level_count(points, (0, 1)) == 2
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=120, derandomize=True)

@@ -154,6 +154,31 @@ def naive_lattice_points(p: RatPolygon):
     return out
 
 
+def column_level_count(columns, v) -> int:
+    """The number of distinct levels <p, v> = a*x + b*y over the lattice
+    points held as columns (x, y_lo, y_hi), for v = (a, b), by merging
+    progressions; the oracle for the floor-sum ``geometry.level_count``.
+
+    A column's levels are a progression of step |b|.  Columns with equal
+    a*x mod |b| share a residue class, and the count is the size of each
+    class's union of progressions.  With b = 0 a column is the one level
+    a*x, so the count is the number of columns.
+    """
+    (a, b), step = v, abs(v[1]) or 1
+    runs = []
+    for x, y_lo, y_hi in columns:
+        lo = a * x + min(b * y_lo, b * y_hi)
+        runs.append((lo % step, lo, lo + abs(b) * (y_hi - y_lo)))
+    count, residue, end = 0, None, None
+    for r, lo, hi in sorted(runs):
+        if r != residue or lo > end:
+            residue, end = r, lo - step
+        if hi > end:
+            count += (hi - end) // step
+            end = hi
+    return count
+
+
 def polygon_contains(p: RatPolygon, point) -> bool:
     """Whether the point lies in p, read off p's halfplanes."""
     x, y = (rational(c) for c in point)
