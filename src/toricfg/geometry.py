@@ -492,31 +492,23 @@ class LatticePoints:
     ``len`` is the exact number of points and ``level_count`` the number
     of their levels <p, v>, both read off the polygon by floor sums
     (``_chord_sum``) in O(n log size) steps whatever the area.  Iterating
-    yields the points lexicographically sorted, walking the columns one at
-    a time (or reading ``columns`` once it is built), so a caller that
-    stops early builds only what it read.  ``columns`` lists
-    (x, y_lo, y_hi), x increasing, one entry per integer x whose column
-    holds a point (a rational polygon can miss an integer column inside
-    its x-range), and is built on first read.
+    yields the points lexicographically sorted, walking the non-empty
+    integer columns (``_column_walk``) one at a time, so a caller that
+    stops early builds only what it read.
     """
 
-    __slots__ = ("polygon", "_columns")
+    __slots__ = ("polygon",)
 
     def __init__(self, polygon):
-        self.polygon, self._columns = polygon, None
+        self.polygon = polygon
 
     def __len__(self):
+        # Python's len must fit an index: past 2**63 - 1 points it raises
+        # OverflowError, and only _chord_sum gives the count
         return _chord_sum(self.polygon, (1, 0), capped=False)
 
-    @property
-    def columns(self) -> list:
-        if self._columns is None:
-            self._columns = list(_column_walk(self.polygon))
-        return self._columns
-
     def __iter__(self):
-        walk = _column_walk(self.polygon) if self._columns is None else self.columns
-        for x, lo, hi in walk:
+        for x, lo, hi in _column_walk(self.polygon):
             yield from zip(repeat(x), range(lo, hi + 1))
 
     def __repr__(self):
@@ -605,9 +597,7 @@ def _chord_sum(p: RatPolygon, v, capped: bool) -> int:
     if p.is_empty:
         return 0
     scale = p.scale
-    (a, b), (c, d) = v, solve_pairing_one(v)
-    st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
-    lower, upper = _chains(st)
+    _, st, lower, upper = _chord_coords(p, v)
     if len(lower) == 1:  # one level: a point or a chord
         (s, t0), t1 = st[lower[0]], st[upper[0]][1]
         if s % scale:
@@ -668,11 +658,23 @@ def solve_pairing_one(v):
     return (x, y)
 
 
+def _chord_coords(p: RatPolygon, v):
+    """(u, st, lower, upper) for a non-empty p and a primitive v: some u
+    with <u, v> = 1, the int ring of p (``RatPolygon.ring``) mapped by
+    x -> (s, t) = (<x, v>, det(u, x)), and its two chains (``_chains``).
+    The map is unimodular and keeps orientation (see ``ChordWalk``);
+    ``ChordWalk`` and ``_chord_sum`` share it."""
+    (a, b) = v
+    c, d = u = solve_pairing_one(v)
+    st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
+    return (u, st, *_chains(st))
+
+
 def _chains(st):
     """The lower and upper boundary chains of a counterclockwise int
     (s, t) ring, as ring indices in strictly increasing s: the ring split
     at its lexicographic min and max, and past the edges at constant s.
-    ``ChordWalk`` and ``lattice_points`` share them."""
+    ``_chord_coords`` and ``_column_walk`` share them."""
     first = min(range(len(st)), key=st.__getitem__)
     last = max(range(len(st)), key=st.__getitem__)
     chains = []
@@ -689,7 +691,7 @@ def _heights(st, chain, levels):
     """For each level (ascending, inside the chain's s-range) the chain's
     t there as (N, D, j): t = N/D, at chain vertex j if it sits at that
     level, else inside the edge from chain vertex j - 1 to j.
-    ``ChordWalk`` and ``lattice_points`` share it."""
+    ``ChordWalk`` and ``_column_walk`` share it."""
     j = 0
     for lvl in levels:
         while st[chain[j]][0] < lvl:
@@ -721,16 +723,15 @@ class ChordWalk:
     """
 
     def __init__(self, p: RatPolygon, v):
-        self._v, self._u, self._scale = v, solve_pairing_one(v), p.scale
+        self._v, self._scale = v, p.scale
         self.length, self.levels, self._best = None, [], []
         if p.is_empty:
             return
-        (a, b), (c, d) = v, self._u
-        self._st = st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
+        self._u, st, lower, upper = _chord_coords(p, v)
+        self._st = st
         # (vertices, edges) in increasing s, as ring indices; ring edge i
         # runs from vertex i to i + 1, so it starts at the lower chain's
         # left vertex and at the upper chain's right one
-        lower, upper = _chains(st)
         self._chains = (lower, lower[:-1]), (upper, upper[1:])
         levels = sorted({s for s, _ in st})
         best = None
