@@ -56,36 +56,19 @@ def zonotope(weights):
 
 
 def filters_pass(polygon):
-    from fractions import Fraction
-
     from toricfg.cones import cone, is_strongly_decomposable
-    from toricfg.geometry import ceil_frac, floor_frac, neg, primitivize, vsub
+    from toricfg.geometry import lattice_points, neg, primitivize
 
     verts = polygon.vertices
     n = len(verts)
-    for i, ((a, b), (normal, offset)) in enumerate(
-        zip(polygon.edges(), polygon.halfplanes)
-    ):
-        scale = -offset  # support value, positive here
-        # open scaled edge must miss the lattice
-        d = vsub(b, a)
-        if d[0] != 0:
-            lo, hi = sorted((a[0] / scale, b[0] / scale))
-            for x in range(ceil_frac(Fraction(lo)), floor_frac(Fraction(hi)) + 1):
-                t = (x - a[0] / scale) / (d[0] / scale)
-                if 0 < t < 1:
-                    y = a[1] / scale + t * d[1] / scale
-                    if y.denominator == 1:
-                        return False
-        else:
-            x = a[0] / scale
-            if x.denominator == 1:
-                lo, hi = sorted((a[1] / scale, b[1] / scale))
-                if floor_frac(Fraction(hi)) >= ceil_frac(Fraction(lo)) and hi > lo:
-                    # ignore endpoints; any strict interior hit fails
-                    for y in range(ceil_frac(Fraction(lo)), floor_frac(Fraction(hi)) + 1):
-                        if lo < y < hi:
-                            return False
+    for a, b, (_, offset) in zip(verts, verts[1:] + verts[:1], polygon.halfplanes):
+        # the open scaled edge must miss the lattice: its lattice points
+        # are at most its lattice endpoints (offset is minus the support
+        # value, negative here)
+        ends = [(x / -offset, y / -offset) for x, y in (a, b)]
+        inside = len(lattice_points(RatPolygon.from_vertices(ends)))
+        if inside > sum(x.denominator == y.denominator == 1 for x, y in ends):
+            return False
     for i, p in enumerate(verts):
         vdir = primitivize(rot90(p))
         n1 = polygon.halfplanes[(i - 1) % n][0]
@@ -95,7 +78,7 @@ def filters_pass(polygon):
         # and keep the ones that are interior
         for w in (vdir, neg(vdir)):
             for c_gens in ((n2, neg(n1)), (n1, neg(n2))):
-                c = cone("N", *c_gens)
+                c = cone(*c_gens)
                 if c.strictly_contains(w) and is_strongly_decomposable(w, c)[0]:
                     break
             else:

@@ -38,7 +38,6 @@ from .fans import (
     InvalidFan,
     NonPrimitiveDirection,
     ToricDivisor,
-    UnboundedPolytope,
     divisor_from_polytope,
     divisor_polytope,
     flag_data,

@@ -380,8 +380,7 @@ def _write_output(text: str, output: str | None):
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"cannot write {output}: {exc}", file=sys.stderr)
-            raise SystemExit(1)
+            raise InputError(f"cannot write output {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -430,12 +429,12 @@ def main(argv=None) -> int:
             if type(val) is int and val < 1:  # --bound, --lmax, --lambda-max
                 raise InputError(f"--{dest.replace('_', '-')} must be a positive integer")
         out = handler(load_problem(args), args)
+        if not isinstance(out, str):
+            out = json.dumps(out, indent=2) + "\n"
+        _write_output(out, args.output)
     except (InputError, svgfig.FigureTooLarge) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    if not isinstance(out, str):
-        out = json.dumps(out, indent=2) + "\n"
-    _write_output(out, args.output)
     return 0
 
 

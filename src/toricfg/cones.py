@@ -2,8 +2,9 @@
 strong-decomposability test, and exact search for lattice points with a
 prescribed pairing value.
 
-A cone knows which lattice it lives in ("M" or "N"); dualizing swaps the
-tag.  Maximal-cross-section cones of polygons with parallel edges
+Cones carry no lattice tag: the criterion's side cones live in N, the
+tangent cones of colon polytopes in M, and ``dual_cone`` takes one to
+the other.  Maximal-cross-section cones of polygons with parallel edges
 degenerate to halfplanes; a halfplane is stored as the cone on (g, -g),
 so membership, duality, the pairing-one search and decomposability read
 it exactly as a strongly convex cone.  Only the Hilbert basis (which a
@@ -40,7 +41,6 @@ class Cone2(NamedTuple):
     two-generator kinds are the set {x : det(g1, x) >= 0, det(x, g2) >= 0};
     for (g, -g) the two walls coincide in the closed left side of g."""
 
-    lattice: str
     kind: str
     generators: tuple
 
@@ -58,11 +58,11 @@ class Cone2(NamedTuple):
         return det(g1, x) > 0 and det(x, g2) > 0
 
 
-def ray(lattice: str, g) -> Cone2:
-    return Cone2(lattice, "ray", (primitivize(g),))
+def ray(g) -> Cone2:
+    return Cone2("ray", (primitivize(g),))
 
 
-def cone(lattice: str, g1, g2, inside=None) -> Cone2:
+def cone(g1, g2, inside=None) -> Cone2:
     """Cone spanned by g1 and g2: a ray when they point the same way, the
     halfplane on the side of ``inside`` when they are antiparallel, and
     otherwise the strongly convex cone with its generators in
@@ -71,18 +71,18 @@ def cone(lattice: str, g1, g2, inside=None) -> Cone2:
     d = det(a, b)
     if d == 0:
         if a == b:
-            return ray(lattice, a)
+            return ray(a)
         if inside is None:
             raise ValueError(
                 "antiparallel generators: construct a halfplane with an explicit side"
             )
-        return halfplane(lattice, a, inside)
+        return halfplane(a, inside)
     if d < 0:
         a, b = b, a
-    return Cone2(lattice, "cone", (a, b))
+    return Cone2("cone", (a, b))
 
 
-def halfplane(lattice: str, boundary, inside) -> Cone2:
+def halfplane(boundary, inside) -> Cone2:
     """Halfplane with boundary line through ``boundary`` whose open side
     contains ``inside``."""
     g = primitivize(boundary)
@@ -91,11 +91,7 @@ def halfplane(lattice: str, boundary, inside) -> Cone2:
         raise ValueError("inside point lies on the boundary line")
     if s < 0:
         g = neg(g)
-    return Cone2(lattice, "halfplane", (g, neg(g)))
-
-
-def _other_lattice(lattice: str) -> str:
-    return "N" if lattice == "M" else "M"
+    return Cone2("halfplane", (g, neg(g)))
 
 
 def dual_cone(c: Cone2) -> Cone2:
@@ -104,7 +100,7 @@ def dual_cone(c: Cone2) -> Cone2:
     counts as the walls (g, g) and gives the halfplane containing g; the
     walls (g, -g) of a halfplane give the ray rot90(g)."""
     g1, g2 = c.generators[0], c.generators[-1]
-    return cone(_other_lattice(c.lattice), (g2[1], -g2[0]), rot90(g1), g1)
+    return cone((g2[1], -g2[0]), rot90(g1), g1)
 
 
 def hilbert_basis(c: Cone2) -> tuple:

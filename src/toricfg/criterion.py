@@ -103,8 +103,8 @@ def sigma_cones(seg: SegmentData, v) -> tuple:
     if seg.n1_below is None or seg.n2_below is None:
         raise DegenerateSide("no edge parts below the maximal cross-section")
     v = int_vector(v)
-    sigma_minus = cone("N", seg.n1_above, seg.n2_above, neg(v))
-    sigma_plus = cone("N", seg.n1_below, seg.n2_below, v)
+    sigma_minus = cone(seg.n1_above, seg.n2_above, neg(v))
+    sigma_plus = cone(seg.n1_below, seg.n2_below, v)
     return sigma_plus, sigma_minus
 
 
@@ -140,9 +140,8 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     v = ctx.flag.v
     if width(t, v) == 0:
         return True
-    ext = theta_extremal(ctx, 1, q)
-    return (exists_pairing_one(ext.cone_minus, v)
-            and exists_pairing_one(ext.cone_plus, neg(v)))
+    cone_minus, cone_plus = theta_extremal(ctx, 1, q)
+    return exists_pairing_one(cone_minus, v) and exists_pairing_one(cone_plus, neg(v))
 
 
 def lifting_table(ctx: FlagContext) -> tuple:
@@ -203,7 +202,7 @@ def failing_cones(fan: Fan2, v):
         if det(ri, v) == 0 or det(rj, v) == 0:
             continue  # +-v on a ray's line is interior to no cone of the pair
         for w in (v, neg(v)):
-            c = cone("N", ri, rj, w)
+            c = cone(ri, rj, w)
             if c.strictly_contains(w):
                 dec, wit = is_strongly_decomposable(w, c)
                 if dec:

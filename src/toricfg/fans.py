@@ -10,7 +10,6 @@ from typing import NamedTuple
 from .geometry import (
     RatPolygon,
     DegeneratePolygon,
-    UnboundedRegion,
     angular_sorted,
     det,
     dot,
@@ -24,10 +23,6 @@ from .geometry import (
 
 class NonPrimitiveDirection(ValueError):
     """A flag direction must be a primitive lattice vector."""
-
-
-class UnboundedPolytope(ValueError):
-    """The divisor is not nef, so its polytope is unbounded."""
 
 
 class InvalidFan(ValueError):
@@ -105,23 +100,17 @@ class ToricDivisor(NamedTuple):
 
 
 def divisor_polytope(d: ToricDivisor) -> RatPolygon:
-    """P_D = {u : <u, rho> >= -a_rho for all rays}."""
-    try:
-        return RatPolygon.from_halfplanes(
-            [(r, -a) for r, a in zip(d.fan.rays, d.coeffs)]
-        )
-    except UnboundedRegion as exc:
-        raise UnboundedPolytope("divisor is not nef") from exc
+    """P_D = {u : <u, rho> >= -a_rho for all rays}.  The rays of a complete
+    fan leave no gap of pi between neighbours, so P_D is bounded for every
+    divisor: a polygon, possibly degenerate or empty."""
+    return RatPolygon.from_halfplanes([(r, -a) for r, a in zip(d.fan.rays, d.coeffs)])
 
 
 def ample_polytope(d: ToricDivisor) -> RatPolygon | None:
     """P_D when D is ample, else None.  D is ample iff every ray of the fan
     supports an edge of P_D of positive length, i.e. the support function
     is strictly convex at every ray."""
-    try:
-        p = divisor_polytope(d)
-    except UnboundedPolytope:
-        return None
+    p = divisor_polytope(d)
     offsets = dict(p.lines)
     edges = all(offsets.get(r) == -a * p.scale for r, a in zip(d.fan.rays, d.coeffs))
     return p if p.dim == 2 and edges else None

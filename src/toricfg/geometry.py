@@ -414,15 +414,6 @@ class RatPolygon(_PolygonFields):
         total = sum(det(p, q) for p, q in zip(ring, ring[1:] + ring[:1]))
         return Fraction(total, 2 * self.scale ** 2)
 
-    def edges(self):
-        """CCW (start, end) vertex pairs; empty for dim < 1."""
-        if self.dim < 1:
-            return []
-        if self.dim == 1:
-            return [(self.vertices[0], self.vertices[1])]
-        verts = self.vertices
-        return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-
 
 def _over_common_denominator(values):
     """(L, [L*v for v in values]) for ints and Fractions v, where L is the
@@ -510,9 +501,6 @@ class LatticePoints:
     def __iter__(self):
         for x, lo, hi in _column_walk(self.polygon):
             yield from zip(repeat(x), range(lo, hi + 1))
-
-    def __repr__(self):
-        return f"LatticePoints({self.polygon!r})"
 
 
 def lattice_points(p: RatPolygon) -> LatticePoints:
@@ -718,13 +706,16 @@ class ChordWalk:
     with no vertex there is interpolated by integer cross-multiplication;
     no Fraction is built before the result.
 
-    ``length`` and ``levels`` are the values of max_chord; ``ends()``
-    reads the maximal cross-section off the same walk.
+    ``length`` is the longest chord, in m-units, and None for the empty
+    polygon; ``ends()`` reads the maximal cross-section off the same walk.
+    The chord length is concave and piecewise linear in the level with
+    kinks only at vertex levels, so the maximum is attained at one of
+    those.
     """
 
     def __init__(self, p: RatPolygon, v):
         self._v, self._scale = v, p.scale
-        self.length, self.levels, self._best = None, [], []
+        self.length, self._best = None, []
         if p.is_empty:
             return
         self._u, st, lower, upper = _chord_coords(p, v)
@@ -743,7 +734,6 @@ class ChordWalk:
             elif n * best[1] == best[0] * den:
                 self._best.append((lvl, low, up))
         self.length = Fraction(best[0], best[1] * self._scale)
-        self.levels = [Fraction(lvl, self._scale) for lvl, _, _ in self._best]
 
     def ends(self):
         """The maximal cross-section at the midpoint c of the maximizing
@@ -776,16 +766,3 @@ class ChordWalk:
             s, t, den = (lvl + top) * d * d2, n * d2 + n2 * d, 2 * d * d2 * self._scale
             out.append(((Fraction(c * s - b * t, den), Fraction(e * s + a * t, den)), below, above))
         return tuple(out)
-
-
-def max_chord(p: RatPolygon, v):
-    """The longest chord of p orthogonal to v, in rot90(v)-units, and the
-    sorted vertex levels <p, v> = c where it is reached; (None, []) for
-    the empty polygon.
-
-    The chord at level c runs along c*u + t*rot90(v) with <u, v> = 1.  Its
-    length is concave and piecewise linear in c with kinks only at vertex
-    levels, so the maximum is attained at one of those.
-    """
-    walk = ChordWalk(p, v)
-    return walk.length, walk.levels

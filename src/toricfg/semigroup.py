@@ -16,12 +16,12 @@ from typing import NamedTuple
 from .cones import Cone2, cone, halfplane
 from .fans import FlagData, Fan2, ToricDivisor, ample_polytope, divisor_polytope, flag_data
 from .geometry import (
+    ChordWalk,
     RatPolygon,
     dot,
     floor_frac,
     lattice_points,
     level_count,
-    max_chord,
     meet,
     neg,
     rational,
@@ -64,7 +64,7 @@ class FlagContext(_ContextFields):
         support value at every ray, and P_D is cut out by halfplanes with
         ray normals, so a translate of q*nabla' fits in P_D iff one of
         q*nabla does, that is iff P_D has a chord of m-length q."""
-        return max_chord(self.p_d, self.flag.v)[0]
+        return ChordWalk(self.p_d, self.flag.v).length
 
 
 def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagContext:
@@ -103,10 +103,7 @@ def e_bar(ctx: FlagContext, l: int, k: int) -> int:
     polytope; the dimension of the restricted section space.  Counted by
     ``level_count`` with floor sums over the polygon's chords orthogonal
     to v, in O(n log size) steps, so no point or column is read."""
-    t = theta(ctx, l, k)
-    if t.is_empty:
-        return 0
-    return level_count(lattice_points(t), ctx.flag.v)
+    return level_count(lattice_points(theta(ctx, l, k)), ctx.flag.v)
 
 
 def d_of_q(ctx: FlagContext, q):
@@ -148,34 +145,17 @@ def semigroup_slice(ctx: FlagContext, l: int) -> SemigroupSlice:
     return SemigroupSlice(l, tuple((k, e_bar(ctx, l, k)) for k in range(kmax + 1)))
 
 
-class ThetaExtremal(NamedTuple):
-    """v-extremal faces of a colon polytope with their tangent cones.
-
-    Tangent cones are strongly convex at a vertex and a halfplane along an
-    extremal edge; for a zero-width polytope (a point, or a segment on one
-    pairing level) there is no usable tangent data and ``degenerate``
-    is set instead.
-    """
-
-    v_minus: tuple
-    v_plus: tuple
-    cone_minus: Cone2 | None
-    cone_plus: Cone2 | None
-    degenerate: bool
-
-
-def theta_extremal(ctx: FlagContext, l, k) -> ThetaExtremal:
+def theta_extremal(ctx: FlagContext, l, k) -> tuple:
+    """(cone_minus, cone_plus): the tangent cones of the colon polytope at
+    its v-minimal and v-maximal faces, strongly convex at a vertex and a
+    halfplane along an edge.  DegenerateTheta when the polytope is empty
+    or has width 0 (a point, or a segment on one level), where there is
+    no tangent data."""
     t = theta(ctx, l, k)
-    if t.is_empty:
-        raise DegenerateTheta("no extremal data for an empty colon polytope")
     v = ctx.flag.v
-    if width(t, v) == 0:
-        vm = min(t.vertices)
-        return ThetaExtremal(vm, max(t.vertices), None, None, True)
-    low, high = t.face(v), t.face(neg(v))
-    return ThetaExtremal(
-        min(low), min(high), tangent_cone(t, low), tangent_cone(t, high), False
-    )
+    if t.is_empty or width(t, v) == 0:
+        raise DegenerateTheta("no extremal data for an empty or zero-width colon polytope")
+    return tangent_cone(t, t.face(v)), tangent_cone(t, t.face(neg(v)))
 
 
 def tangent_cone(t: RatPolygon, face) -> Cone2:
@@ -184,8 +164,8 @@ def tangent_cone(t: RatPolygon, face) -> Cone2:
     of an edge."""
     if len(face) > 1:
         other = next(p for p in t.vertices if p not in face)
-        return halfplane("M", vsub(face[1], face[0]), vsub(other, face[0]))
-    return cone("M", *t.vertex_directions(face[0]))
+        return halfplane(vsub(face[1], face[0]), vsub(other, face[0]))
+    return cone(*t.vertex_directions(face[0]))
 
 
 class NOBody(NamedTuple):

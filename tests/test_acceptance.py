@@ -107,8 +107,8 @@ def test_criterion_4_sevengon_finitely_generated():
     seg = max_segment(p, (0, 1))
     assert {seg.v1, seg.v2} == {(F(8, 3), 3), (9, 3)}
     sp, sm = sigma_cones(seg, (0, 1))
-    assert sp == cone("N", (3, 2), (-1, 2))
-    assert sm == cone("N", (-2, -3), (3, 2))
+    assert sp == cone((3, 2), (-1, 2))
+    assert sm == cone((-2, -3), (3, 2))
     ctx = load_example("sevengon").context
     assert is_finitely_generated(ctx).finitely_generated is True
     for q, _ in newton_okounkov_body(ctx).breakpoints:
@@ -126,7 +126,7 @@ def test_criterion_5_bad_divisor_pipeline():
         (1, 2): 7, (0, 1): 2, (1, 0): 3, (-1, 0): 0, (0, -1): 0, (-1, 1): 0,
     }
     assert set(fd.nabla_prime.vertices) == {(0, 0), (-3, 0), (-3, -2), (-2, -2)}
-    sigma = cone("N", (-1, 0), (1, 2))
+    sigma = cone((-1, 0), (1, 2))
     d_theta = ToricDivisor.make(fan2, {(1, 2): 6, (0, 1): 4, (1, 0): 2, (-1, 1): 6})
     out = construct_bad_divisor(fan2, sigma, V, d_theta=d_theta)
     assert dict(zip(fan2.rays, out.d_prime.coeffs)) == {

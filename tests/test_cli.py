@@ -345,6 +345,15 @@ def test_cli_output_flag(tmp_path):
     assert json.loads(target.read_text())["finitely_generated"] is False
 
 
+def test_unwritable_output_exits_2_with_a_json_reason(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    rc = cli.main(["fg", "--input", inp("slanted_quad.json"), "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"cannot write output {target}: ")
+    assert not target.exists()
+
+
 def test_direction_flag_overrides_input():
     res = run_main("fg", "--input", inp("sevengon.json"), "--direction", "1,0")
     assert res.returncode == 0
@@ -431,13 +440,13 @@ def test_flags_below_one_are_rejected(capsys):
 def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
     from toricfg import cli, semigroup
 
-    calls, max_chord = [], semigroup.max_chord
+    calls, chord_walk = [], semigroup.ChordWalk
 
     def counted(*args):
         calls.append(args)
-        return max_chord(*args)
+        return chord_walk(*args)
 
-    monkeypatch.setattr(semigroup, "max_chord", counted)
+    monkeypatch.setattr(semigroup, "ChordWalk", counted)
     rc = cli.main(["semigroup", "--input", inp("slanted_quad.json"), "--lmax", "5"])
     assert rc == 0
     assert capsys.readouterr().out.count("\n5,") > 0

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfg.fans import (
     Fan2,
     InvalidFan,
     NonPrimitiveDirection,
     ToricDivisor,
+    ample_polytope,
     divisor_from_polytope,
     divisor_polytope,
     flag_data,
@@ -17,7 +20,13 @@ from toricfg.fans import (
 from toricfg.geometry import DegeneratePolygon, RatPolygon, width
 
 from paper import contains_polygon, glued_nef_polytope, newton_segment
-from util import load_example, p1p1_fan, random_ample_divisor, random_direction, random_smooth_fan
+from util import (
+    load_example,
+    p1p1_fan,
+    random_ample_divisor,
+    random_direction,
+    random_smooth_fan,
+)
 
 SQ = load_example("slanted_quad")
 EXT_FAN = load_example("extended_quad_fan", "fg-all").fan
@@ -62,6 +71,32 @@ def test_divisor_polytope_fixtures():
     # shows up as a shrunken or empty polytope, never an unbounded one
     assert divisor_polytope(ToricDivisor.make(fan, {(1, 2): -1})).is_empty
     assert not is_ample(ToricDivisor.make(fan, {(1, 2): -1}))
+
+
+PRIMITIVE_7 = [(x, y) for x in range(-7, 8) for y in range(-7, 8) if gcd(x, y) == 1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_divisor_of_a_complete_fan_has_a_bounded_polytope(seed):
+    # the rays of a complete fan, smooth or not, leave no gap of pi, so
+    # P_D is a polygon (possibly degenerate or empty) for any coefficients:
+    # integers or p/q with q <= 4, from -3 to 9; a quarter of the fans are
+    # smooth, the others random primitive rays with coordinates up to 7
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        rays = list(random_smooth_fan(rng).rays)
+    else:
+        rays = rng.sample(PRIMITIVE_7, rng.randint(3, 7))
+    coeffs = [F(rng.randint(-3 * q, 9 * q), q) for q in rng.choices((1, 1, 2, 3, 4), k=len(rays))]
+    try:
+        fan = Fan2.from_rays(rays)
+    except InvalidFan:
+        return
+    d = ToricDivisor.make(fan, dict(zip(rays, coeffs)))
+    p = divisor_polytope(d)
+    ample = ample_polytope(d)
+    assert ample is None or (ample.dim == 2 and ample == p)
 
 
 def test_is_ample_fixtures():

@@ -9,13 +9,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from toricfg import geometry
 from toricfg.fans import ToricDivisor, divisor_polytope
 from toricfg.geometry import (
+    ChordWalk,
     RatPolygon,
     UnboundedRegion,
     dot,
     int_vector,
     lattice_points,
     level_count,
-    max_chord,
     neg,
     primitivize,
     rot90,
@@ -437,6 +437,15 @@ def test_support_values_are_fraction_dot_extremes(points, d):
     assert moved.support_min(d) == min(dot(q, d) for q in moved.vertices)
 
 
+def assert_longest_chord(p, v):
+    """ChordWalk's longest chord and the midpoint of its levels, which
+    ends() reads, against the line-interval oracle."""
+    walk = ChordWalk(p, v)
+    length, levels = line_interval_max_chord(p, v)
+    assert walk.length == length
+    assert walk.ends()[0] == (levels[0] + levels[-1]) / 2
+
+
 @settings(max_examples=120, derandomize=True)
 @given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), PRIMITIVE_8)
 @example([(0, 0)], (2, 3))  # a point
@@ -444,8 +453,7 @@ def test_support_values_are_fraction_dot_extremes(points, d):
 @example([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0))  # tied levels 0 and 2
 @example([(0, 0), (3, 1), (1, 4)], (1, 1))
 def test_max_chord_matches_line_interval_oracle(points, v):
-    p = RatPolygon.from_vertices(points)
-    assert max_chord(p, v) == line_interval_max_chord(p, v)
+    assert_longest_chord(RatPolygon.from_vertices(points), v)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -453,7 +461,8 @@ def test_max_chord_matches_line_interval_oracle(points, v):
 def test_max_chord_on_segments_orthogonal_to_v(a, t, v):
     m = rot90(v)
     p = RatPolygon.from_vertices([a, (a[0] + t * m[0], a[1] + t * m[1])])
-    assert max_chord(p, v) == line_interval_max_chord(p, v) == (abs(t), [dot(a, v)])
+    assert_longest_chord(p, v)
+    assert ChordWalk(p, v).length == abs(t) and ChordWalk(p, v).ends()[0] == dot(a, v)
 
 
 @settings(max_examples=80, derandomize=True)
@@ -463,8 +472,7 @@ def test_max_chord_at_edge_normals(points, i, flip):
     p = RatPolygon.from_vertices(points)
     assume(p.dim == 2)
     v = p.halfplanes[i % len(p.halfplanes)][0]
-    v = neg(v) if flip else v
-    assert max_chord(p, v) == line_interval_max_chord(p, v)
+    assert_longest_chord(p, neg(v) if flip else v)
 
 
 @settings(max_examples=80, derandomize=True)
@@ -475,13 +483,14 @@ def test_max_chord_on_zonotopes(generators, shift, v):
     p = RatPolygon.from_vertices([shift])
     for g in generators:
         p = minkowski_sum(p, RatPolygon.from_vertices([(0, 0), g]))
-    assert max_chord(p, v) == line_interval_max_chord(p, v)
+    assert_longest_chord(p, v)
 
 
 def test_max_chord_ties_and_empty():
     hexagon = RatPolygon.from_vertices([(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)])
-    assert max_chord(hexagon, (1, 0)) == (3, [1, 2])
-    assert max_chord(RatPolygon.empty(), (1, 0)) == (None, [])
+    assert ChordWalk(hexagon, (1, 0)).length == 3  # at levels 1 and 2
+    assert ChordWalk(hexagon, (1, 0)).ends()[0] == F(3, 2)
+    assert ChordWalk(RatPolygon.empty(), (1, 0)).length is None
 
 
 # a lattice translation far out, where every ring coordinate is a big int

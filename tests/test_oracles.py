@@ -56,10 +56,10 @@ def test_vanishing_orders_independent_of_evaluation_point():
 
 
 def test_brute_decompose_fixtures():
-    assert brute_decompose((-2, 3), cone("N", (-1, 0), (1, 2))) == ((-2, 1), (0, 2))
-    assert brute_decompose((1, 1), cone("N", (1, 0), (0, 1))) is None
+    assert brute_decompose((-2, 3), cone((-1, 0), (1, 2))) == ((-2, 1), (0, 2))
+    assert brute_decompose((1, 1), cone((1, 0), (0, 1))) is None
     with pytest.raises(NotInInterior):
-        brute_decompose((1, 0), cone("N", (1, 0), (0, 1)))
+        brute_decompose((1, 0), cone((1, 0), (0, 1)))
 
 
 def test_brute_decompose_parts_are_interior():

@@ -51,11 +51,11 @@ def records():
     ctx = problem.context
     verdict = criterion.is_finitely_generated(ctx)
     return [
-        ctx, ctx.flag, ctx.p_d, ctx.divisor, ctx.fan, cones.cone("N", (1, 0), (0, 1)),
+        ctx, ctx.flag, ctx.p_d, ctx.divisor, ctx.fan, cones.cone((1, 0), (0, 1)),
         semigroup.semigroup_slice(ctx, 2), cut_construction(ctx, 2, 1),
-        semigroup.theta_extremal(ctx, 1, 0), semigroup.newton_okounkov_body(ctx),
+        semigroup.newton_okounkov_body(ctx),
         verdict, verdict.segment, criterion.fg_for_all_divisors(p1p1_fan(), (1, 2)),
-        criterion.construct_bad_divisor(p1p1_fan(), cones.halfplane("N", (1, 0), (1, 2)), (1, 2)),
+        criterion.construct_bad_divisor(p1p1_fan(), cones.halfplane((1, 0), (1, 2)), (1, 2)),
         problem,
     ]
 
@@ -64,7 +64,7 @@ def test_record_fields_are_read_only():
     built = records()
     assert {type(r).__name__ for r in built} == {
         "FlagContext", "FlagData", "RatPolygon", "ToricDivisor", "Fan2", "Cone2",
-        "SemigroupSlice", "CutPieces", "ThetaExtremal", "NOBody", "FGVerdict",
+        "SemigroupSlice", "CutPieces", "NOBody", "FGVerdict",
         "SegmentData", "FGAllResult", "BadDivisorConstruction", "Problem",
     }
     for record in built:
@@ -105,6 +105,12 @@ def _referenced_names(node, own=()):
         yield from (name for name in names if name and name not in own)
 
 
+def _program_paths():
+    """The Python files of the package, the scripts and the benchmark."""
+    return (glob.glob(os.path.join(SRC, "toricfg", "*.py")) + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+            + glob.glob(os.path.join(ROOT, "bench", "**", "*.py"), recursive=True))
+
+
 def test_every_definition_of_the_package_has_a_program_caller():
     # the package holds the engine: each top-level function and class, and
     # each public method of a class, is named by other code of the package,
@@ -112,9 +118,7 @@ def test_every_definition_of_the_package_has_a_program_caller():
     # __init__ do not count), so code that only tests use lives under tests/
     package = os.path.join(SRC, "toricfg")
     defined, referenced = set(), set()
-    paths = (glob.glob(os.path.join(package, "*.py")) + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
-             + glob.glob(os.path.join(ROOT, "bench", "**", "*.py"), recursive=True))
-    for path in paths:
+    for path in _program_paths():
         if path == os.path.join(package, "__init__.py"):
             continue
         with open(path, encoding="utf-8") as fh:
@@ -138,6 +142,27 @@ def test_every_definition_of_the_package_has_a_program_caller():
     assert len(defined) > 150
     unused = {d for d in defined if d[1].rpartition(".")[2] not in referenced}
     assert sorted(unused - TRACED_BY_NAME) == []
+
+
+def test_every_record_field_is_read_by_program_code():
+    # each field of a NamedTuple record of the package is named, as an
+    # attribute or a keyword, by code of the package, a script or the
+    # benchmark, so a record holds nothing that only tests read
+    fields, named = set(), set()
+    for path in _program_paths():
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                named.add(node.arg)
+            elif (isinstance(node, ast.ClassDef) and path.startswith(SRC)
+                  and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)):
+                fields.update((node.name, stmt.target.id) for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign))
+    assert len(fields) > 40
+    assert sorted(f for f in fields if f[1] not in named) == []
 
 
 def _compact(value):

@@ -11,9 +11,11 @@ from toricfg.geometry import (
     RatPolygon,
     dot,
     lattice_points,
+    neg,
     width,
 )
 from toricfg.semigroup import (
+    DegenerateTheta,
     NotAmple,
     d_of_q,
     e_bar,
@@ -186,26 +188,18 @@ def test_cut_identity_failure_raises(monkeypatch):
 
 
 def test_theta_extremal_fixture():
-    ext = theta_extremal(CTX, 3, 2)
-    assert ext.v_plus == (-10, 0)
-    assert ext.v_minus == (0, -5)
-    assert ext.cone_minus == cone("M", (0, 1), (-2, 1))
-    assert ext.cone_plus == cone("M", (1, 0), (2, -1))
-    assert dual_cone(ext.cone_minus) == cone("N", (-1, 0), (1, 2))
-    assert not ext.degenerate
-
-
-def test_theta_extremal_consistency_with_projection():
-    ext = theta_extremal(CTX, 1, 1)
-    t = theta(CTX, 1, 1)
-    v = CTX.flag.v
-    assert dot(ext.v_minus, v) == t.support_min(v)
-    assert dot(ext.v_plus, v) == t.support_max(v)
+    # the tangent cones at the v-extremal vertices (0, -5) and (-10, 0)
+    t, v = theta(CTX, 3, 2), CTX.flag.v
+    assert t.face(v) == [(0, -5)] and t.face(neg(v)) == [(-10, 0)]
+    cone_minus, cone_plus = theta_extremal(CTX, 3, 2)
+    assert cone_minus == cone((0, 1), (-2, 1))
+    assert cone_plus == cone((1, 0), (2, -1))
+    assert dual_cone(cone_minus) == cone((-1, 0), (1, 2))
 
 
 def test_theta_extremal_degenerate_point():
-    ext = theta_extremal(CTX, 1, F(8, 7))
-    assert ext.degenerate and ext.cone_minus is None
+    with pytest.raises(DegenerateTheta):
+        theta_extremal(CTX, 1, F(8, 7))
 
 
 def test_newton_okounkov_body_fixture():
@@ -295,14 +289,14 @@ def test_e_bar_asymptotics_improve():
 
 def test_theta_extremal_edge_faces_are_halfplanes():
     sq_ctx = load_example("unit_square").context
-    ext = theta_extremal(sq_ctx, 1, 0)
-    assert ext.cone_minus.kind == "halfplane"
-    assert ext.cone_plus.kind == "halfplane"
+    cone_minus, cone_plus = theta_extremal(sq_ctx, 1, 0)
+    assert cone_minus.kind == "halfplane"
+    assert cone_plus.kind == "halfplane"
     # at the top slope the square's colon polytope is a segment transverse
     # to the level lines, whose endpoint tangent cones are rays
-    ext_top = theta_extremal(sq_ctx, 1, 1)
-    assert ext_top.cone_minus.kind == "ray"
-    assert ext_top.cone_plus.kind == "ray"
+    top_minus, top_plus = theta_extremal(sq_ctx, 1, 1)
+    assert top_minus.kind == "ray"
+    assert top_plus.kind == "ray"
 
 
 def _vertex_lifts(ctx, x):

@@ -130,7 +130,7 @@ def random_cone(rng: random.Random, bound: int = 6):
             continue
         if gcd(g1[0], g1[1]) != 1 or gcd(g2[0], g2[1]) != 1:
             continue
-        return cone("N", g1, g2)
+        return cone(g1, g2)
 
 
 def interior_point(rng: random.Random, c, spread: int = 4):
@@ -200,13 +200,24 @@ def random_full_polygon(rng: random.Random, bound: int = 6) -> RatPolygon:
             return p
 
 
+def edges(p: RatPolygon):
+    """The counterclockwise (start, end) vertex pairs of p, edge i on
+    halfplane i; the one pair of a segment, none for a point."""
+    verts = p.vertices
+    if p.dim < 1:
+        return []
+    if p.dim == 1:
+        return [verts]
+    return list(zip(verts, verts[1:] + verts[:1]))
+
+
 def section(p: RatPolygon, v, c) -> tuple:
     """The two ends of p's section by the line <x, v> = c, ordered along
     rot90(v): the extremes of the vertices on that level and of the points
     where edges cross it.  A point or a segment counts too."""
     w = solve_pairing_one(rot90(v))  # <rot90(v), w> = 1
     pts = {q for q in p.vertices if dot(q, v) == c}
-    for a, b in p.edges():
+    for a, b in edges(p):
         fa, fb = dot(a, v) - c, dot(b, v) - c
         if (fa < 0 < fb) or (fb < 0 < fa):
             t = fa / (fa - fb)
@@ -239,7 +250,7 @@ def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
 
     def side_normals(c, pt):
         above, below = None, None
-        for (a, b), (n, _) in zip(p_d.edges(), p_d.halfplanes):
+        for (a, b), (n, _) in zip(edges(p_d), p_d.halfplanes):
             d, r = vsub(b, a), vsub(pt, a)
             if det(d, r) != 0 or not 0 <= dot(r, d) <= dot(d, d):
                 continue
