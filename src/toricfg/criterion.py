@@ -249,8 +249,9 @@ def construct_bad_divisor(
     accepted set only shrinks as a_r falls, so when that midpoint costs
     an earlier ray its edge no lower value helps either, and the
     ampleness check at the end fails.
-    A halfplane sigma instead stretches the antiparallel edge pair until
-    the maximal cross-section ends on both edge interiors."""
+    A halfplane sigma instead stretches its antiparallel edge pair until
+    the maximal cross-section ends on both edge interiors, so that the
+    verdict's sigma_plus is sigma itself."""
     v = int_vector(v)
     if sigma.kind == "halfplane":
         return _construct_bad_halfplane(fan, sigma, v)
@@ -351,8 +352,7 @@ def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstructi
         if (
             not verdict.finitely_generated
             and not verdict.degenerate_side
-            and verdict.sigma_plus is not None
-            and verdict.sigma_plus.kind == "halfplane"
+            and verdict.sigma_plus == sigma
         ):
             return BadDivisorConstruction(
                 divisor, divisor, divisor, theta(ctx, 1, 1), ctx.p_d

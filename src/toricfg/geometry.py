@@ -18,13 +18,19 @@ unbounded or empty region in closed form, and otherwise one deque walk
 over the sorted lines keeps the edges of the polygon, in O(n log n) exact
 integer steps.
 
-Lattice points are counted, not listed: ``lattice_points`` returns the
-polygon wrapped as ``LatticePoints``, whose ``len`` is the number of
-points and whose ``level_count`` is the number of levels <p, v> they
-take.  Both sum the lattice points of each chord by floor sums over the
-pieces between vertex levels, in O(n log size) int steps, so their cost
-grows with the vertex count and the bit size, not with the width or the
-area.  Iterating walks the columns one at a time.
+Every query about the chords of a polygon orthogonal to a direction v
+reads one walk, ``_chord_pieces``: a two-pointer pass up the polygon's
+two boundary chains that cuts it into pieces between consecutive vertex
+levels, on each of which both chord ends are affine in the level.
+``ChordWalk`` reads the chords at the vertex levels off the pieces (the
+longest one, its ends and the length at every vertex level).  Lattice
+points are counted, not listed: ``lattice_points`` returns the polygon
+wrapped as ``LatticePoints``, whose ``len`` is the number of points and
+whose ``level_count`` is the number of levels <p, v> they take.  Both sum
+the lattice points of each chord by floor sums over the pieces, in
+O(n log size) int steps, so their cost grows with the vertex count and
+the bit size, not with the width or the area.  Iterating walks the
+columns, the pieces' integer levels for v = (1, 0), one at a time.
 """
 
 from __future__ import annotations
@@ -477,6 +483,87 @@ def width(p: RatPolygon, v):
     return p.support_max(v) - p.support_min(v)
 
 
+def solve_pairing_one(v):
+    """Some integer vector u with <u, v> = 1 (v primitive), by the
+    extended Euclidean algorithm."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = v
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y = -x, -y
+    return (x, y)
+
+
+def _line(lo, hi):
+    """(p, q, r) with t = (p*s + q) / r and r > 0 on the line through two
+    int (s, t) points, lo having the smaller s."""
+    (s1, t1), (s2, t2) = lo, hi
+    return t2 - t1, t1 * s2 - t2 * s1, s2 - s1
+
+
+def _chord_pieces(p: RatPolygon, v) -> list:
+    """The chords of a non-empty p orthogonal to a primitive v, as pieces
+    between consecutive vertex levels, by one two-pointer walk up the two
+    boundary chains from the left end.
+
+    The int ring of p (``RatPolygon.ring``, vertices times L) is mapped
+    by x -> (s, t) = (<x, v>, det(u, x)) with <u, v> = 1.  The map is
+    unimodular and keeps orientation, so the ring stays counterclockwise;
+    s is L times the level and t is L times the position along the chord
+    in m-units, m = rot90(v).  From the lexicographic min of the ring the
+    lower chain runs forwards and the upper chain backwards (past an edge
+    at constant s), both with s increasing.  Each piece is (s0, s1,
+    lower, upper, lower line, upper line): for s0 <= s <= s1 the chord at
+    s is A(s) <= t <= B(s), where A lies on ring edge ``lower`` (from
+    vertex ``lower`` to the next) and B on ring edge ``upper``, and the
+    lines give A and B as (p*s + q) / r (``_line``).  The pieces run
+    s0 < s1 from the least level to the greatest; a polygon on one level
+    is one piece with s0 = s1, constant lines and no edges.
+    """
+    (a, b), (c, d) = v, solve_pairing_one(v)
+    st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
+    n, i = len(st), min(range(len(st)), key=st.__getitem__)
+    s0, top = st[i][0], max(s for s, _ in st)
+    if s0 == top:
+        return [(s0, s0, None, None, (0, st[i][1], 1), (0, max(t for _, t in st), 1))]
+    j = (i - 1) % n if st[i - 1][0] == s0 else i
+    i1, j1 = (i + 1) % n, (j - 1) % n
+    lower, upper, pieces = _line(st[i], st[i1]), _line(st[j], st[j1]), []
+    while True:
+        s1 = min(st[i1][0], st[j1][0])
+        pieces.append((s0, s1, i, j1, lower, upper))
+        if s1 == top:
+            return pieces
+        if st[i1][0] == s1:
+            i, i1 = i1, (i1 + 1) % n
+            lower = _line(st[i], st[i1])
+        if st[j1][0] == s1:
+            j, j1 = j1, (j1 - 1) % n
+            upper = _line(st[j], st[j1])
+        s0 = s1
+
+
+def _integer_levels(p: RatPolygon, v):
+    """(first, n, lower line, upper line) for each piece of
+    ``_chord_pieces`` that holds an integer level: its n integer levels
+    first, ..., first + n - 1 (a level at a piece's upper end belongs to
+    the next piece, save on the last), and its lines rescaled so that
+    t = (p*s + q) / r at the level s itself, in m-units."""
+    scale = p.scale
+    pieces = _chord_pieces(p, v)
+    start, last = -(-pieces[0][0] // scale), len(pieces) - 1
+    for k, (_, s1, _, _, (pa, qa, ra), (pb, qb, rb)) in enumerate(pieces):
+        stop = s1 // scale if k == last else (s1 - 1) // scale
+        if stop >= start:
+            yield start, stop - start + 1, (pa * scale, qa, ra * scale), (pb * scale, qb, rb * scale)
+            start = stop + 1
+
+
 class LatticePoints:
     """The integer points of a convex polygon, held as the polygon itself.
 
@@ -511,26 +598,18 @@ def lattice_points(p: RatPolygon) -> LatticePoints:
 
 def _column_walk(p: RatPolygon):
     """The non-empty integer columns (x, y_lo, y_hi) of p, x increasing,
-    from one walk up its two boundary chains, yielded as they are reached.
-
-    With v = (1, 0) the chain coordinates (s, t) of the int ring
-    (``RatPolygon.ring``, vertices times L) are (x, y) itself, so the
-    integer columns are the levels x * L.  At each column ``_heights``
-    gives the lower and upper chain heights N/D in L-units, and the
-    column's points are y = ceil(N/(D*L)) .. floor(N'/(D'*L)), by int
-    floor division; no Fraction and no point is built.
-    """
+    yielded as they are reached.  With v = (1, 0) the chord coordinates
+    (s, t) are (x, y) itself, so the columns are the integer levels of
+    ``_integer_levels`` and a column's points are y = ceil(A(x)) ..
+    floor(B(x)), by int floor division; no Fraction and no point is
+    built."""
     if p.is_empty:
         return
-    scale, st = p.scale, p.ring
-    lower, upper = _chains(st)
-    xs = range(-(-st[lower[0]][0] // scale), st[lower[-1]][0] // scale + 1)
-    levels = range(xs.start * scale, xs.stop * scale, scale)
-    for x, (n, d, _), (n2, d2, _) in zip(xs, _heights(st, lower, levels),
-                                       _heights(st, upper, levels)):
-        lo, hi = -(-n // (d * scale)), n2 // (d2 * scale)
-        if lo <= hi:
-            yield x, lo, hi
+    for first, n, (pa, qa, ra), (pb, qb, rb) in _integer_levels(p, (1, 0)):
+        for x in range(first, first + n):
+            lo, hi = -(-(pa * x + qa) // ra), (pb * x + qb) // rb
+            if lo <= hi:
+                yield x, lo, hi
 
 
 def level_count(points: LatticePoints, v) -> int:
@@ -559,24 +638,16 @@ def floor_sum(n, m, a, b):
         m, a = a, m
 
 
-def _edge_line(lo, hi, scale):
-    """(p, q, r) with t = (p*s + q) / r on the chain edge from lo to hi,
-    two int (s, t) vertices times scale, for s the level itself."""
-    (s1, t1), (s2, t2) = lo, hi
-    return (t2 - t1) * scale, t1 * (s2 - s1) - (t2 - t1) * s1, scale * (s2 - s1)
-
-
 def _chord_sum(p: RatPolygon, v, capped: bool) -> int:
     """The sum over the integer levels s of p of n(s), the number of
     lattice points on the chord of p at level <x, v> = s, or of min(n(s), 1)
     when capped, for a primitive v.  Uncapped it is the number of lattice
     points of p, capped the number of levels they take.
 
-    In ``ChordWalk``'s unimodular (s, t) coordinates the chord at level s
-    is t in [A(s), B(s)], the lower and upper chain heights, and
-    n(s) = floor(B) - ceil(A) + 1 >= 0 since B >= A.  Between consecutive
-    vertex levels of the two chains A and B are affine, so on each such
-    piece the sum of n(s) is n plus two floor sums (floor(B) and
+    The chord at level s is t in [A(s), B(s)] (``_chord_pieces``), and
+    n(s) = floor(B) - ceil(A) + 1 >= 0 since B >= A.  On each piece A and
+    B are affine, so the sum of n(s) over its integer levels
+    (``_integer_levels``) is n plus two floor sums (floor(B) and
     floor(-A)).  Capped, every level with B - A >= 1 holds a point; B - A
     is affine on the piece, so those levels are a prefix or a suffix found
     by one division, and on the other levels n(s) is 0 or 1 and is summed
@@ -584,31 +655,8 @@ def _chord_sum(p: RatPolygon, v, capped: bool) -> int:
     """
     if p.is_empty:
         return 0
-    scale = p.scale
-    _, st, lower, upper = _chord_coords(p, v)
-    if len(lower) == 1:  # one level: a point or a chord
-        (s, t0), t1 = st[lower[0]], st[upper[0]][1]
-        if s % scale:
-            return 0
-        n = t1 // scale + (-t0) // scale + 1
-        return min(n, 1) if capped else n
-    levels = sorted({st[k][0] for k in lower + upper})
-    total, start, i, j = 0, -(-levels[0] // scale), 0, 0
-    for k in range(1, len(levels)):
-        s1 = levels[k]
-        while st[lower[i + 1]][0] < s1:
-            i += 1
-        while st[upper[j + 1]][0] < s1:
-            j += 1
-        # the integer levels in [levels[k - 1], s1), and s1 itself at the end
-        stop = s1 // scale if k == len(levels) - 1 else (s1 - 1) // scale
-        n = stop - start + 1
-        if n <= 0:
-            continue
-        pa, qa, ra = _edge_line(st[lower[i]], st[lower[i + 1]], scale)
-        pb, qb, rb = _edge_line(st[upper[j]], st[upper[j + 1]], scale)
-        first = start
-        start = stop + 1
+    total = 0
+    for first, n, (pa, qa, ra), (pb, qb, rb) in _integer_levels(p, v):
         if capped:
             # B - A >= 1, so the level holds a point, at first + i iff
             # e1 * i + e0 >= 0; the other levels, a prefix or a suffix of
@@ -630,110 +678,45 @@ def _chord_sum(p: RatPolygon, v, capped: bool) -> int:
     return total
 
 
-def solve_pairing_one(v):
-    """Some integer vector u with <u, v> = 1 (v primitive), by the
-    extended Euclidean algorithm."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = v
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y = -x, -y
-    return (x, y)
-
-
-def _chord_coords(p: RatPolygon, v):
-    """(u, st, lower, upper) for a non-empty p and a primitive v: some u
-    with <u, v> = 1, the int ring of p (``RatPolygon.ring``) mapped by
-    x -> (s, t) = (<x, v>, det(u, x)), and its two chains (``_chains``).
-    The map is unimodular and keeps orientation (see ``ChordWalk``);
-    ``ChordWalk`` and ``_chord_sum`` share it."""
-    (a, b) = v
-    c, d = u = solve_pairing_one(v)
-    st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
-    return (u, st, *_chains(st))
-
-
-def _chains(st):
-    """The lower and upper boundary chains of a counterclockwise int
-    (s, t) ring, as ring indices in strictly increasing s: the ring split
-    at its lexicographic min and max, and past the edges at constant s.
-    ``_chord_coords`` and ``_column_walk`` share them."""
-    first = min(range(len(st)), key=st.__getitem__)
-    last = max(range(len(st)), key=st.__getitem__)
-    chains = []
-    for i, stop in ((first, st[last][0]), (last, st[first][0])):
-        chain = [i]
-        while st[i][0] != stop:
-            i = (i + 1) % len(st)
-            chain.append(i)
-        chains.append(chain)
-    return chains[0], chains[1][::-1]
-
-
-def _heights(st, chain, levels):
-    """For each level (ascending, inside the chain's s-range) the chain's
-    t there as (N, D, j): t = N/D, at chain vertex j if it sits at that
-    level, else inside the edge from chain vertex j - 1 to j.
-    ``ChordWalk`` and ``_column_walk`` share it."""
-    j = 0
-    for lvl in levels:
-        while st[chain[j]][0] < lvl:
-            j += 1
-        s2, t2 = st[chain[j]]
-        if s2 == lvl:
-            yield t2, 1, j
-        else:
-            s1, t1 = st[chain[j - 1]]
-            yield t1 * (s2 - lvl) + t2 * (lvl - s1), s2 - s1, j
-
-
 class ChordWalk:
-    """The longest chords of p orthogonal to a primitive v, by one walk
-    along the two boundary chains (the rotating-calipers sweep).
+    """The chords of p orthogonal to a primitive v at its vertex levels,
+    read off the pieces of ``_chord_pieces`` (the rotating-calipers
+    sweep); no Fraction is built before a result.
 
-    The int ring of p (``RatPolygon.ring``, vertices times L) is mapped
-    by x -> (s, t) = (<x, v>, det(u, x)) with <u, v> = 1.  The map is
-    unimodular and keeps orientation, so the ring stays counterclockwise;
-    s is L times the level and t is L times the position along the chord
-    in m-units, m = rot90(v).  Split at the lexicographic min and max, and
-    past the edges orthogonal to v, the ring gives a lower and an upper
-    chain, both strictly increasing in s.  At each vertex level a chain
-    with no vertex there is interpolated by integer cross-multiplication;
-    no Fraction is built before the result.
-
-    ``length`` is the longest chord, in m-units, and None for the empty
-    polygon; ``ends()`` reads the maximal cross-section off the same walk.
-    The chord length is concave and piecewise linear in the level with
-    kinks only at vertex levels, so the maximum is attained at one of
-    those.
+    ``length`` is the longest chord, in m-units (m = rot90(v)), and None
+    for the empty polygon; ``chords()`` lists the chord at every vertex
+    level and ``ends()`` the maximal cross-section.  The chord length is
+    concave and piecewise linear in the level with kinks only at vertex
+    levels, so the maximum is attained at one of those.
     """
 
     def __init__(self, p: RatPolygon, v):
         self._v, self._scale = v, p.scale
-        self.length, self._best = None, []
+        self.length, self._chords = None, []
         if p.is_empty:
             return
-        self._u, st, lower, upper = _chord_coords(p, v)
-        self._st = st
-        # (vertices, edges) in increasing s, as ring indices; ring edge i
-        # runs from vertex i to i + 1, so it starts at the lower chain's
-        # left vertex and at the upper chain's right one
-        self._chains = (lower, lower[:-1]), (upper, upper[1:])
-        levels = sorted({s for s, _ in st})
-        best = None
-        for lvl, low, up in zip(levels, _heights(st, lower, levels),
-                                _heights(st, upper, levels)):
-            n, den = up[0] * low[1] - low[0] * up[1], up[1] * low[1]
-            if best is None or n * best[1] > best[0] * den:
-                best, self._best = (n, den), [(lvl, low, up)]
-            elif n * best[1] == best[0] * den:
-                self._best.append((lvl, low, up))
-        self.length = Fraction(best[0], best[1] * self._scale)
+        self._pieces = pieces = _chord_pieces(p, v)
+        # vertex level k starts piece k; the last one ends the last piece
+        levels = [(s, lo, up) for s, _, _, _, lo, up in pieces]
+        s0, s1, _, _, lo, up = pieces[-1]
+        if s1 > s0:
+            levels.append((s1, lo, up))
+        chords, best, bden = self._chords, -1, 1
+        for k, (s, (pa, qa, ra), (pb, qb, rb)) in enumerate(levels):
+            # the chord length B - A >= 0 at level s, as n / den in L-units
+            n, den = (pb * s + qb) * ra - (pa * s + qa) * rb, ra * rb
+            chords.append((s, n, den))
+            if n * bden > best * den:
+                best, bden, first, last = n, den, k, k
+            elif n * bden == best * den:
+                last = k
+        self.length, self._best = Fraction(best, bden * self._scale), (first, last)
+
+    def chords(self) -> list:
+        """(level, length) at every vertex level, levels increasing, as
+        Fractions, the length in m-units."""
+        scale = self._scale
+        return [(Fraction(s, scale), Fraction(n, den * scale)) for s, n, den in self._chords]
 
     def ends(self):
         """The maximal cross-section at the midpoint c of the maximizing
@@ -749,20 +732,20 @@ class ChordWalk:
         that leave the first level upwards.  The means are taken on the
         int (s, t) values; with one maximizing level they are its ends.
         """
-        (a, b), (c, e) = self._v, self._u
-        lvl, *at = self._best[0]
-        top, *at_top = self._best[-1]
+        (a, b), (c, e) = self._v, solve_pairing_one(self._v)
+        pieces, (k, k_top) = self._pieces, self._best
+        last = len(pieces) - 1
+        lvl, top = self._chords[k][0], self._chords[k_top][0]
         out = [Fraction(lvl + top, 2 * self._scale)]
-        for (verts, edges), (n, d, j), (n2, d2, _) in zip(self._chains, at, at_top):
-            if self._st[verts[j]][0] != lvl:
-                below = above = edges[j - 1]
-            else:
-                below = edges[j - 1] if j else None
-                above = edges[j] if j < len(edges) else None
+        for side in (2, 3):  # the lower, then the upper chain
+            below = pieces[k - 1][side] if k else None
+            above = pieces[k][side] if k <= last else None
             if top != lvl:
                 below = above
+            (p1, q1, d), (p2, q2, d2) = pieces[min(k, last)][side + 2], pieces[min(k_top, last)][side + 2]
             # the mean of the ends at levels lvl and top: level s / den and
             # chord position t / den, so the point (s*u + t*rot90(v)) / den
-            s, t, den = (lvl + top) * d * d2, n * d2 + n2 * d, 2 * d * d2 * self._scale
+            s, t = (lvl + top) * d * d2, (p1 * lvl + q1) * d2 + (p2 * top + q2) * d
+            den = 2 * d * d2 * self._scale
             out.append(((Fraction(c * s - b * t, den), Fraction(e * s + a * t, den)), below, above))
         return tuple(out)

@@ -1,8 +1,9 @@
 """Exhaustive searches: the section recount, the decomposition witness
 search, and the lambda search of analyze.
 
-``brute_e_bar`` recounts e_bar by bounding-box enumeration and direct
-halfplane membership, sharing no counting code with ``semigroup.e_bar``,
+``brute_e_bar`` recounts e_bar column by column, each ray halfplane
+bounding a column by one floor division, and collects every point's
+level in a set, sharing no counting code with ``semigroup.e_bar``,
 so that the tests and the benchmark's checks can compare the two.
 ``brute_decompose`` is on the production witness path:
 ``cones.is_strongly_decomposable`` imports it lazily and calls it for the
@@ -81,21 +82,25 @@ def brute_decompose(w, c: Cone2):
 
 def brute_e_bar(ctx, l, k) -> int:
     """Recount of the number of distinct projections of lattice points of
-    the colon polytope: bounding-box enumeration plus direct halfplane
-    membership.  Shares no counting code with the fast version."""
+    the colon polytope, column by column: at each integer x of l*P_D's
+    x-range every ray halfplane bounds y by one int floor division, and
+    each point of the column adds its level to a set.  Shares no counting
+    code with the fast version."""
     # <(x, y), n> is an int, so it is >= o exactly when it is >= ceil(o)
     halfplanes = [
         (r, ceil_frac(Fraction(-l * a + k * c)))
         for r, a, c in zip(ctx.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
     ]
     xs = [x for x, _ in ctx.p_d.vertices]
-    ys = [y for _, y in ctx.p_d.vertices]
+    a, b = ctx.flag.v
     seen = set()
     lf = Fraction(l)
     for x in range(ceil_frac(lf * min(xs)), floor_frac(lf * max(xs)) + 1):
-        for y in range(ceil_frac(lf * min(ys)), floor_frac(lf * max(ys)) + 1):
-            if all(x * n[0] + y * n[1] >= o for n, o in halfplanes):
-                seen.add(dot((x, y), ctx.flag.v))
+        # n0*x + n1*y >= o; a complete fan has rays with n1 > 0 and n1 < 0
+        lo = max(-((n0 * x - o) // n1) for (n0, n1), o in halfplanes if n1 > 0)
+        hi = min((n0 * x - o) // -n1 for (n0, n1), o in halfplanes if n1 < 0)
+        if all(n0 * x >= o for (n0, n1), o in halfplanes if n1 == 0):
+            seen.update(a * x + b * y for y in range(lo, hi + 1))
     return len(seen)
 
 

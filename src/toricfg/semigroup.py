@@ -18,11 +18,9 @@ from .fans import FlagData, Fan2, ToricDivisor, ample_polytope, divisor_polytope
 from .geometry import (
     ChordWalk,
     RatPolygon,
-    dot,
     floor_frac,
     lattice_points,
     level_count,
-    meet,
     neg,
     rational,
     vsub,
@@ -50,12 +48,18 @@ class FlagContext(_ContextFields):
     build it directly from the polygons they hold; make_context builds it
     from scratch.  Widths are computed where a formula needs them
     (d_of_q at slope 0), so the record holds nothing derived but the
-    cached q_hat, kept in the instance dict that this class has over its
-    named-tuple base."""
+    cached chord walk of P_D and its q_hat, kept in the instance dict that
+    this class has over its named-tuple base."""
 
     @property
     def fan(self) -> Fan2:
         return self.divisor.fan
+
+    @cached_property
+    def chord_walk(self) -> ChordWalk:
+        """The chords of P_D orthogonal to v, walked once per context; they
+        give q_hat and the kinks of the Newton-Okounkov body."""
+        return ChordWalk(self.p_d, self.flag.v)
 
     @cached_property
     def q_hat(self) -> Fraction:
@@ -64,7 +68,7 @@ class FlagContext(_ContextFields):
         support value at every ray, and P_D is cut out by halfplanes with
         ray normals, so a translate of q*nabla' fits in P_D iff one of
         q*nabla does, that is iff P_D has a chord of m-length q."""
-        return ChordWalk(self.p_d, self.flag.v).length
+        return self.chord_walk.length
 
 
 def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagContext:
@@ -185,35 +189,16 @@ class NOBody(NamedTuple):
 def newton_okounkov_body(ctx: FlagContext) -> NOBody:
     """Exact body under the concave roof d(q) on [0, q_hat].
 
-    The roof is piecewise linear with kinks only where the active
-    constraint combinatorics of the parametric colon polytope changes, so
-    it suffices to evaluate d at every slope where three constraints meet
-    (plus the endpoints) and take the convex hull.
+    The colon polytope at slope q is P_D intersected with P_D - q*m (see
+    ``FlagContext.q_hat``), so d(q) is the length of the interval of
+    levels whose chord of P_D is at least q long.  The chord length is
+    concave and affine between vertex levels, so each end of that
+    interval is affine in q between the chord lengths at vertex levels,
+    and d kinks only there.  The body is the hull of d evaluated at those
+    lengths, 0 and q_hat.
     """
     qh = q_hat(ctx)
-    rays = ctx.fan.rays
-    offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
-    candidates = {Fraction(0), qh}
-    n = len(rays)
-    for i in range(n):
-        ni = rays[i]
-        for j in range(i + 1, n):
-            nj = rays[j]
-            u0 = meet(ni, offs[i][0], nj, offs[j][0])
-            if u0 is None:
-                continue
-            u1 = meet(ni, offs[i][1], nj, offs[j][1])
-            d = u0[2]  # the same for both meets; it cancels in alpha/beta
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                alpha = dot(u0, rays[k]) - offs[k][0] * d
-                beta = dot(u1, rays[k]) - offs[k][1] * d
-                if beta == 0:
-                    continue
-                q0 = Fraction(-alpha, beta)
-                if 0 <= q0 <= qh:
-                    candidates.add(q0)
+    candidates = {Fraction(0), qh, *(length for _, length in ctx.chord_walk.chords())}
     graph = [(q, d_of_q(ctx, q)) for q in sorted(candidates)]
     poly = RatPolygon.from_vertices([(Fraction(0), Fraction(0)), (qh, Fraction(0))] + graph)
     breakpoints = tuple(

@@ -288,6 +288,38 @@ def test_construct_bad_divisor_halfplane_sigma():
     assert contains_polygon(out.p_d, minkowski_sum(out.theta, ctx.flag.nabla_prime))
 
 
+def test_halfplane_construction_stretches_the_requested_halfplane():
+    # at weight 1 the verdict's sigma_plus is the halfplane on +-(1, 2),
+    # not the requested one on +-(0, 1); weight 2 is the first to give it
+    fan = Fan2.from_rays([(1, 2), (0, 1), (-1, -2), (0, -1)])
+    sigma = halfplane((0, 1), (3, -1))
+    out = construct_bad_divisor(fan, sigma, (3, -1))
+    assert out.divisor.coeffs == (3, 1, 3, 1)
+    verdict = is_finitely_generated(make_context(out.divisor, (3, -1)))
+    assert not verdict.finitely_generated and verdict.sigma_plus == sigma
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_halfplane_construction_verdict_has_the_requested_sigma(seed):
+    # a complete fan with rays +-g, a pair +-r off their line and up to
+    # four more rays, and a direction strongly decomposable in a halfplane
+    # on g
+    rng = random.Random(seed)
+    g = random_direction(rng, bound=3)
+    rays = {g, neg(g)}
+    while len(rays) < 4 + rng.randint(0, 4):
+        r = random_direction(rng, bound=3)
+        if det(g, r):
+            rays.update((r, neg(r)) if len(rays) == 2 else (r,))
+    v = random_direction(rng, bound=4)
+    assume(abs(det(g, v)) > 1)
+    fan, sigma = Fan2.from_rays(sorted(rays)), halfplane(g, v)
+    out = construct_bad_divisor(fan, sigma, v)
+    verdict = is_finitely_generated(make_context(out.divisor, v))
+    assert not verdict.finitely_generated and verdict.sigma_plus == sigma
+
+
 def test_construct_bad_divisor_rejects_non_decomposable():
     with pytest.raises(ValueError):
         construct_bad_divisor(p1p1_fan(), cone((1, 0), (0, 1)), (1, 1))

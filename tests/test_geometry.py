@@ -28,6 +28,7 @@ from util import (
     fraction_from_halfplanes,
     fraction_polygon_of_points,
     helly_certificates,
+    line_interval_chords,
     line_interval_max_chord,
     load_example,
     naive_lattice_points,
@@ -456,6 +457,16 @@ def test_max_chord_matches_line_interval_oracle(points, v):
     assert_longest_chord(RatPolygon.from_vertices(points), v)
 
 
+@settings(max_examples=120, derandomize=True)
+@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), PRIMITIVE_8)
+@example([(0, 0)], (2, 3))  # a point
+@example([(0, 0), (0, 3)], (1, 0))  # a segment on one level
+@example([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0))  # edges on both extreme levels
+def test_vertex_level_chords_match_line_interval_oracle(points, v):
+    p = RatPolygon.from_vertices(points)
+    assert ChordWalk(p, v).chords() == line_interval_chords(p, v)
+
+
 @settings(max_examples=60, derandomize=True)
 @given(RATIONAL_POINT, SMALL_RATIONAL, PRIMITIVE_8)
 def test_max_chord_on_segments_orthogonal_to_v(a, t, v):
@@ -553,7 +564,6 @@ def test_level_count_reads_no_column(monkeypatch):
         raise AssertionError("a column was read")
 
     monkeypatch.setattr(geometry, "_column_walk", refuse)
-    monkeypatch.setattr(geometry, "_heights", refuse)
     points = lattice_points(poly)
     assert len(points) == 6161
     assert level_count(points, ctx.flag.v) == expected

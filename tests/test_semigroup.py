@@ -37,6 +37,7 @@ from util import (
     random_direction,
     random_smooth_fan,
     rationals,
+    triple_meet_body,
 )
 
 CTX = load_example("slanted_quad").context
@@ -206,6 +207,24 @@ def test_newton_okounkov_body_fixture():
     body = newton_okounkov_body(CTX)
     assert set(body.vertices) == {(0, 0), (0, 25), (F(2, 3), F(35, 3)), (F(8, 7), 0)}
     assert body.breakpoints == ((0, 25), (F(2, 3), F(35, 3)), (F(8, 7), 0))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["integral", "7/3", "rational"]), PRIMITIVE_6,
+       st.tuples(rationals(3, 5), rationals(3, 5)))
+def test_no_body_matches_triple_meet_oracle(seed, kind, v, shift):
+    # the chord lengths at P_D's vertex levels give the same body as every
+    # slope where three constraints meet; a rational divisor is an
+    # integral one times 7/3 or translated by a rational shift
+    rng = random.Random(seed)
+    fan = random_smooth_fan(rng)
+    d = random_ample_divisor(rng, fan)
+    scale, m = (F(7, 3), (0, 0)) if kind == "7/3" else (1, shift if kind == "rational" else (0, 0))
+    coeffs = tuple(scale * a + dot(m, r) for a, r in zip(d.coeffs, fan.rays))
+    ctx = make_context(ToricDivisor(fan, coeffs), v)
+    body = newton_okounkov_body(ctx)
+    oracle = triple_meet_body(ctx)
+    assert body.vertices == oracle.vertices and body.breakpoints == oracle.breakpoints
 
 
 def test_newton_okounkov_square():

@@ -26,6 +26,7 @@ from toricfg.geometry import (
     dot,
     floor_frac,
     lattice_points,
+    meet,
     neg,
     primitivize,
     rational,
@@ -34,7 +35,7 @@ from toricfg.geometry import (
     vsub,
 )
 from toricfg.oracles import LAMBDA_MAX
-from toricfg.semigroup import theta
+from toricfg.semigroup import NOBody, d_of_q, theta
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -225,21 +226,52 @@ def section(p: RatPolygon, v, c) -> tuple:
     return min(pts, key=lambda q: dot(q, w)), max(pts, key=lambda q: dot(q, w))
 
 
-def line_interval_max_chord(p: RatPolygon, v):
-    """The longest chord orthogonal to v, in rot90(v)-units, and the vertex
-    levels where it is reached, from the interval that each vertex-level
-    line cuts out of p (its ``section``).  The independent oracle for the
-    chain walk of max_chord."""
+def line_interval_chords(p: RatPolygon, v) -> list:
+    """(level, length) at every vertex level of p, levels increasing: the
+    length, in rot90(v)-units, of the interval that the level's line cuts
+    out of p (its ``section``).  The independent oracle for the chain walk
+    of ``geometry.ChordWalk``."""
     w = solve_pairing_one(rot90(v))
-    best, levels = None, []
+    out = []
     for c in sorted({dot(q, v) for q in p.vertices}):
         lo, hi = section(p, v, c)
-        length = dot(vsub(hi, lo), w)
-        if best is None or length > best:
-            best, levels = length, [c]
-        elif length == best:
-            levels.append(c)
-    return best, levels
+        out.append((c, dot(vsub(hi, lo), w)))
+    return out
+
+
+def line_interval_max_chord(p: RatPolygon, v):
+    """The longest chord orthogonal to v, in rot90(v)-units, and the vertex
+    levels where it is reached, from ``line_interval_chords``."""
+    chords = line_interval_chords(p, v)
+    best = max((length for _, length in chords), default=None)
+    return best, [c for c, length in chords if length == best]
+
+
+def triple_meet_body(ctx) -> NOBody:
+    """The Newton-Okounkov body with the roof d evaluated at 0, q_hat and
+    every slope in between where three constraints of the parametric
+    colon polytope meet: the lines of two rays meet at a point affine in
+    q, which lies on a third ray's line at one q.  The active constraints
+    change only there, so d kinks only there.  The O(n^3) oracle for the
+    chord-length candidates of ``semigroup.newton_okounkov_body``."""
+    qh = ctx.q_hat
+    rays = ctx.fan.rays
+    offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
+    candidates = {Fraction(0), qh}
+    for i, j in combinations(range(len(rays)), 2):
+        u0 = meet(rays[i], offs[i][0], rays[j], offs[j][0])
+        if u0 is None:
+            continue
+        u1 = meet(rays[i], offs[i][1], rays[j], offs[j][1])
+        d = u0[2]  # the same for both meets; it cancels in alpha/beta
+        for k in set(range(len(rays))) - {i, j}:
+            alpha = dot(u0, rays[k]) - offs[k][0] * d
+            beta = dot(u1, rays[k]) - offs[k][1] * d
+            if beta != 0 and 0 <= Fraction(-alpha, beta) <= qh:
+                candidates.add(Fraction(-alpha, beta))
+    graph = [(q, d_of_q(ctx, q)) for q in sorted(candidates)]
+    poly = RatPolygon.from_vertices([(Fraction(0), Fraction(0)), (qh, Fraction(0))] + graph)
+    return NOBody(poly, tuple(sorted(p for p in poly.vertices if p[1] == d_of_q(ctx, p[0]))))
 
 
 def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
