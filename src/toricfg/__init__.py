@@ -19,7 +19,6 @@ from .cones import (
 )
 from .criterion import (
     ConstructionFailed,
-    DegenerateSide,
     FGVerdict,
     SegmentData,
     construct_bad_divisor,
@@ -29,7 +28,6 @@ from .criterion import (
     lifting_table,
     max_segment,
     scan_directions,
-    sigma_cones,
     vertex_lifts,
 )
 from .fans import (

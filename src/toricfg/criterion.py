@@ -1,6 +1,8 @@
 """Finite-generation criterion: the maximal cross-section of the divisor
-polytope orthogonal to the flag direction, the two cones spanned by the
-edge normals on either side of it, decomposability verdicts with
+polytope orthogonal to the flag direction, read off the context's one
+chord walk together with the two side cones spanned by the edge normals
+on either side of it (None where that side is empty, which sends the
+verdict to the lifting fallback), decomposability verdicts with
 witnesses, the vertex-lifting test on Newton-Okounkov breakpoints, the
 all-divisors criterion over ray-pair cones, and the constructive search
 for a bad ample divisor when a decomposable cone exists."""
@@ -20,6 +22,7 @@ from .cones import (
 )
 from .fans import (
     Fan2,
+    NonPrimitiveDirection,
     ToricDivisor,
     ample_polytope,
     divisor_polytope,
@@ -49,63 +52,46 @@ from .semigroup import (
 )
 
 
-class DegenerateSide(ValueError):
-    """The maximal cross-section sits at an extreme pairing level, so one
-    of the side cones is undefined; callers fall back to the lifting
-    test."""
-
-
 class ConstructionFailed(RuntimeError):
     """The bad-divisor search exhausted its bounded options."""
 
 
 class SegmentData(NamedTuple):
-    """A maximal-length cross-section of P_D orthogonal to v.
+    """A maximal-length cross-section of P_D orthogonal to v, with its
+    side cones.
 
     level may be the midpoint of a maximizing interval; v2 - v1 = q_hat*m.
-    The four normals are the inner normals of the edge parts at the two
-    endpoints above (plus) and below (minus) the level, None when that
-    side is empty (extreme level)."""
+    sigma_plus is spanned by the inner normals of the edge parts at the
+    two endpoints below the level, sigma_minus by those above; a side
+    cone is None when its side is empty (an extreme level)."""
 
     level: Fraction
     v1: tuple
     v2: tuple
     q_hat: Fraction
-    n1_above: tuple | None
-    n2_above: tuple | None
-    n1_below: tuple | None
-    n2_below: tuple | None
+    sigma_plus: Cone2 | None
+    sigma_minus: Cone2 | None
 
 
-def max_segment(p_d: RatPolygon, v) -> SegmentData:
-    """The longest cross-section and the inner normals at its endpoints.
+def max_segment(walk: ChordWalk) -> SegmentData:
+    """The longest cross-section of the walked polygon and its side cones.
 
     An interval of maximizing levels is resolved to its midpoint (the
-    endpoints then lie in edge interiors and the side normals do not
+    endpoints then lie in edge interiors and the side cones do not
     depend on the choice).  Both ends and the boundary edges continuing
-    them above and below the level come from the chain walk of
-    ``ChordWalk``; the halfplane of ring edge i is ``p_d.lines[i]``."""
+    them above and below the level come from ``walk.ends()``; the
+    halfplane of ring edge i is ``walk.polygon.lines[i]``.  Antiparallel
+    normals span the halfplane containing v below the level and -v
+    above it."""
+    p_d, v = walk.polygon, walk.v
     if p_d.dim != 2:
         raise DegeneratePolygon("cross-sections need a two-dimensional polytope")
-    walk = ChordWalk(p_d, int_vector(v))
     c, (v1, n1b, n1a), (v2, n2b, n2a) = walk.ends()
-    n1a, n2a, n1b, n2b = (None if i is None else p_d.lines[i][0]
-                          for i in (n1a, n2a, n1b, n2b))
-    return SegmentData(c, v1, v2, walk.length, n1a, n2a, n1b, n2b)
 
+    def side(i, j, inside):
+        return None if i is None or j is None else cone(p_d.lines[i][0], p_d.lines[j][0], inside)
 
-def sigma_cones(seg: SegmentData, v) -> tuple:
-    """(sigma_plus, sigma_minus): sigma_minus is spanned by the inner
-    normals of the edge parts above the level, sigma_plus by those below;
-    antiparallel normals give the halfplane containing -v resp. v."""
-    if seg.n1_above is None or seg.n2_above is None:
-        raise DegenerateSide("no edge parts above the maximal cross-section")
-    if seg.n1_below is None or seg.n2_below is None:
-        raise DegenerateSide("no edge parts below the maximal cross-section")
-    v = int_vector(v)
-    sigma_minus = cone(seg.n1_above, seg.n2_above, neg(v))
-    sigma_plus = cone(seg.n1_below, seg.n2_below, v)
-    return sigma_plus, sigma_minus
+    return SegmentData(c, v1, v2, walk.length, side(n1b, n2b, v), side(n1a, n2a, neg(v)))
 
 
 class FGVerdict(NamedTuple):
@@ -152,13 +138,12 @@ def lifting_table(ctx: FlagContext) -> tuple:
 def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
     """Finitely generated iff v is not strongly decomposable in sigma_plus
     and -v is not strongly decomposable in sigma_minus.  When the maximal
-    cross-section sits at an extreme level (one side cone undefined) the
-    verdict falls back to lifting every Newton-Okounkov breakpoint."""
+    cross-section sits at an extreme level (a side cone of the segment
+    is None) the verdict falls back to lifting every Newton-Okounkov
+    breakpoint.  The segment is read off the context's chord walk."""
     v = ctx.flag.v
-    seg = max_segment(ctx.p_d, v)
-    try:
-        sigma_plus, sigma_minus = sigma_cones(seg, v)
-    except DegenerateSide:
+    seg = max_segment(ctx.chord_walk)
+    if seg.sigma_plus is None or seg.sigma_minus is None:
         table = lifting_table(ctx)
         return FGVerdict(
             finitely_generated=all(ok for _, _, ok in table),
@@ -170,12 +155,12 @@ def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
             lifting=table,
             segment=seg,
         )
-    dec_plus, wit_plus = is_strongly_decomposable(v, sigma_plus)
-    dec_minus, wit_minus = is_strongly_decomposable(neg(v), sigma_minus)
+    dec_plus, wit_plus = is_strongly_decomposable(v, seg.sigma_plus)
+    dec_minus, wit_minus = is_strongly_decomposable(neg(v), seg.sigma_minus)
     return FGVerdict(
         finitely_generated=not dec_plus and not dec_minus,
-        sigma_plus=sigma_plus,
-        sigma_minus=sigma_minus,
+        sigma_plus=seg.sigma_plus,
+        sigma_minus=seg.sigma_minus,
         witness_plus=wit_plus,
         witness_minus=wit_minus,
         degenerate_side=False,
@@ -197,7 +182,7 @@ def failing_cones(fan: Fan2, v):
     order.  Antiparallel pairs contribute the two halfplanes they bound."""
     v = int_vector(v)
     if not is_primitive(v):
-        raise ValueError("direction must be primitive")
+        raise NonPrimitiveDirection(f"direction {v} is not primitive")
     for ri, rj in itertools.combinations(fan.rays, 2):
         if det(ri, v) == 0 or det(rj, v) == 0:
             continue  # +-v on a ray's line is interior to no cone of the pair
@@ -253,10 +238,7 @@ def construct_bad_divisor(
     the maximal cross-section ends on both edge interiors, so that the
     verdict's sigma_plus is sigma itself."""
     v = int_vector(v)
-    if sigma.kind == "halfplane":
-        return _construct_bad_halfplane(fan, sigma, v)
-    flag = flag_data(fan, v)
-    if sigma.kind != "cone":
+    if sigma.kind == "ray":
         raise ValueError("sigma must be a two-dimensional cone or a halfplane")
     for g in sigma.generators:
         if g not in fan.rays:
@@ -264,6 +246,9 @@ def construct_bad_divisor(
     dec, _ = is_strongly_decomposable(v, sigma)
     if not dec:
         raise ValueError("direction is not strongly decomposable in sigma")
+    if sigma.kind == "halfplane":
+        return _construct_bad_halfplane(fan, sigma, v)
+    flag = flag_data(fan, v)
     interior = [r for r in fan.rays if sigma.strictly_contains(r)]
     outer = [r for r in fan.rays if r not in interior]
 
@@ -337,11 +322,6 @@ def _lower_coefficient(fan, coeffs, idx, floor):
 
 def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstruction:
     g = sigma.generators[0]
-    if g not in fan.rays or neg(g) not in fan.rays:
-        raise ValueError("halfplane boundary must be an antiparallel ray pair")
-    dec, _ = is_strongly_decomposable(v, sigma)
-    if not dec:
-        raise ValueError("direction is not strongly decomposable in sigma")
     base = {r: sum(max(0, det(r, t)) for t in fan.rays) for r in fan.rays}
     weight = 1
     while weight <= 4096:

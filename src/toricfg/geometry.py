@@ -683,6 +683,7 @@ class ChordWalk:
     read off the pieces of ``_chord_pieces`` (the rotating-calipers
     sweep); no Fraction is built before a result.
 
+    ``polygon`` and ``v`` are the walked polygon and direction;
     ``length`` is the longest chord, in m-units (m = rot90(v)), and None
     for the empty polygon; ``chords()`` lists the chord at every vertex
     level and ``ends()`` the maximal cross-section.  The chord length is
@@ -691,7 +692,7 @@ class ChordWalk:
     """
 
     def __init__(self, p: RatPolygon, v):
-        self._v, self._scale = v, p.scale
+        self.polygon, self.v, self._scale = p, v, p.scale
         self.length, self._chords = None, []
         if p.is_empty:
             return
@@ -727,12 +728,11 @@ class ChordWalk:
         incident edges at a vertex, None past an extreme level.
 
         Between two maximizing levels both chains are straight (the chord
-        length is concave and constant there), so the midpoint ends are
-        the means of the ends at those levels and lie inside the edges
-        that leave the first level upwards.  The means are taken on the
-        int (s, t) values; with one maximizing level they are its ends.
+        length is concave and constant there), so the lines of the piece
+        at the first maximizing level give both ends at the midpoint, which
+        lie inside the edges that leave that level upwards.
         """
-        (a, b), (c, e) = self._v, solve_pairing_one(self._v)
+        (a, b), (c, e) = self.v, solve_pairing_one(self.v)
         pieces, (k, k_top) = self._pieces, self._best
         last = len(pieces) - 1
         lvl, top = self._chords[k][0], self._chords[k_top][0]
@@ -742,10 +742,9 @@ class ChordWalk:
             above = pieces[k][side] if k <= last else None
             if top != lvl:
                 below = above
-            (p1, q1, d), (p2, q2, d2) = pieces[min(k, last)][side + 2], pieces[min(k_top, last)][side + 2]
-            # the mean of the ends at levels lvl and top: level s / den and
-            # chord position t / den, so the point (s*u + t*rot90(v)) / den
-            s, t = (lvl + top) * d * d2, (p1 * lvl + q1) * d2 + (p2 * top + q2) * d
-            den = 2 * d * d2 * self._scale
+            p1, q1, d = pieces[min(k, last)][side + 2]
+            # at level s / den the chord position is t / den, so the point
+            # is (s*u + t*rot90(v)) / den
+            s, t, den = (lvl + top) * d, p1 * (lvl + top) + 2 * q1, 2 * d * self._scale
             out.append(((Fraction(c * s - b * t, den), Fraction(e * s + a * t, den)), below, above))
         return tuple(out)

@@ -13,7 +13,6 @@ from toricfg.criterion import (
     lifting_table,
     max_segment,
     scan_directions,
-    sigma_cones,
     vertex_lifts,
 )
 from toricfg.fans import (
@@ -24,7 +23,7 @@ from toricfg.fans import (
     is_ample,
     normal_fan,
 )
-from toricfg.geometry import width
+from toricfg.geometry import ChordWalk, width
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search
 from toricfg.semigroup import (
     d_of_q,
@@ -104,9 +103,9 @@ def test_criterion_3_non_finite_generation_witness():
 
 def test_criterion_4_sevengon_finitely_generated():
     p = load_example("sevengon").p_d
-    seg = max_segment(p, (0, 1))
+    seg = max_segment(ChordWalk(p, (0, 1)))
     assert {seg.v1, seg.v2} == {(F(8, 3), 3), (9, 3)}
-    sp, sm = sigma_cones(seg, (0, 1))
+    sp, sm = seg.sigma_plus, seg.sigma_minus
     assert sp == cone((3, 2), (-1, 2))
     assert sm == cone((-2, -3), (3, 2))
     ctx = load_example("sevengon").context

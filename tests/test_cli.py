@@ -453,6 +453,25 @@ def test_semigroup_computes_the_longest_chord_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_a_verdict_walks_the_chords_of_p_d_once(monkeypatch, capsys):
+    # the maximal segment and the Newton-Okounkov body of the lifting
+    # fallback both read the context's one chord walk
+    from toricfg import geometry
+
+    calls, init = [], geometry.ChordWalk.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(geometry.ChordWalk, "__init__", counted)
+    for command in ("analyze", "fg"):
+        calls.clear()
+        assert cli.main([command, "--input", inp("slanted_quad.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, command
+
+
 def test_validity_is_read_off_the_polygons_a_call_builds(monkeypatch, tmp_path):
     # the input's ampleness check builds P_D and keeps it, the direction's
     # primitivity needs no polygon, and the one context of the call holds

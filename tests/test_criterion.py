@@ -5,10 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricfg.cones import cone, exists_pairing_one, halfplane
+from toricfg.cones import cone, exists_pairing_one, halfplane, ray
 from toricfg.criterion import (
     ConstructionFailed,
-    DegenerateSide,
     _check_tangent,
     _lower_coefficient,
     _relaxation,
@@ -20,12 +19,12 @@ from toricfg.criterion import (
     lifting_table,
     max_segment,
     scan_directions,
-    sigma_cones,
     vertex_lifts,
 )
 from toricfg.fans import (
     Fan2,
     InvalidFan,
+    NonPrimitiveDirection,
     ToricDivisor,
     divisor_from_polytope,
     divisor_polytope,
@@ -62,27 +61,27 @@ EXT_FAN = load_example("extended_quad_fan", "fg-all").fan
 
 
 def test_max_segment_sevengon():
-    seg = max_segment(SEVENGON.p_d, (0, 1))
+    seg = max_segment(ChordWalk(SEVENGON.p_d, (0, 1)))
     assert seg.level == 3
     assert {seg.v1, seg.v2} == {(F(8, 3), 3), (9, 3)}
     assert seg.q_hat == F(19, 3)
 
 
 def test_max_segment_square_midpoint_tiebreak():
-    seg = max_segment(load_example("unit_square").p_d, (1, 0))
+    seg = max_segment(ChordWalk(load_example("unit_square").p_d, (1, 0)))
     assert seg.level == F(1, 2)
     assert seg.q_hat == 1
     assert {seg.v1, seg.v2} == {(F(1, 2), 0), (F(1, 2), 1)}
 
 
 def test_max_segment_running_example_matches_q_hat():
-    seg = max_segment(CTX.p_d, CTX.flag.v)
+    seg = max_segment(ChordWalk(CTX.p_d, CTX.flag.v))
     assert seg.q_hat == F(8, 7)
 
 
 def test_sigma_cones_sevengon():
-    seg = max_segment(SEVENGON.p_d, (0, 1))
-    sp, sm = sigma_cones(seg, (0, 1))
+    seg = max_segment(ChordWalk(SEVENGON.p_d, (0, 1)))
+    sp, sm = seg.sigma_plus, seg.sigma_minus
     assert sp == cone((3, 2), (-1, 2))
     assert sm == cone((-2, -3), (3, 2))
     assert sp.strictly_contains((0, 1))
@@ -90,8 +89,8 @@ def test_sigma_cones_sevengon():
 
 
 def test_sigma_cones_square_halfplanes():
-    seg = max_segment(load_example("unit_square").p_d, (1, 0))
-    sp, sm = sigma_cones(seg, (1, 0))
+    seg = max_segment(ChordWalk(load_example("unit_square").p_d, (1, 0)))
+    sp, sm = seg.sigma_plus, seg.sigma_minus
     assert sp.kind == "halfplane" and sm.kind == "halfplane"
     assert sp == halfplane((0, 1), (1, 0))
     assert sm == halfplane((0, 1), (-1, 0))
@@ -104,13 +103,24 @@ def test_sigma_cones_contain_directions():
         d = random_ample_divisor(rng, fan)
         v = random_direction(rng)
         ctx = make_context(d, v)
-        seg = max_segment(ctx.p_d, v)
-        try:
-            sp, sm = sigma_cones(seg, v)
-        except DegenerateSide:
+        seg = max_segment(ChordWalk(ctx.p_d, v))
+        sp, sm = seg.sigma_plus, seg.sigma_minus
+        if sp is None or sm is None:
             continue
         assert sp.strictly_contains(v)
         assert sm.strictly_contains(neg(v))
+
+
+def test_one_sided_segment_falls_back_with_no_sigmas():
+    # on the triangle conv(0, e1, e2) at v = (0, 1) the longest chord is
+    # the bottom edge: nothing lies below it, so sigma_plus is None while
+    # the edges above span sigma_minus, and the verdict lifts breakpoints
+    ctx = make_context(ToricDivisor.make(p2_fan(), (0, 0, 1)), (0, 1))
+    verdict = is_finitely_generated(ctx)
+    assert verdict.segment.sigma_plus is None
+    assert verdict.segment.sigma_minus == cone((1, 0), (-1, -1))
+    assert verdict.degenerate_side and verdict.lifting
+    assert verdict.sigma_plus is None and verdict.sigma_minus is None
 
 
 def test_fg_verdicts_fixtures():
@@ -325,6 +335,23 @@ def test_construct_bad_divisor_rejects_non_decomposable():
         construct_bad_divisor(p1p1_fan(), cone((1, 0), (0, 1)), (1, 1))
 
 
+def test_construct_bad_divisor_checks_sigma_once_for_both_kinds():
+    # a ray is no sigma, and a halfplane whose boundary is not a ray pair
+    # fails the generator check that pointed cones pass through too
+    with pytest.raises(ValueError, match="two-dimensional cone or a halfplane"):
+        construct_bad_divisor(p1p1_fan(), ray((1, 0)), (1, 2))
+    with pytest.raises(ValueError, match="not a ray of the fan"):
+        construct_bad_divisor(p1p1_fan(), halfplane((1, 1), (1, -1)), (1, -1))
+    with pytest.raises(ValueError, match="not strongly decomposable"):
+        construct_bad_divisor(p1p1_fan(), halfplane((1, 0), (1, 1)), (1, 1))
+
+
+def test_failing_cones_rejects_a_non_primitive_direction():
+    # the same exception as flag_data for the same input
+    with pytest.raises(NonPrimitiveDirection):
+        fg_for_all_divisors(p2_fan(), (2, 4))
+
+
 def test_lowering_takes_the_midpoint_below_top_and_stops_at_the_floor():
     # the other rays cut out the square [-1, 1]^2, whose vertex levels
     # -<u, r> at r = (1, 1) are top = 2, then 0 and -2: ray r supports an
@@ -422,7 +449,7 @@ def test_max_segment_q_hat_matches_parametric_feasibility():
         d = random_ample_divisor(rng, fan)
         v = random_direction(rng)
         ctx = make_context(d, v)
-        assert max_segment(ctx.p_d, v).q_hat == q_hat(ctx) == helly_q_hat(ctx)
+        assert max_segment(ChordWalk(ctx.p_d, v)).q_hat == q_hat(ctx) == helly_q_hat(ctx)
 
 
 PRIMITIVE_30 = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
@@ -439,7 +466,7 @@ def test_max_segment_and_q_hat_match_oracles(seed, scale, v):
     fan = random_smooth_fan(rng)
     d = random_ample_divisor(rng, fan)
     ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)), v)
-    assert max_segment(ctx.p_d, v) == vertex_level_max_segment(ctx.p_d, v)
+    assert max_segment(ChordWalk(ctx.p_d, v)) == vertex_level_max_segment(ctx.p_d, v)
     assert q_hat(ctx) == helly_q_hat(ctx)
 
 
@@ -460,7 +487,7 @@ def test_scan_segments_match_a_fresh_context():
     rows = scan_directions(divisor, 3)
     for v, verdict in rows:
         ctx = make_context(divisor, v)
-        assert max_segment(ctx.p_d, v) == verdict.segment
+        assert max_segment(ChordWalk(ctx.p_d, v)) == verdict.segment
         assert ctx.q_hat == verdict.segment.q_hat
     assert len(rows) == 16
 
@@ -509,7 +536,7 @@ def test_relaxation_matches_search_on_random_fans():
 def test_max_segment_on_random_polygons_matches_oracle(points, v):
     p = RatPolygon.from_vertices(points)
     assume(p.dim == 2)
-    assert max_segment(p, v) == vertex_level_max_segment(p, v)
+    assert max_segment(ChordWalk(p, v)) == vertex_level_max_segment(p, v)
 
 
 def test_scan_accepts_polygon_and_divisor():

@@ -673,5 +673,5 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     # the maximal cross-section builds only its result: the level, the
     # length, the two maximizing levels and one Fraction pair per end
     built.clear()
-    seg = max_segment(p_d, (3, 7))
+    seg = max_segment(ChordWalk(p_d, (3, 7)))
     assert len(built) <= 8 and seg.q_hat == ctx.q_hat

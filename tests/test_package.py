@@ -165,6 +165,20 @@ def test_every_record_field_is_read_by_program_code():
     assert sorted(f for f in fields if f[1] not in named) == []
 
 
+def test_only_the_cli_catches_exceptions():
+    # the engine decides by values, not by exceptions: an except clause
+    # sits only in cli.py, which turns invalid input into exit code 2
+    handlers = []
+    for path in sorted(glob.glob(os.path.join(SRC, "toricfg", "*.py"))):
+        if os.path.basename(path) == "cli.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        handlers += [(os.path.basename(path), n.lineno) for n in ast.walk(tree)
+                     if isinstance(n, ast.ExceptHandler)]
+    assert handlers == []
+
+
 def _compact(value):
     """A value as the README writes it: tuples and points without spaces,
     rationals as p/q."""

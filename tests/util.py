@@ -14,6 +14,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 from toricfg import cli
+from toricfg.cones import cone
 from toricfg.criterion import ConstructionFailed, SegmentData
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
@@ -298,7 +299,9 @@ def vertex_level_max_segment(p_d: RatPolygon, v) -> SegmentData:
     v1, v2 = section(p_d, v, c)
     n1a, n1b = side_normals(c, v1)
     n2a, n2b = side_normals(c, v2)
-    return SegmentData(c, v1, v2, length, n1a, n2a, n1b, n2b)
+    below = None if n1b is None or n2b is None else cone(n1b, n2b, v)
+    above = None if n1a is None or n2a is None else cone(n1a, n2a, neg(v))
+    return SegmentData(c, v1, v2, length, below, above)
 
 
 def projection_lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
