@@ -79,7 +79,7 @@ def filters_pass(polygon):
         for w in (vdir, neg(vdir)):
             for c_gens in ((n2, neg(n1)), (n1, neg(n2))):
                 c = cone(*c_gens)
-                if c.strictly_contains(w) and is_strongly_decomposable(w, c)[0]:
+                if c.strictly_contains(w) and is_strongly_decomposable(w, c):
                     break
             else:
                 continue

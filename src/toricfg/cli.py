@@ -105,7 +105,7 @@ def load_problem(args) -> Problem:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read input {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
@@ -329,7 +329,7 @@ def cmd_construct_bad(problem: Problem, args) -> dict:
     if first[0].kind != "cone":
         # prefer a pointed cone; the halfplane construction is the fallback
         first = next((f for f in failures if f[0].kind == "cone"), first)
-    sigma, direction, _ = first
+    sigma, direction = first
     out = crit.construct_bad_divisor(problem.fan, sigma, direction)
     return {
         "constructed": True,
@@ -424,6 +424,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     handler, _ = COMMANDS[args.command]
+    # exact input and output may pass CPython's int <-> str digit limit
+    # (Pythons before 3.10.7 have none); lift it for this call only, since
+    # tests and the benchmark call main in process
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         for dest, val in vars(args).items():
             if type(val) is int and val < 1:  # --bound, --lmax, --lambda-max
@@ -435,6 +441,9 @@ def main(argv=None) -> int:
     except (InputError, svgfig.FigureTooLarge) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

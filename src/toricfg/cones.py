@@ -1,14 +1,15 @@
-"""Rational cones in a rank-2 lattice: duals, Hilbert bases, the
-strong-decomposability test, and exact search for lattice points with a
-prescribed pairing value.
+"""Rational cones in a rank-2 lattice, in closed form: duals, Hilbert
+bases, the strong-decomposability test, and exact search for lattice
+points with a prescribed pairing value.
 
 Cones carry no lattice tag: the criterion's side cones live in N, the
 tangent cones of colon polytopes in M, and ``dual_cone`` takes one to
 the other.  Maximal-cross-section cones of polygons with parallel edges
 degenerate to halfplanes; a halfplane is stored as the cone on (g, -g),
 so membership, duality, the pairing-one search and decomposability read
-it exactly as a strongly convex cone.  Only the Hilbert basis (which a
-halfplane lacks) and the witness search treat it apart.
+it exactly as a strongly convex cone.  Only the Hilbert basis, which a
+halfplane lacks, treats it apart.  Decomposition witnesses are searched
+for in ``criterion``, where they are printed.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ class Cone2(NamedTuple):
 
     kind: str
     generators: tuple
-
-    def contains(self, x) -> bool:
-        g1 = self.generators[0]
-        if self.kind == "ray":
-            return det(g1, x) == 0 and dot(g1, x) >= 0
-        return det(g1, x) >= 0 and det(x, self.generators[1]) >= 0
 
     def strictly_contains(self, x) -> bool:
         """Topological-interior membership (always False for rays)."""
@@ -104,70 +99,42 @@ def dual_cone(c: Cone2) -> Cone2:
 
 
 def hilbert_basis(c: Cone2) -> tuple:
-    """The unique minimal generating set of c intersected with the lattice.
+    """The unique minimal generating set of c intersected with the lattice,
+    sorted.
 
-    Rank-2 recipe: lattice points of the half-open fundamental
-    parallelogram of the generators, together with the generators, then
-    pairwise-subtraction minimalization.  Kept as the test oracle for
-    the pairing-one route of is_strongly_decomposable.
+    Rank-2 recipe: walk from g1 to g2 in steps of determinant one.  The
+    lattice points of the line det(h, x) = 1 inside c are p + t*h for
+    t >= some t0, and the one nearest the wall of g2 (least det(x, g2) >=
+    0) is the next basis element; det(x, g2) falls at every step, and the
+    walk ends on the primitive g2.  One step per basis element.
     """
     if c.kind == "halfplane":
         raise NotPointed("halfplane semigroup has no finite Hilbert basis")
     if c.kind == "ray":
         return (c.generators[0],)
-    g1, g2 = c.generators
-    d = det(g1, g2)
-    corners = [(0, 0), g1, g2, (g1[0] + g2[0], g1[1] + g2[1])]
-    xs = [p[0] for p in corners]
-    ys = [p[1] for p in corners]
-    candidates = set()
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if p == (0, 0):
-                continue
-            a, b = det(p, g2), det(g1, p)
-            if 0 <= a < d and 0 <= b < d:
-                candidates.add(p)
-    candidates.update([g1, g2])
-    basis = []
-    for h in sorted(candidates):
-        reducible = False
-        for s in candidates:
-            r = (h[0] - s[0], h[1] - s[1])
-            if r != (0, 0) and s != h and c.contains(r):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(h)
-    return tuple(basis)
+    h, g2 = c.generators
+    basis = [h]
+    while h != g2:
+        p = solve_pairing_one(rot90(h))  # det(h, p) == 1
+        t = -(det(p, g2) // det(h, g2))
+        h = (p[0] + t * h[0], p[1] + t * h[1])
+        basis.append(h)
+    return tuple(sorted(basis))
 
 
-def is_strongly_decomposable(w, c: Cone2):
-    """Decide whether w = w' + w'' with both summands interior lattice
-    points of c.  Returns (verdict, witness-or-None).
+def is_strongly_decomposable(w, c: Cone2) -> bool:
+    """Is w = w' + w'' with both summands interior lattice points of c?
 
     w is indecomposable iff it is primitive and some lattice point of the
     dual cone pairs to 1 with it (the pairing-one search).  For a
     halfplane (g, -g) the dual is the ray rot90(g) and <rot90(g), w> =
     det(g, w), so this reads: w lies at lattice distance 1 from the
-    boundary line.  Witnesses come from the independent brute-force
-    search.
+    boundary line.
     """
     w = int_vector(w)
     if not c.strictly_contains(w):
         raise NotInInterior(f"{w} is not an interior lattice point of the cone")
-    decomposable = gcd(*w) > 1 or not exists_pairing_one(dual_cone(c), w)
-    witness = None
-    if decomposable:
-        from .oracles import brute_decompose
-
-        witness = brute_decompose(w, c)
-        if witness is None:
-            raise ArithmeticError(
-                "decomposability test and brute-force witness search disagree"
-            )
-    return decomposable, witness
+    return gcd(*w) > 1 or not exists_pairing_one(dual_cone(c), w)
 
 
 def exists_pairing_one(c: Cone2, v) -> bool:

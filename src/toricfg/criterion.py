@@ -2,10 +2,11 @@
 polytope orthogonal to the flag direction, read off the context's one
 chord walk together with the two side cones spanned by the edge normals
 on either side of it (None where that side is empty, which sends the
-verdict to the lifting fallback), decomposability verdicts with
-witnesses, the vertex-lifting test on Newton-Okounkov breakpoints, the
-all-divisors criterion over ray-pair cones, and the constructive search
-for a bad ample divisor when a decomposable cone exists."""
+verdict to the lifting fallback), decomposability verdicts with the
+witnesses they print, the vertex-lifting test on Newton-Okounkov
+breakpoints, the all-divisors criterion over ray-pair cones, and the
+constructive search for a bad ample divisor when a decomposable cone
+exists."""
 
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .geometry import (
     rational,
     width,
 )
+from .oracles import brute_decompose
 from .semigroup import (
     FlagContext,
     make_context,
@@ -130,6 +132,18 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     return exists_pairing_one(cone_minus, v) and exists_pairing_one(cone_plus, neg(v))
 
 
+def decomposition(w, c: Cone2) -> tuple:
+    """The witness (w', w'') of a decomposable verdict: the exhaustive
+    search's lexicographically smallest split of w into two interior
+    lattice points of c.  Called only where a witness is printed."""
+    witness = brute_decompose(w, c)
+    if witness is None:
+        raise ArithmeticError(
+            "decomposability test and brute-force witness search disagree"
+        )
+    return witness
+
+
 def lifting_table(ctx: FlagContext) -> tuple:
     body = newton_okounkov_body(ctx)
     return tuple((q, d, vertex_lifts(ctx, q)) for q, d in body.breakpoints)
@@ -155,14 +169,14 @@ def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
             lifting=table,
             segment=seg,
         )
-    dec_plus, wit_plus = is_strongly_decomposable(v, seg.sigma_plus)
-    dec_minus, wit_minus = is_strongly_decomposable(neg(v), seg.sigma_minus)
+    dec_plus = is_strongly_decomposable(v, seg.sigma_plus)
+    dec_minus = is_strongly_decomposable(neg(v), seg.sigma_minus)
     return FGVerdict(
         finitely_generated=not dec_plus and not dec_minus,
         sigma_plus=seg.sigma_plus,
         sigma_minus=seg.sigma_minus,
-        witness_plus=wit_plus,
-        witness_minus=wit_minus,
+        witness_plus=decomposition(v, seg.sigma_plus) if dec_plus else None,
+        witness_minus=decomposition(neg(v), seg.sigma_minus) if dec_minus else None,
         degenerate_side=False,
         lifting=None,
         segment=seg,
@@ -177,7 +191,7 @@ class FGAllResult(NamedTuple):
 
 
 def failing_cones(fan: Fan2, v):
-    """Lazily yield (cone, w, witness) for every cone spanned by a pair of
+    """Lazily yield (cone, w) for every cone spanned by a pair of
     rays in which w = v or w = -v is strongly decomposable, in ray-pair
     order.  Antiparallel pairs contribute the two halfplanes they bound."""
     v = int_vector(v)
@@ -188,17 +202,16 @@ def failing_cones(fan: Fan2, v):
             continue  # +-v on a ray's line is interior to no cone of the pair
         for w in (v, neg(v)):
             c = cone(ri, rj, w)
-            if c.strictly_contains(w):
-                dec, wit = is_strongly_decomposable(w, c)
-                if dec:
-                    yield c, w, wit
+            if c.strictly_contains(w) and is_strongly_decomposable(w, c):
+                yield c, w
 
 
 def fg_for_all_divisors(fan: Fan2, v) -> FGAllResult:
     """True iff neither v nor -v is strongly decomposable in any cone
-    spanned by a pair of rays.  Returns the first failing cone otherwise."""
-    for c, w, wit in failing_cones(fan, v):
-        return FGAllResult(False, c, w, wit)
+    spanned by a pair of rays.  Returns the first failing cone, with its
+    witness, otherwise."""
+    for c, w in failing_cones(fan, v):
+        return FGAllResult(False, c, w, decomposition(w, c))
     return FGAllResult(True, None, None, None)
 
 
@@ -243,8 +256,7 @@ def construct_bad_divisor(
     for g in sigma.generators:
         if g not in fan.rays:
             raise ValueError(f"cone generator {g} is not a ray of the fan")
-    dec, _ = is_strongly_decomposable(v, sigma)
-    if not dec:
+    if not is_strongly_decomposable(v, sigma):
         raise ValueError("direction is not strongly decomposable in sigma")
     if sigma.kind == "halfplane":
         return _construct_bad_halfplane(fan, sigma, v)

@@ -150,7 +150,7 @@ def test_criterion_6a_decomposability_equivalence():
     for _ in range(200):
         c = random_cone(rng, bound=5)
         w = interior_point(rng, c, spread=3)
-        dec, _ = is_strongly_decomposable(w, c)
+        dec = is_strongly_decomposable(w, c)
         assert dec == (brute_decompose(w, c) is not None)
     _ok("6a", "Hilbert-basis decomposability equals brute-force search on "
               "200 random (cone, interior point) instances")

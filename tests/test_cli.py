@@ -544,3 +544,88 @@ def test_integral_divisor_literals_are_stored_as_ints(tmp_path):
     rational = cli.load_problem(argparse.Namespace(
         command="fg", input=inp("rational_quad.json"), direction=None))
     assert any(type(a) is Fraction for a in rational.divisor.coeffs)
+
+
+def test_input_that_json_cannot_decode_exits_2(tmp_path):
+    # bytes that are not UTF-8, and nesting deeper than the decoder's
+    # recursion limit, are invalid JSON like any syntax error
+    cases = [b"\xff\xfe{", b'{"fan": ' + b"[" * 100000 + b"]" * 100000 + b"}"]
+    for i, data in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_bytes(data)
+        res = run_main("fg", "--input", str(path))
+        assert (res.returncode, res.stdout) == (2, ""), i
+        assert json.loads(res.stderr)["error"].startswith("input is not valid JSON: "), i
+
+
+# more decimal digits than CPython's default int <-> str limit of 4,300
+ONES = "1" * 5000
+
+
+def run_past_digit_limit(*argv):
+    """run_main, checking that the call leaves the process's int <-> str
+    digit limit as it found it."""
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+    res = run_main(*argv)
+    assert get_limit() == before
+    return res
+
+
+def test_direction_past_the_digit_limit():
+    res = run_past_digit_limit("fg", "--input", inp("slanted_quad.json"), "--direction", "1," + ONES)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert '"finitely_generated": ' in res.stdout
+
+
+def test_integer_past_the_digit_limit_in_the_document(tmp_path):
+    with open(inp("slanted_quad.json")) as f:
+        text = f.read()
+    path = tmp_path / "long_note.json"
+    path.write_text(text.rstrip()[:-1] + f', "note": {ONES}}}')
+    res = run_past_digit_limit("fg", "--input", str(path))
+    assert res == run_main("fg", "--input", inp("slanted_quad.json"))
+    assert res.returncode == 0
+
+
+def test_theta_plot_past_the_digit_limit():
+    res = run_past_digit_limit("plot", "--input", inp("slanted_quad.json"),
+                               "--what", f"theta(1,{ONES})")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert json.loads(res.stderr) == {"error": f"theta(1,{ONES}) is empty; nothing to draw"}
+
+
+def test_nobody_area_past_the_digit_limit(tmp_path):
+    # coefficients (a, 0, 0) with a = 10^2200 - 1 make P_D the triangle of
+    # area a^2 / 2, whose numerator has 4,400 digits: 9...98 0...01
+    path = tmp_path / "big_triangle.json"
+    path.write_text('{"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "direction": [1, 1],'
+                    ' "divisor": {"coefficients": [' + "9" * 2200 + ", 0, 0]}}")
+    res = run_past_digit_limit("nobody", "--input", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert f'"area": [\n    {"9" * 2199}8{"0" * 2199}1,\n    2\n  ]' in res.stdout
+
+
+def test_witnesses_are_searched_only_where_printed(monkeypatch, capsys):
+    # failing_cones yields cones and directions with no witness; fg-all
+    # searches one for the cone it prints, and construct-bad only for the
+    # verdict that checks its divisor
+    from toricfg import oracles
+
+    calls, search = [], oracles.brute_decompose
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    for module in (oracles, criterion):
+        monkeypatch.setattr(module, "brute_decompose", counted)
+    fan = load_example("extended_quad_fan", "fg-all").fan
+    assert len(list(criterion.failing_cones(fan, (-2, 3)))) == 8
+    assert calls == []
+    assert cli.main(["construct-bad", "--input", inp("extended_quad_fan.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["constructed"] is True
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.main(["fg-all", "--input", inp("extended_quad_fan.json")]) == 0
+    assert len(calls) == 1

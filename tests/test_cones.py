@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricfg.cones import (
     NotInInterior,
@@ -14,10 +15,17 @@ from toricfg.cones import (
     is_strongly_decomposable,
     ray,
 )
+from toricfg.criterion import decomposition
 from toricfg.geometry import det, dot, neg, rot90, solve_pairing_one
 from toricfg.oracles import brute_decompose
 
-from util import interior_point, random_cone, random_direction
+from util import (
+    cone_contains,
+    enumerated_hilbert_basis,
+    interior_point,
+    random_cone,
+    random_direction,
+)
 
 FIRST_QUADRANT = cone((1, 0), (0, 1))
 
@@ -33,8 +41,8 @@ def test_halfplane_side_normalization():
     h1 = halfplane((1, 0), (0, 1))
     h2 = halfplane((-1, 0), (5, 3))
     assert h1 == h2
-    assert h1.contains((0, 1)) and h1.contains((1, 0)) and h1.contains((-1, 0))
-    assert not h1.contains((0, -1))
+    assert cone_contains(h1, (0, 1)) and cone_contains(h1, (1, 0)) and cone_contains(h1, (-1, 0))
+    assert not cone_contains(h1, (0, -1))
     assert h1.strictly_contains((0, 1)) and not h1.strictly_contains((1, 0))
 
 
@@ -42,8 +50,8 @@ def test_dual_cone_fixtures():
     assert dual_cone(cone((1, 0), (0, 1))) == cone((1, 0), (0, 1))
     assert dual_cone(cone((0, 1), (-2, 1))) == cone((-1, 0), (1, 2))
     h = dual_cone(ray((1, 0)))
-    assert h.kind == "halfplane" and h.contains((0, 5)) and h.contains((0, -5))
-    assert h.contains((3, 1)) and not h.contains((-1, 0))
+    assert h.kind == "halfplane" and cone_contains(h, (0, 5)) and cone_contains(h, (0, -5))
+    assert cone_contains(h, (3, 1)) and not cone_contains(h, (-1, 0))
     assert dual_cone(h) == ray((1, 0))
 
 
@@ -82,35 +90,49 @@ def test_hilbert_basis_generates_and_is_minimal():
             assert not _generated_by(drop, rest, c), (drop, basis)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+def test_hilbert_basis_walk_matches_the_enumeration(xs):
+    g1, g2 = (xs[0], xs[1]), (xs[2], xs[3])
+    assume((0, 0) not in (g1, g2) and det(g1, g2) != 0)
+    c = cone(g1, g2)
+    assert hilbert_basis(c) == enumerated_hilbert_basis(c)
+
+
+def test_hilbert_basis_walk_at_large_determinant():
+    # one step per basis element: cone((1, 0), (1, d)) has the d + 1
+    # elements (1, k), and the enumeration would read d^2 box points
+    d = 10**4
+    assert hilbert_basis(cone((1, 0), (1, d))) == tuple((1, k) for k in range(d + 1))
+
+
 def _generated_by(p, gens, c, depth=0):
     if p == (0, 0):
         return True
-    if depth > 40 or not c.contains(p):
+    if depth > 40 or not cone_contains(c, p):
         return False
     return any(
         _generated_by((p[0] - g[0], p[1] - g[1]), gens, c, depth + 1)
         for g in gens
-        if c.contains((p[0] - g[0], p[1] - g[1]))
+        if cone_contains(c, (p[0] - g[0], p[1] - g[1]))
     )
 
 
 def test_strong_decomposability_fixtures():
-    dec, wit = is_strongly_decomposable((1, 1), FIRST_QUADRANT)
-    assert not dec and wit is None
-    dec, wit = is_strongly_decomposable((2, 2), FIRST_QUADRANT)
-    assert dec and wit == ((1, 1), (1, 1))
-    dec, wit = is_strongly_decomposable((-2, 3), cone((-1, 0), (1, 2)))
-    assert dec and wit == ((-2, 1), (0, 2))
+    assert is_strongly_decomposable((1, 1), FIRST_QUADRANT) is False
+    assert is_strongly_decomposable((2, 2), FIRST_QUADRANT) is True
+    assert decomposition((2, 2), FIRST_QUADRANT) == ((1, 1), (1, 1))
+    assert is_strongly_decomposable((-2, 3), cone((-1, 0), (1, 2))) is True
+    assert decomposition((-2, 3), cone((-1, 0), (1, 2))) == ((-2, 1), (0, 2))
     with pytest.raises(NotInInterior):
         is_strongly_decomposable((1, 0), FIRST_QUADRANT)
 
 
 def test_halfplane_decomposability_is_boundary_distance():
     h = halfplane((1, 0), (0, 1))
-    dec1, _ = is_strongly_decomposable((5, 1), h)
-    assert not dec1  # lattice distance one from the boundary line
-    dec2, wit = is_strongly_decomposable((5, 2), h)
-    assert dec2
+    assert not is_strongly_decomposable((5, 1), h)  # lattice distance one from the boundary line
+    assert is_strongly_decomposable((5, 2), h)
+    wit = decomposition((5, 2), h)
     assert wit[0][1] >= 1 and wit[1][1] >= 1
     assert (wit[0][0] + wit[1][0], wit[0][1] + wit[1][1]) == (5, 2)
 
@@ -120,11 +142,11 @@ def test_hilbert_test_matches_brute_force():
     for _ in range(200):
         c = random_cone(rng, bound=5)
         w = interior_point(rng, c, spread=3)
-        dec, wit = is_strongly_decomposable(w, c)
+        dec = is_strongly_decomposable(w, c)
         brute = brute_decompose(w, c)
         assert dec == (brute is not None)
         if dec:
-            assert wit == brute
+            assert decomposition(w, c) == brute
 
 
 def test_decomposability_dilation_monotone():
@@ -132,11 +154,9 @@ def test_decomposability_dilation_monotone():
     for _ in range(80):
         c = random_cone(rng, bound=4)
         w = interior_point(rng, c, spread=3)
-        dec, _ = is_strongly_decomposable(w, c)
-        if dec:
+        if is_strongly_decomposable(w, c):
             for lam in (2, 3):
-                bigger, _ = is_strongly_decomposable((lam * w[0], lam * w[1]), c)
-                assert bigger
+                assert is_strongly_decomposable((lam * w[0], lam * w[1]), c)
 
 
 def test_exists_pairing_one_fixtures():
@@ -158,7 +178,7 @@ def test_exists_pairing_one_fixtures():
 def _brute_pairing_one(c, v, box=40):
     for x in range(-box, box + 1):
         for y in range(-box, box + 1):
-            if c.contains((x, y)) and dot((x, y), v) == 1:
+            if cone_contains(c, (x, y)) and dot((x, y), v) == 1:
                 return True
     return False
 
@@ -208,10 +228,10 @@ def test_pairing_bridge_to_decomposability():
             w = (2 * w[0], 2 * w[1])
         primitive = gcd(w[0], w[1]) == 1
         by_pairing = not primitive or not exists_pairing_one(dual_cone(c), w)
-        by_hilbert = 1 not in {dot(h, w) for h in hilbert_basis(dual_cone(c))}
+        by_hilbert = 1 not in {dot(h, w) for h in enumerated_hilbert_basis(dual_cone(c))}
         by_brute = brute_decompose(w, c) is not None
         assert by_pairing == by_hilbert == by_brute
-        assert is_strongly_decomposable(w, c)[0] == by_pairing
+        assert is_strongly_decomposable(w, c) == by_pairing
         if c.kind == "halfplane":
             assert by_pairing == (det(c.generators[0], w) > 1)
             halfplane_verdicts.add((primitive, by_pairing))
@@ -235,7 +255,7 @@ def _large_bridge_cases(rng):
             continue
         cones_made += 1
         c = cone(h1, h2)
-        basis = hilbert_basis(c)
+        basis = enumerated_hilbert_basis(c)
         g1, g2 = dual_cone(c).generators
         for h, other in (c.generators, c.generators[::-1]) * 8:
             # <other, rot90(h)> = det(h, other), so t of that sign moves

@@ -41,6 +41,7 @@ from toricfg.semigroup import make_context, newton_okounkov_body
 
 from paper import colon, contains_polygon, minkowski_sum
 from util import (
+    cone_contains,
     helly_q_hat,
     line_interval_max_chord,
     load_example,
@@ -207,12 +208,12 @@ def test_sigma_dual_contained_in_theta_tangents():
             dplus = dual_cone(verdict.sigma_plus)
             dminus = dual_cone(verdict.sigma_minus)
             if cone_minus.kind != "halfplane":
-                assert all(cone_minus.contains(g) for g in dplus.generators)
+                assert all(cone_contains(cone_minus, g) for g in dplus.generators)
             else:
                 assert exists_pairing_one(cone_minus, v)
                 halfplanes += 1
             if cone_plus.kind != "halfplane":
-                assert all(cone_plus.contains(g) for g in dminus.generators)
+                assert all(cone_contains(cone_plus, g) for g in dminus.generators)
             else:
                 assert exists_pairing_one(cone_plus, neg(v))
                 halfplanes += 1
@@ -396,7 +397,7 @@ def test_closed_form_lowering_matches_trial_search(seed, smooth, v):
     # construction fails exactly when that search (or the tangent check
     # before it) does
     fan = _random_fan(random.Random(seed), smooth)
-    for sigma, w, _ in failing_cones(fan, v):
+    for sigma, w in failing_cones(fan, v):
         if sigma.kind != "cone":
             continue
         interior = [r for r in fan.rays if sigma.strictly_contains(r)]

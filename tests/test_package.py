@@ -86,8 +86,8 @@ def test_cached_views_leave_equality_and_hash_alone():
 
 
 # bench/spans.py traces cones.hilbert_basis by that string, which a name
-# scan does not see; it is the Hilbert-basis oracle of the pairing-one
-# decomposability test, and the benchmark counts its calls
+# scan does not see; no command reads Hilbert bases yet, and the benchmark
+# counts the calls of the traced name
 TRACED_BY_NAME = {("cones", "hilbert_basis")}
 
 
@@ -177,6 +177,38 @@ def test_only_the_cli_catches_exceptions():
         handlers += [(os.path.basename(path), n.lineno) for n in ast.walk(tree)
                      if isinstance(n, ast.ExceptHandler)]
     assert handlers == []
+
+
+def test_package_imports_sit_at_top_level_and_form_no_cycle():
+    # each import of one package module by another is a top-level
+    # statement, so an import never waits inside a call, and the imports
+    # form an acyclic graph (cli -> criterion -> oracles -> cones ->
+    # geometry, say), so every module can be read after the ones it uses
+    package = os.path.join(SRC, "toricfg")
+    graph, nested = {}, []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        graph[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                targets = [n.split(".")[1] for n in names if n.startswith("toricfg.")]
+            else:
+                continue
+            graph[module].update(t.split(".")[0] for t in targets)
+            if targets and node not in tree.body:
+                nested.append((os.path.basename(path), node.lineno))
+    assert nested == []
+    assert len(graph) > 5 and graph["cones"] == {"geometry"}
+    done = set()
+    while len(done) < len(graph):
+        ready = {m for m in graph if m not in done and graph[m] <= done}
+        assert ready, sorted(set(graph) - done)  # the rest lie on or above a cycle
+        done |= ready
 
 
 def _compact(value):

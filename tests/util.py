@@ -141,6 +141,39 @@ def interior_point(rng: random.Random, c, spread: int = 4):
     return (i * g1[0] + j * g2[0], i * g1[1] + j * g2[1])
 
 
+def cone_contains(c, x) -> bool:
+    """Closed membership of the lattice point x in the Cone2 c: on the ray
+    of a ray, else on the inner side of both walls."""
+    g1 = c.generators[0]
+    if c.kind == "ray":
+        return det(g1, x) == 0 and dot(g1, x) >= 0
+    return det(g1, x) >= 0 and det(x, c.generators[1]) >= 0
+
+
+def enumerated_hilbert_basis(c) -> tuple:
+    """The Hilbert basis of a pointed cone by enumeration, the oracle for
+    the determinant-one walk ``cones.hilbert_basis``: the lattice points of
+    the half-open fundamental parallelogram of the generators, read off
+    its bounding box, together with the generators, less every point that
+    another one reaches by a step inside the cone.  O(det^2)."""
+    if c.kind == "ray":
+        return (c.generators[0],)
+    g1, g2 = c.generators
+    d = det(g1, g2)
+    corners = [(0, 0), g1, g2, (g1[0] + g2[0], g1[1] + g2[1])]
+    xs = [p[0] for p in corners]
+    ys = [p[1] for p in corners]
+    candidates = {g1, g2}
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            if (x, y) != (0, 0) and 0 <= det((x, y), g2) < d and 0 <= det(g1, (x, y)) < d:
+                candidates.add((x, y))
+    return tuple(
+        h for h in sorted(candidates)
+        if not any(s != h and cone_contains(c, vsub(h, s)) for s in candidates)
+    )
+
+
 def naive_lattice_points(p: RatPolygon):
     """Bounding box plus all-halfplane membership; the independent oracle
     for the chain-walk enumeration."""
