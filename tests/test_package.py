@@ -193,10 +193,12 @@ def test_package_imports_sit_at_top_level_and_form_no_cycle():
         graph[module] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
+                # "from . import x" names modules, "from .x import f" one
                 targets = [node.module] if node.module else [a.name for a in node.names]
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
-                targets = [n.split(".")[1] for n in names if n.startswith("toricfg.")]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [node.module[8:]] if node.module.startswith("toricfg.") else []
+            elif isinstance(node, ast.Import):
+                targets = [a.name[8:] for a in node.names if a.name.startswith("toricfg.")]
             else:
                 continue
             graph[module].update(t.split(".")[0] for t in targets)
