@@ -2,11 +2,11 @@
 polytope orthogonal to the flag direction, read off the context's one
 chord walk together with the two side cones spanned by the edge normals
 on either side of it (None where that side is empty, which sends the
-verdict to the lifting fallback), decomposability verdicts with the
-witnesses they print, the vertex-lifting test on Newton-Okounkov
-breakpoints, the all-divisors criterion over ray-pair cones, and the
-constructive search for a bad ample divisor when a decomposable cone
-exists."""
+verdict to the lifting fallback), decomposability verdicts whose
+witnesses are searched when read, the vertex-lifting test on
+Newton-Okounkov breakpoints, the all-divisors criterion over ray-pair
+cones, and the closed-form construction of a bad ample divisor when a
+decomposable cone exists."""
 
 from __future__ import annotations
 
@@ -55,7 +55,8 @@ from .semigroup import (
 
 
 class ConstructionFailed(RuntimeError):
-    """The bad-divisor search exhausted its bounded options."""
+    """A bad-divisor construction step failed, or its divisor failed the
+    confirming verdict."""
 
 
 class SegmentData(NamedTuple):
@@ -97,18 +98,28 @@ def max_segment(walk: ChordWalk) -> SegmentData:
 
 
 class FGVerdict(NamedTuple):
-    """Verdict plus evidence: decomposition witnesses on failure, the side
-    cones, and (only on the degenerate fallback, else None) the
-    per-breakpoint lifting table of the Newton-Okounkov body."""
+    """Verdict plus evidence: the side cones, the (w, cone) pair of each
+    decomposable side (None on an indecomposable or degenerate side), and
+    (only on the degenerate fallback, else None) the per-breakpoint
+    lifting table of the Newton-Okounkov body.  The decomposition
+    witnesses are searched when witness_plus or witness_minus is read,
+    so a caller that only needs the verdict searches nothing."""
 
     finitely_generated: bool
     sigma_plus: Cone2 | None
     sigma_minus: Cone2 | None
-    witness_plus: tuple | None
-    witness_minus: tuple | None
+    splits: tuple
     degenerate_side: bool
     lifting: tuple | None
     segment: SegmentData
+
+    @property
+    def witness_plus(self) -> tuple | None:
+        return self.splits[0] and decomposition(*self.splits[0])
+
+    @property
+    def witness_minus(self) -> tuple | None:
+        return self.splits[1] and decomposition(*self.splits[1])
 
 
 def vertex_lifts(ctx: FlagContext, q) -> bool:
@@ -135,7 +146,8 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
 def decomposition(w, c: Cone2) -> tuple:
     """The witness (w', w'') of a decomposable verdict: the exhaustive
     search's lexicographically smallest split of w into two interior
-    lattice points of c.  Called only where a witness is printed."""
+    lattice points of c.  Called when a verdict's witness_plus or
+    witness_minus is read, and for fg_for_all_divisors' failing cone."""
     witness = brute_decompose(w, c)
     if witness is None:
         raise ArithmeticError(
@@ -163,20 +175,20 @@ def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
             finitely_generated=all(ok for _, _, ok in table),
             sigma_plus=None,
             sigma_minus=None,
-            witness_plus=None,
-            witness_minus=None,
+            splits=(None, None),
             degenerate_side=True,
             lifting=table,
             segment=seg,
         )
-    dec_plus = is_strongly_decomposable(v, seg.sigma_plus)
-    dec_minus = is_strongly_decomposable(neg(v), seg.sigma_minus)
+    splits = tuple(
+        (w, c) if is_strongly_decomposable(w, c) else None
+        for w, c in ((v, seg.sigma_plus), (neg(v), seg.sigma_minus))
+    )
     return FGVerdict(
-        finitely_generated=not dec_plus and not dec_minus,
+        finitely_generated=splits == (None, None),
         sigma_plus=seg.sigma_plus,
         sigma_minus=seg.sigma_minus,
-        witness_plus=decomposition(v, seg.sigma_plus) if dec_plus else None,
-        witness_minus=decomposition(neg(v), seg.sigma_minus) if dec_minus else None,
+        splits=splits,
         degenerate_side=False,
         lifting=None,
         segment=seg,
@@ -247,9 +259,20 @@ def construct_bad_divisor(
     accepted set only shrinks as a_r falls, so when that midpoint costs
     an earlier ray its edge no lower value helps either, and the
     ampleness check at the end fails.
-    A halfplane sigma instead stretches its antiparallel edge pair until
-    the maximal cross-section ends on both edge interiors, so that the
-    verdict's sigma_plus is sigma itself."""
+    A halfplane sigma on (g, -g) instead stretches the antiparallel edge
+    pair of P_base, the polygon of b_r = sum_t max(0, det(r, t)), so that
+    the maximal cross-section ends on both edge interiors and the
+    verdict's sigma_plus is sigma itself.  The offsets b_r and
+    w*|det(g, r)| are both nef, so P_D = P_base + w*[-e, e] with
+    e = rot90(g): the faces with inner normals +-g are those of P_base
+    stretched by w*e at both ends, and each one's range [lo, hi] of
+    v-levels widens by w*|det(g, v)| on either side.  P_D lies between
+    the two lines, so the longest chord orthogonal to v meets both, and
+    its midpoint ends inside both edges iff the two ranges overlap in more
+    than one level.  The weight is the least power of two w with
+    2*w*|det(g, v)| > gap = max(lo+, lo-) - min(hi+, hi-).  Either way
+    one verdict of the result confirms that it fails finite generation;
+    that verdict searches no witness."""
     v = int_vector(v)
     if sigma.kind == "ray":
         raise ValueError("sigma must be a two-dimensional cone or a halfplane")
@@ -333,24 +356,21 @@ def _lower_coefficient(fan, coeffs, idx, floor):
 
 
 def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstruction:
+    """P_base stretched along its antiparallel edge pair by the least power
+    of two that makes the v-level ranges of the two edges overlap in more
+    than one level (see construct_bad_divisor)."""
     g = sigma.generators[0]
     base = {r: sum(max(0, det(r, t)) for t in fan.rays) for r in fan.rays}
-    weight = 1
-    while weight <= 4096:
-        coeffs = {r: base[r] + weight * abs(det(g, r)) for r in fan.rays}
-        divisor = ToricDivisor.make(fan, coeffs)
-        ctx = make_context(divisor, v)
-        verdict = is_finitely_generated(ctx)
-        if (
-            not verdict.finitely_generated
-            and not verdict.degenerate_side
-            and verdict.sigma_plus == sigma
-        ):
-            return BadDivisorConstruction(
-                divisor, divisor, divisor, theta(ctx, 1, 1), ctx.p_d
-            )
-        weight *= 2
-    raise ConstructionFailed("edge stretching never produced the halfplane cones")
+    p_base = RatPolygon.from_halfplanes([(r, -b) for r, b in base.items()])
+    levels = [[dot(p, v) for p in p_base.face(n)] for n in (g, neg(g))]
+    gap = max(map(min, levels)) - min(map(max, levels))
+    weight = 1 << max(0, floor_frac(gap / (2 * abs(det(g, v))))).bit_length()
+    divisor = ToricDivisor.make(fan, {r: base[r] + weight * abs(det(g, r)) for r in fan.rays})
+    ctx = make_context(divisor, v)
+    verdict = is_finitely_generated(ctx)
+    if verdict.finitely_generated or verdict.degenerate_side or verdict.sigma_plus != sigma:
+        raise ConstructionFailed("edge stretching did not produce the halfplane cones")
+    return BadDivisorConstruction(divisor, divisor, divisor, theta(ctx, 1, 1), ctx.p_d)
 
 
 def scan_directions(divisor: ToricDivisor, bound: int):

@@ -7,7 +7,8 @@ level in a set, sharing no counting code with ``semigroup.e_bar``,
 so that the tests and the benchmark's checks can compare the two.
 ``brute_decompose`` is on the production witness path:
 ``criterion.decomposition`` calls it for the witness of a decomposable
-verdict where one is printed, and raises when it finds none.
+side when a verdict's ``witness_plus`` or ``witness_minus`` is read (so
+only where a command prints one), and raises when it finds none.
 ``lift_search`` is analyze's production lambda search: it counts the
 levels of each dilate's lattice points by floor sums with the geometry
 kernel ``level_count``, and ``tests/util.projection_lift_search``, which

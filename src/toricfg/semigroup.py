@@ -78,9 +78,7 @@ def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagCo
     NotAmple (a divisor that is not nef or not ample) comes before
     NonPrimitiveDirection.  require_ample=False skips the edge test and
     serves callers that test ampleness once for many directions:
-    scan_directions, where a test per direction raised the median of
-    scan_directions(sym16gon, 20) from 0.298 s to 0.308 s (21 runs each,
-    CPython 3.11.7, 2 cores), and the scan checks of the benchmark.
+    scan_directions and the scan checks of the benchmark.
     """
     p_d = ample_polytope(divisor) if require_ample else divisor_polytope(divisor)
     if p_d is None:

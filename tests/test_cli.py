@@ -608,8 +608,8 @@ def test_nobody_area_past_the_digit_limit(tmp_path):
 
 def test_witnesses_are_searched_only_where_printed(monkeypatch, capsys):
     # failing_cones yields cones and directions with no witness; fg-all
-    # searches one for the cone it prints, and construct-bad only for the
-    # verdict that checks its divisor
+    # searches one for the cone it prints, and construct-bad none, since
+    # the verdict that checks its divisor leaves its witnesses unread
     from toricfg import oracles
 
     calls, search = [], oracles.brute_decompose
@@ -625,7 +625,39 @@ def test_witnesses_are_searched_only_where_printed(monkeypatch, capsys):
     assert calls == []
     assert cli.main(["construct-bad", "--input", inp("extended_quad_fan.json")]) == 0
     assert json.loads(capsys.readouterr().out)["constructed"] is True
-    assert len(calls) == 2
+    assert len(calls) == 0
     calls.clear()
     assert cli.main(["fg-all", "--input", inp("extended_quad_fan.json")]) == 0
     assert len(calls) == 1
+
+
+def test_construct_bad_at_stretch_weight_16384(tmp_path):
+    # every failing cone is a halfplane, and its edges' level ranges first
+    # overlap at weight 16384, so a weight search capped at 4096 fails
+    path = tmp_path / "wide_fan.json"
+    path.write_text(json.dumps({"fan": {"rays": [[36063, 21292], [-1, 2], [-39012, -40403], [1, -2]]},
+                                "direction": [-1, 0]}))
+    res = run_main("construct-bad", "--input", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    doc = json.loads(res.stdout)
+    assert doc["sigma"] == {"kind": "halfplane", "generators": [[-1, 2], [1, -2]]}
+    assert doc["divisor"] == [1530653930, 118427, 2566836280, 93418]
+
+
+def test_construct_bad_searches_no_witness(monkeypatch, tmp_path):
+    # the exhaustive witness search takes seconds on this polygon's cone,
+    # and construct-bad prints no witness, so it must not run it
+    def refuse(*args):
+        raise AssertionError("witness searched")
+
+    from toricfg import oracles
+
+    for module in (oracles, criterion):
+        monkeypatch.setattr(module, "brute_decompose", refuse)
+    path = tmp_path / "long_vertex.json"
+    path.write_text(json.dumps({
+        "polytope": {"vertices": [[-5, 3], [[-5, 6], -5], [6, [-12, 2]], [10**9, 10**9 + 2]]},
+        "direction": [-23, -29]}))
+    res = run_main("construct-bad", "--input", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout)["constructed"] is True

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toricfg.cones import cone, exists_pairing_one, halfplane, ray
 from toricfg.criterion import (
@@ -51,6 +51,7 @@ from util import (
     random_direction,
     random_smooth_fan,
     rationals,
+    search_halfplane_divisor,
     search_lowered_coefficients,
     search_relaxation,
     vertex_level_max_segment,
@@ -329,6 +330,45 @@ def test_halfplane_construction_verdict_has_the_requested_sigma(seed):
     out = construct_bad_divisor(fan, sigma, v)
     verdict = is_finitely_generated(make_context(out.divisor, v))
     assert not verdict.finitely_generated and verdict.sigma_plus == sigma
+
+
+def test_halfplane_construction_at_weight_8192():
+    # the edges' level ranges first overlap at weight 8192, so a weight
+    # search capped at 4096 finds no divisor here
+    fan = Fan2.from_rays([(4238, 3715), (-2, 3), (-3311, 4629), (2, -3), (3637, -3496)])
+    sigma = halfplane((2, -3), (1, -3))
+    out = construct_bad_divisor(fan, sigma, (1, -3))
+    assert out.divisor.coeffs == (196957859, 675, 5530275, 24063, 65696287)
+    verdict = is_finitely_generated(make_context(out.divisor, (1, -3)))
+    assert not verdict.finitely_generated and verdict.sigma_plus == sigma
+
+
+@st.composite
+def antiparallel_fans(draw):
+    """(rays, g, v): a complete fan with rays +-g, a pair +-r off their
+    line and up to four more rays, coordinates up to 200, and a direction
+    of max-norm up to 10^4."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_direction(rng, bound=200)
+    rays = {g, neg(g)}
+    while len(rays) < 4 + rng.randint(0, 4):
+        r = random_direction(rng, bound=200)
+        if det(g, r):
+            rays.update((r, neg(r)) if len(rays) == 2 else (r,))
+    return tuple(sorted(rays)), g, random_direction(rng, bound=10**4)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(antiparallel_fans())
+@example((((36063, 21292), (-1, 2), (-39012, -40403), (1, -2)), (-1, 2), (-1, 0)))
+@example((((4238, 3715), (-2, 3), (-3311, 4629), (2, -3), (3637, -3496)), (2, -3), (1, -3)))
+def test_halfplane_weight_matches_the_doubling_search(case):
+    # the computed stretch weight gives the divisor that the search over
+    # weights 1, 2, 4, ... stops at (16384 and 8192 on the two examples)
+    rays, g, v = case
+    assume(abs(det(g, v)) > 1)
+    fan, sigma = Fan2.from_rays(rays), halfplane(g, v)
+    assert construct_bad_divisor(fan, sigma, v).divisor == search_halfplane_divisor(fan, sigma, v)
 
 
 def test_construct_bad_divisor_rejects_non_decomposable():

@@ -62,6 +62,17 @@ def test_code_lines_script(tmp_path):
     assert res.stdout.split() == ["m", "8", "total", "8"]
 
 
+def test_replay_script_digest_repeats():
+    # two replays of the same cases print the same digest, whatever
+    # temporary directory each one writes its cases into
+    runs = [run_script("replay_cases.py", "--workloads", "allfan", "--seeds", "1", "--cases", "5")
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    digest, calls = runs[0].stdout.split()[:2]
+    assert len(digest) == 64 and calls == "10"
+    assert runs[1].stdout == runs[0].stdout
+
+
 def result_line(tail_ms, throughput, failed=0):
     """A result line of bench/run.py --trace 0, parsed."""
     metrics = {"latency_tail_ms": {"value": tail_ms, "unit": "ms"},

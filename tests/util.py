@@ -15,7 +15,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 from toricfg import cli
 from toricfg.cones import cone
-from toricfg.criterion import ConstructionFailed, SegmentData
+from toricfg.criterion import ConstructionFailed, SegmentData, is_finitely_generated
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
@@ -36,7 +36,7 @@ from toricfg.geometry import (
     vsub,
 )
 from toricfg.oracles import LAMBDA_MAX
-from toricfg.semigroup import NOBody, d_of_q, theta
+from toricfg.semigroup import NOBody, d_of_q, make_context, theta
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -423,6 +423,25 @@ def search_lowered_coefficients(fan: Fan2, interior, coeffs, floors) -> list:
         if r not in _edge_rays(p, fan.rays, coeffs):
             coeffs[idx] = _search_coefficient(fan, coeffs, idx, floors[idx], processed)
     return coeffs
+
+
+def search_halfplane_divisor(fan: Fan2, sigma, v, cap: int = 2**20) -> ToricDivisor:
+    """The halfplane construction by trial search: stretch the zonotope
+    offsets b_r = sum_t max(0, det(r, t)) by w*|det(g, r)| for w = 1, 2,
+    4, ... and return the first divisor whose verdict fails finite
+    generation off the fallback with sigma_plus == sigma.  The oracle for
+    the computed weight of criterion._construct_bad_halfplane; the cap
+    only stops a search that would not end."""
+    g = sigma.generators[0]
+    base = {r: sum(max(0, det(r, t)) for t in fan.rays) for r in fan.rays}
+    weight = 1
+    while weight <= cap:
+        divisor = ToricDivisor.make(fan, {r: base[r] + weight * abs(det(g, r)) for r in fan.rays})
+        verdict = is_finitely_generated(make_context(divisor, v))
+        if not (verdict.finitely_generated or verdict.degenerate_side) and verdict.sigma_plus == sigma:
+            return divisor
+        weight *= 2
+    raise ConstructionFailed(f"no stretch weight up to {cap} gives the halfplane cones")
 
 
 def helly_certificates(normals):
