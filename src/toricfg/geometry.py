@@ -12,11 +12,17 @@ first read, for output and the oracles; the kernels read the ints.
 Degenerate polygons (point, segment, empty set) are first-class values.
 
 Every polygon cut out by halfplanes (P_D, nabla' and each colon polygon)
-goes through one kernel, ``RatPolygon.from_halfplanes``: the normals are
-sorted by angle, a gap of pi or more between neighbours decides an
-unbounded or empty region in closed form, and otherwise one deque walk
-over the sorted lines keeps the edges of the polygon, in O(n log n) exact
-integer steps.
+goes through one kernel, ``RatPolygon.from_halfplanes``, the sorted-normals
+walk (de Berg et al., Computational Geometry: Algorithms and Applications,
+ch. 4).  Its normal set is prepared once per normal tuple and cached
+(``_normal_set``): the normals made primitive and merged, sorted by angle,
+and the verdict of whether a gap of pi or more between neighbours makes
+every region with them unbounded, or leaves one antiparallel pair to
+decide between empty and unbounded.  The polygons of one fan share their
+normals and differ only in the offsets, so a call mostly does the
+per-offset work: the tightest offset per normal, then one walk over the
+sorted lines that keeps the edges of the polygon, in O(n) exact integer
+steps.
 
 Every query about the chords of a polygon orthogonal to a direction v
 reads one walk, ``_chord_pieces``: a two-pointer pass up the polygon's
@@ -35,9 +41,8 @@ columns, the pieces' integer levels for v = (1, 0), one at a time.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
@@ -132,10 +137,11 @@ def meet(ni, oi, nj, oj):
     """The point where <u, ni> = oi and <u, nj> = oj meet, by Cramer's rule
     in homogeneous form: (x, y, d) with d > 0 stands for (x/d, y/d).  None
     for parallel lines.  Nothing is divided, so int offsets stay ints."""
-    d = det(ni, nj)
+    (a, b), (c, e) = ni, nj
+    d = a * e - b * c
     if d == 0:
         return None
-    x, y = oi * nj[1] - oj * ni[1], ni[0] * oj - nj[0] * oi
+    x, y = oi * e - oj * b, a * oj - c * oi
     if d < 0:
         return -x, -y, -d
     return x, y, d
@@ -173,13 +179,6 @@ def wide_turn(vectors):
     return None
 
 
-def _cuts(point, n, o) -> bool:
-    """Does the homogeneous point (x, y, d) of meet lie strictly outside
-    <u, n> >= o?"""
-    x, y, d = point
-    return x * n[0] + y * n[1] < o * d
-
-
 def _cross3(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -205,14 +204,38 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _normalize_halfplane(normal, offset):
-    n = int_vector(normal)
-    if n == (0, 0):
-        raise ValueError("halfplane normal must be nonzero")
-    o, g = rational(offset), gcd(n[0], n[1])
-    if g == 1:
-        return n, o
-    return (n[0] // g, n[1] // g), Fraction(o, g)
+@lru_cache(maxsize=256, typed=True)
+def _normal_set(*coords):
+    """What a halfplane intersection takes from its normals alone, for the
+    normals given flat as x1, y1, x2, y2, ...: (slots, divisors, normals,
+    turn).  ``normals`` holds the distinct primitive normals in angular
+    order, and input i is divisors[i] times normals[slots[i]].  turn is
+    None when the normals positively span the plane; else () when every
+    region with these normals is unbounded or (i, j), the positions of an
+    antiparallel pair with every other normal strictly on one side, whose
+    strip decides between empty and unbounded.
+
+    Cached per normal tuple for ``RatPolygon.from_halfplanes``: a fan's
+    P_D, nabla' and every colon polygon share their normals and differ
+    only in the offsets.  The cache is typed, so the float 1.0 never hits
+    the entry of the int 1 and is still rejected; an exception is never
+    cached.
+    """
+    primitive, divisors = [], []
+    for u in zip(coords[::2], coords[1::2]):
+        a, b = int_vector(u)
+        g = gcd(a, b)
+        if g == 0:
+            raise ValueError("halfplane normal must be nonzero")
+        primitive.append((a // g, b // g))
+        divisors.append(g)
+    normals = angular_sorted(set(primitive))
+    slot = {n: j for j, n in enumerate(normals)}
+    turn = wide_turn(normals)
+    if turn is not None:
+        a, b = normals[turn], normals[(turn + 1) % len(normals)]
+        turn = (slot[a], slot[b]) if a != b and det(a, b) == 0 else ()
+    return tuple(slot[n] for n in primitive), tuple(divisors), tuple(normals), turn
 
 
 class _PolygonFields(NamedTuple):
@@ -257,9 +280,13 @@ class RatPolygon(_PolygonFields):
         Returns the empty polygon when infeasible and raises
         UnboundedRegion when the feasible set is unbounded.
 
-        After normalising each normal to a primitive vector, keeping the
-        tightest offset per normal and scaling the offsets to ints, the
-        lines are sorted by the angle of their normals.
+        What depends on the normals alone is prepared once per normal
+        tuple by ``_normal_set``: each normal checked and made primitive,
+        the inputs that merge into one primitive normal, the angular order
+        and the verdict of ``wide_turn``.  A call then only checks the
+        offsets, divides each by its normal's gcd, keeps the tightest one
+        per primitive normal, scales them to ints (by the lcm of their
+        denominators, or not at all when every one is an int) and walks.
 
         A turn of pi or more between two cyclically consecutive normals
         (``wide_turn``) decides the region in closed form.  Wider than pi,
@@ -291,65 +318,84 @@ class RatPolygon(_PolygonFields):
         counterclockwise order and their lines its halfplanes, since two
         such edges in a row lie on lines of different normals; a segment
         or a point is the hull of the meets.  Each line is pushed and
-        dropped at most once, so after the sort the walk takes O(n)
-        integer steps and n meets.
+        dropped at most once, so the walk takes O(n) integer steps and n
+        meets; only a normal tuple not seen before pays the O(n log n)
+        sort.
         """
+        halfplanes = list(halfplanes)  # read twice, so a generator works too
         if not halfplanes:
             raise ValueError("need at least one halfplane")
-        merged = {}
-        for normal, offset in halfplanes:
-            n, o = _normalize_halfplane(normal, offset)
-            if n not in merged or merged[n] < o:
-                merged[n] = o
+        coords = [c for (a, b), _ in halfplanes for c in (a, b)]
+        slots, divisors, normals, turn = _normal_set(*coords)
+        best, ints = [None] * len(normals), True
+        for j, g, (_, o) in zip(slots, divisors, halfplanes):
+            if type(o) is not int:
+                o, ints = rational(o), False
+            if g != 1:
+                o, ints = Fraction(o, g), False
+            if best[j] is None or best[j] < o:
+                best[j] = o
         # Scaled by the lcm of the offset denominators, the region has int
         # offsets and every vertex is an int triple from meet.
-        scale, offsets = _over_common_denominator(list(merged.values()))
-        table = dict(zip(merged, offsets))
-        normals = angular_sorted(table)
+        scale = 1
+        if not ints:
+            scale, best = _over_common_denominator(best)
 
-        i = wide_turn(normals)
-        if i is not None:
-            a, b = normals[i], normals[(i + 1) % len(normals)]
-            if a != b and det(a, b) == 0 and table[a] + table[b] > 0:
+        if turn is not None:
+            if turn and best[turn[0]] + best[turn[1]] > 0:
                 return RatPolygon.empty()
             raise UnboundedRegion("feasible but unbounded halfplane intersection")
 
-        # lines[j] and lines[j + 1] meet at meets[j]
-        first, *rest = ((n, table[n]) for n in normals)
-        lines, meets = deque([first]), deque()
-        for n, o in rest:
-            while len(lines) >= 2 and _cuts(meets[-1], n, o):
+        # lines[j] and lines[j + 1] meet at meets[j]; a meet (x, y, d) lies
+        # strictly outside <u, (a, b)> >= o iff x*a + y*b < o*d
+        lines, meets = [(normals[0], best[0])], []
+        for n, o in zip(normals[1:], best[1:]):
+            a, b = n
+            while meets:
+                x, y, d = meets[-1]
+                if x * a + y * b >= o * d:
+                    break
                 if det(lines[-2][0], n) <= 0:
                     return RatPolygon.empty()
                 lines.pop()
                 meets.pop()
             meets.append(meet(*lines[-1], n, o))
             lines.append((n, o))
-        # around the wrap: the edges of lines[-1] and of lines[0]
+        # around the wrap: the edges of lines[-1] and of lines[lo]
+        lo = 0
         while True:
-            if _cuts(meets[-1], *lines[0]):
-                if det(lines[-2][0], lines[0][0]) <= 0:
+            ((a, b), o), (x, y, d) = lines[lo], meets[-1]
+            if x * a + y * b < o * d:
+                if det(lines[-2][0], lines[lo][0]) <= 0:
                     return RatPolygon.empty()
                 lines.pop()
                 meets.pop()
-            elif _cuts(meets[0], *lines[-1]):
-                if det(lines[-1][0], lines[1][0]) <= 0:
+                continue
+            ((a, b), o), (x, y, d) = lines[-1], meets[lo]
+            if x * a + y * b < o * d:
+                if det(lines[-1][0], lines[lo + 1][0]) <= 0:
                     return RatPolygon.empty()
-                lines.popleft()
-                meets.popleft()
-            else:
-                break
+                lo += 1
+                continue
+            break
+        lines, meets = lines[lo:], meets[lo:]
         meets.append(meet(*lines[-1], *lines[0]))
-        den = lcm(*(d for _, _, d in meets))
-        ring = [(x * (den // d), y * (den // d)) for x, y, d in meets]
-        # the edge of lines[j] runs from ring[j - 1] to ring[j]
-        keep = [j for j, p in enumerate(ring) if ring[j - 1] != p]
-        if len(keep) < 3:
-            return _hull_polygon(ring, den * scale)
-        start = keep.index(min(keep, key=ring.__getitem__))
-        keep = keep[start:] + keep[:start]
-        return _reduced(den * scale, [ring[j] for j in keep],
-                        [(lines[j][0], lines[j][1] * den) for j in keep[1:] + keep[:1]], 2)
+        den = lcm(*[d for _, _, d in meets])
+        if den == 1:
+            ring = [(x, y) for x, y, _ in meets]
+        else:
+            ring = [(x * (den // d), y * (den // d)) for x, y, d in meets]
+            lines = [(n, o * den) for n, o in lines]
+        # the edge of lines[j] runs from ring[j - 1] to ring[j]; with no
+        # repeated point every edge has positive length
+        if len(set(ring)) < len(ring):
+            keep = [j for j, p in enumerate(ring) if ring[j - 1] != p]
+            if len(keep) < 3:
+                return _hull_polygon(ring, den * scale)
+            ring, lines = [ring[j] for j in keep], [lines[j] for j in keep]
+        start = ring.index(min(ring))
+        return _reduced(den * scale, ring[start:] + ring[:start],
+                        lines[start + 1:] + lines[:start + 1], 2)
 
     # -- Fraction views, for output and the oracles ------------------------
 

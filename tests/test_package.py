@@ -1,5 +1,6 @@
 import ast
 import glob
+import importlib
 import os
 import subprocess
 import sys
@@ -177,6 +178,28 @@ def test_only_the_cli_catches_exceptions():
         handlers += [(os.path.basename(path), n.lineno) for n in ast.walk(tree)
                      if isinstance(n, ast.ExceptHandler)]
     assert handlers == []
+
+
+def test_every_functools_cache_of_the_package_is_bounded():
+    # the benchmark keeps a pass's caches alive across all its cases, so an
+    # unbounded cache would grow with every case: each functools cache of
+    # the package, at module level or on a class, has a finite maxsize, and
+    # each use of lru_cache or cache in the source made one of them
+    caches, uses = {}, 0
+    for path in sorted(glob.glob(os.path.join(SRC, "toricfg", "*.py"))):
+        name = os.path.basename(path)[:-3]
+        module = importlib.import_module("toricfg" if name == "__init__" else "toricfg." + name)
+        for owner in [module] + [v for v in vars(module).values() if isinstance(v, type)]:
+            for attr, value in vars(owner).items():
+                if callable(getattr(value, "cache_info", None)):
+                    caches[f"{module.__name__}.{attr}"] = value.cache_info().maxsize
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        uses += sum(getattr(n, "id", getattr(n, "attr", None)) in ("lru_cache", "cache")
+                    for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute)))
+    assert "toricfg.geometry._normal_set" in caches
+    assert [k for k, size in caches.items() if size is None] == []
+    assert uses == len(caches)
 
 
 def test_package_imports_sit_at_top_level_and_form_no_cycle():

@@ -11,6 +11,7 @@ from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import strategies as st
 from toricfg import cli
@@ -20,12 +21,12 @@ from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
     UnboundedRegion,
-    _normalize_halfplane,
     ceil_frac,
     convex_hull,
     det,
     dot,
     floor_frac,
+    int_vector,
     lattice_points,
     meet,
     neg,
@@ -503,14 +504,25 @@ def views(p: RatPolygon) -> tuple:
     return p.vertices, p.halfplanes, p.dim
 
 
+def _normalize_halfplane(normal, offset):
+    """(primitive normal, offset divided by the normal's gcd) of one
+    halfplane <u, normal> >= offset, checked as the kernel checks it."""
+    n = int_vector(normal)
+    if n == (0, 0):
+        raise ValueError("halfplane normal must be nonzero")
+    o, g = rational(offset), gcd(n[0], n[1])
+    return (n[0] // g, n[1] // g), Fraction(o, g)
+
+
 def fraction_from_halfplanes(halfplanes) -> tuple:
     """The halfplane intersection computed wholly in Fractions: meet every
     pair of lines, keep the points that satisfy every constraint and take
     their hull.  The independent oracle for the integer kernel of
     RatPolygon.from_halfplanes, as the (vertices, halfplanes, dim) triple
-    of ``views``; it shares only the input normalisation and convex_hull
-    with it, decides boundedness by searching for a recession direction
-    and emptiness by Helly certificates."""
+    of ``views``; it shares only the input checks (``int_vector`` and
+    ``rational``) and convex_hull with it, decides boundedness by
+    searching for a recession direction and emptiness by Helly
+    certificates."""
     merged = {}
     for normal, offset in halfplanes:
         n, o = _normalize_halfplane(normal, offset)
