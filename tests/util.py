@@ -526,7 +526,6 @@ def fraction_from_halfplanes(halfplanes) -> tuple:
     merged = {}
     for normal, offset in halfplanes:
         n, o = _normalize_halfplane(normal, offset)
-        o = Fraction(o)
         if n not in merged or merged[n] < o:
             merged[n] = o
     hps = sorted(merged.items())
