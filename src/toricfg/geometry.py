@@ -22,7 +22,7 @@ decide between empty and unbounded.  The polygons of one fan share their
 normals and differ only in the offsets, so a call mostly does the
 per-offset work: the tightest offset per normal, then one walk over the
 sorted lines that keeps the edges of the polygon, in O(n) exact integer
-steps.
+steps, whose meets in lowest terms are the vertices.
 
 Every query about the chords of a polygon orthogonal to a direction v
 reads one walk, ``_chord_pieces``: a two-pointer pass up the polygon's
@@ -33,8 +33,8 @@ longest one, its ends and the length at every vertex level).  Lattice
 points are counted, not listed: ``lattice_points`` returns the polygon
 wrapped as ``LatticePoints``, whose ``len`` is the number of points and
 whose ``level_count`` is the number of levels <p, v> they take.  Both sum
-the lattice points of each chord by floor sums over the pieces, in
-O(n log size) int steps, so their cost grows with the vertex count and
+the lattice points of each chord by floor sums, in one loop over the
+pieces, in O(n log size) int steps, so their cost grows with the vertex count and
 the bit size, not with the width or the area.  Iterating walks the
 columns, the pieces' integer levels for v = (1, 0), one at a time.
 """
@@ -321,6 +321,14 @@ class RatPolygon(_PolygonFields):
         dropped at most once, so the walk takes O(n) integer steps and n
         meets; only a normal tuple not seen before pays the O(n log n)
         sort.
+
+        The vertices are the meets in lowest terms: divided by gcd(x, y,
+        d), a meet's d is the lcm of the denominators of x/d and y/d.  So
+        with int offsets the lcm of those d is already the lcm of the
+        vertex denominators, and the ring over it is the canonical one.
+        Only rational offsets, scaled by a common denominator that the
+        vertices need not keep, leave ``_reduced`` a gcd over the whole
+        ring to take.
         """
         halfplanes = list(halfplanes)  # read twice, so a generator works too
         if not halfplanes:
@@ -384,7 +392,8 @@ class RatPolygon(_PolygonFields):
         if den == 1:
             ring = [(x, y) for x, y, _ in meets]
         else:
-            ring = [(x * (den // d), y * (den // d)) for x, y, d in meets]
+            den = lcm(*[d // gcd(x, y, d) for x, y, d in meets])
+            ring = [(x * den // d, y * den // d) for x, y, d in meets]
             lines = [(n, o * den) for n, o in lines]
         # the edge of lines[j] runs from ring[j - 1] to ring[j]; with no
         # repeated point every edge has positive length
@@ -393,9 +402,11 @@ class RatPolygon(_PolygonFields):
             if len(keep) < 3:
                 return _hull_polygon(ring, den * scale)
             ring, lines = [ring[j] for j in keep], [lines[j] for j in keep]
-        start = ring.index(min(ring))
-        return _reduced(den * scale, ring[start:] + ring[:start],
-                        lines[start + 1:] + lines[:start + 1], 2)
+        k = ring.index(min(ring))
+        ring, lines = tuple(ring[k:] + ring[:k]), tuple(lines[k + 1:] + lines[:k + 1])
+        if scale == 1:
+            return RatPolygon(den, ring, lines, 2)
+        return _reduced(den * scale, ring, lines, 2)
 
     # -- Fraction views, for output and the oracles ------------------------
 
@@ -545,13 +556,6 @@ def solve_pairing_one(v):
     return (x, y)
 
 
-def _line(lo, hi):
-    """(p, q, r) with t = (p*s + q) / r and r > 0 on the line through two
-    int (s, t) points, lo having the smaller s."""
-    (s1, t1), (s2, t2) = lo, hi
-    return t2 - t1, t1 * s2 - t2 * s1, s2 - s1
-
-
 def _chord_pieces(p: RatPolygon, v) -> list:
     """The chords of a non-empty p orthogonal to a primitive v, as pieces
     between consecutive vertex levels, by one two-pointer walk up the two
@@ -567,47 +571,47 @@ def _chord_pieces(p: RatPolygon, v) -> list:
     lower, upper, lower line, upper line): for s0 <= s <= s1 the chord at
     s is A(s) <= t <= B(s), where A lies on ring edge ``lower`` (from
     vertex ``lower`` to the next) and B on ring edge ``upper``, and the
-    lines give A and B as (p*s + q) / r (``_line``).  The pieces run
-    s0 < s1 from the least level to the greatest; a polygon on one level
-    is one piece with s0 = s1, constant lines and no edges.
+    lines give A and B as (p*s + q) / r with r > 0, each built as its
+    chain reaches the edge.  The pieces run s0 < s1 from the least level
+    to the greatest; a polygon on one level is one piece with s0 = s1,
+    constant lines and no edges.
     """
     (a, b), (c, d) = v, solve_pairing_one(v)
     st = [(x * a + y * b, c * y - d * x) for x, y in p.ring]
-    n, i = len(st), min(range(len(st)), key=st.__getitem__)
-    s0, top = st[i][0], max(s for s, _ in st)
+    n, i = len(st), st.index(min(st))
+    (s0, t0), (top, t_top) = st[i], max(st)
     if s0 == top:
-        return [(s0, s0, None, None, (0, st[i][1], 1), (0, max(t for _, t in st), 1))]
+        return [(s0, s0, None, None, (0, t0, 1), (0, t_top, 1))]
+    # both chains start on their vertex at level s0; each step builds the
+    # line of the edge that a chain enters
     j = (i - 1) % n if st[i - 1][0] == s0 else i
-    i1, j1 = (i + 1) % n, (j - 1) % n
-    lower, upper, pieces = _line(st[i], st[i1]), _line(st[j], st[j1]), []
+    i1, j1, pieces = i, j, []
     while True:
+        if st[i1][0] == s0:
+            i, i1 = i1, (i1 + 1) % n
+            (sa, ta), (sb, tb) = st[i], st[i1]
+            lower = (tb - ta, ta * sb - tb * sa, sb - sa)
+        if st[j1][0] == s0:
+            j, j1 = j1, (j1 - 1) % n
+            (sa, ta), (sb, tb) = st[j], st[j1]
+            upper = (tb - ta, ta * sb - tb * sa, sb - sa)
         s1 = min(st[i1][0], st[j1][0])
         pieces.append((s0, s1, i, j1, lower, upper))
         if s1 == top:
             return pieces
-        if st[i1][0] == s1:
-            i, i1 = i1, (i1 + 1) % n
-            lower = _line(st[i], st[i1])
-        if st[j1][0] == s1:
-            j, j1 = j1, (j1 - 1) % n
-            upper = _line(st[j], st[j1])
         s0 = s1
 
 
-def _integer_levels(p: RatPolygon, v):
-    """(first, n, lower line, upper line) for each piece of
-    ``_chord_pieces`` that holds an integer level: its n integer levels
-    first, ..., first + n - 1 (a level at a piece's upper end belongs to
-    the next piece, save on the last), and its lines rescaled so that
-    t = (p*s + q) / r at the level s itself, in m-units."""
-    scale = p.scale
-    pieces = _chord_pieces(p, v)
-    start, last = -(-pieces[0][0] // scale), len(pieces) - 1
-    for k, (_, s1, _, _, (pa, qa, ra), (pb, qb, rb)) in enumerate(pieces):
-        stop = s1 // scale if k == last else (s1 - 1) // scale
-        if stop >= start:
-            yield start, stop - start + 1, (pa * scale, qa, ra * scale), (pb * scale, qb, rb * scale)
-            start = stop + 1
+def _integer_levels(piece, scale, last):
+    """(first, n, pa, qa, ra, pb, qb, rb) for a piece of ``_chord_pieces``
+    of a polygon over scale: its n >= 0 integer levels first, ...,
+    first + n - 1 (a level at a piece's upper end belongs to the next
+    piece, save on the last), and its lower and upper lines rescaled so
+    that t = (p*s + q) / r at the level s itself, in m-units."""
+    s0, s1, _, _, (pa, qa, ra), (pb, qb, rb) = piece
+    first = -(-s0 // scale)
+    return (first, (s1 if last else s1 - 1) // scale - first + 1,
+            pa * scale, qa, ra * scale, pb * scale, qb, rb * scale)
 
 
 class LatticePoints:
@@ -651,7 +655,9 @@ def _column_walk(p: RatPolygon):
     built."""
     if p.is_empty:
         return
-    for first, n, (pa, qa, ra), (pb, qb, rb) in _integer_levels(p, (1, 0)):
+    pieces = _chord_pieces(p, (1, 0))
+    for piece in pieces:
+        first, n, pa, qa, ra, pb, qb, rb = _integer_levels(piece, p.scale, piece is pieces[-1])
         for x in range(first, first + n):
             lo, hi = -(-(pa * x + qa) // ra), (pb * x + qb) // rb
             if lo <= hi:
@@ -701,8 +707,9 @@ def _chord_sum(p: RatPolygon, v, capped: bool) -> int:
     """
     if p.is_empty:
         return 0
-    total = 0
-    for first, n, (pa, qa, ra), (pb, qb, rb) in _integer_levels(p, v):
+    total, scale, pieces = 0, p.scale, _chord_pieces(p, v)
+    for piece in pieces:
+        first, n, pa, qa, ra, pb, qb, rb = _integer_levels(piece, scale, piece is pieces[-1])
         if capped:
             # B - A >= 1, so the level holds a point, at first + i iff
             # e1 * i + e0 >= 0; the other levels, a prefix or a suffix of

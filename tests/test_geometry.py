@@ -36,6 +36,7 @@ from util import (
     random_ample_divisor,
     random_polygon,
     random_smooth_fan,
+    rational_pools,
     rationals,
     views,
 )
@@ -247,7 +248,12 @@ def _intersect_or_unbounded(kernel, halfplanes):
         out = kernel(halfplanes)
     except UnboundedRegion:
         return "unbounded"
-    return views(out) if isinstance(out, RatPolygon) else out
+    if isinstance(out, RatPolygon):
+        # the stored form is canonical: its scale is the lcm of the vertex
+        # denominators, which the Fraction views alone would not show
+        assert out.scale == lcm(1, *(t.denominator for q in out.vertices for t in q))
+        return views(out)
+    return out
 
 
 DENOMINATORS = (1, 2, 3, 7, 2**40 + 15)
@@ -273,20 +279,20 @@ def _offsets(den):
 OFFSET_POOLS = [_offsets(1)] + [
     values for den in DENOMINATORS
     for values in (_offsets(den), [x for x in _offsets(den) if abs(x) <= 1])]
-OFFSET = st.one_of([st.sampled_from(values) for values in OFFSET_POOLS])
 NORMALS = sorted(((a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)),
                  key=lambda n: (max(map(abs, n)), n))
-# The halfplane properties draw one seed per example and build the case
-# with random.Random(seed) from the pools above: hypothesis prints the
-# seed of a failing case, and drawing one integer costs far less than
-# drawing every normal and offset through hypothesis.
+# The halfplane, hull, chord and lattice-point properties draw one seed
+# per example and build the case with random.Random(seed) from the pools
+# above and below: hypothesis prints the seed of a failing case, and
+# drawing one integer costs far less than drawing every normal, offset
+# and coordinate through hypothesis.
 SEED = st.integers(0, 2**64 - 1)
 
 
 def _case(case, build):
-    """The halfplanes of one example: an @example's own list, or what
-    build draws from random.Random(case) for a drawn seed."""
-    return case if isinstance(case, list) else build(random.Random(case))
+    """The case of one example: an @example's own value, or what build
+    draws from random.Random(case) for a drawn seed."""
+    return build(random.Random(case)) if isinstance(case, int) else case
 
 
 def random_offset(rng):
@@ -334,6 +340,7 @@ def random_degenerate_halfplanes(rng):
 @example([((1, 0), 0), ((-1, 0), 0)])  # a line: unbounded
 @example([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)])  # infeasible strip and a third normal: empty
 @example([((1, 0), 1), ((0, 1), 1), ((-1, -1), 0)])  # positively spanning triple: empty
+@example([((1, 1), 1), ((1, -3), -1), ((-1, 0), -3)])  # int offsets, the meet (2, 2, 4) = (1/2, 1/2)
 def test_from_halfplanes_matches_fraction_kernel(case):
     halfplanes = _case(case, random_halfplanes)
     assert (_intersect_or_unbounded(RatPolygon.from_halfplanes, halfplanes)
@@ -355,6 +362,7 @@ def test_from_halfplanes_matches_fraction_kernel_on_dilated_16gon():
 @example([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -2), ((1, 1), 0)])  # segment
 @example([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -2), ((1, 1), 3)])  # zero-width strip, cut off
 @example([((1, 0), F(1, 7)), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])  # strip of width -1/7: empty
+@example([((1, 1), 1), ((1, -3), -1), ((3, -1), 1), ((-1, 0), -3)])  # three lines through (1/2, 1/2)
 def test_from_halfplanes_matches_fraction_kernel_on_degenerate_input(case):
     halfplanes = _case(case, random_degenerate_halfplanes)
     assert (_intersect_or_unbounded(RatPolygon.from_halfplanes, halfplanes)
@@ -440,9 +448,15 @@ def test_primitivize_ints_and_rationals_agree():
             primitivize(zero)
 
 
+def random_offset_points(rng):
+    """1 to 8 points with coordinates from the offset pools."""
+    return [(random_offset(rng), random_offset(rng)) for _ in range(rng.randint(1, 8))]
+
+
 @settings(max_examples=200, derandomize=True)
-@given(st.lists(st.tuples(OFFSET, OFFSET), min_size=1, max_size=8))
-def test_from_vertices_matches_fraction_hull(points):
+@given(SEED)
+def test_from_vertices_matches_fraction_hull(case):
+    points = _case(case, random_offset_points)
     assert views(RatPolygon.from_vertices(points)) == fraction_polygon_of_points(points)
 
 
@@ -487,6 +501,20 @@ RATIONAL_POINT = st.tuples(SMALL_RATIONAL, SMALL_RATIONAL)
 PRIMITIVE_8 = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
     lambda u: gcd(*u) == 1
 )
+RATIONAL_POOLS = rational_pools(6, 7)
+PRIMITIVES_8 = [(a, b) for a in range(-8, 9) for b in range(-8, 9) if gcd(a, b) == 1]
+
+
+def random_rational_points(rng, min_size=0):
+    """min_size to 7 points whose coordinates are drawn as SMALL_RATIONAL
+    draws them: an integer or any value, half and half."""
+    return [(rng.choice(rng.choice(RATIONAL_POOLS)), rng.choice(rng.choice(RATIONAL_POOLS)))
+            for _ in range(rng.randint(min_size, 7))]
+
+
+def random_points_and_direction(rng):
+    """1 to 7 rational points and a primitive direction of max-norm at most 8."""
+    return random_rational_points(rng, 1), rng.choice(PRIMITIVES_8)
 
 
 @settings(max_examples=80, derandomize=True)
@@ -513,21 +541,23 @@ def assert_longest_chord(p, v):
 
 
 @settings(max_examples=120, derandomize=True)
-@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), PRIMITIVE_8)
-@example([(0, 0)], (2, 3))  # a point
-@example([(F(1, 2), 0), (1, 5)], (1, 0))  # a segment crossing the levels
-@example([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0))  # tied levels 0 and 2
-@example([(0, 0), (3, 1), (1, 4)], (1, 1))
-def test_max_chord_matches_line_interval_oracle(points, v):
+@given(SEED)
+@example(([(0, 0)], (2, 3)))  # a point
+@example(([(F(1, 2), 0), (1, 5)], (1, 0)))  # a segment crossing the levels
+@example(([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0)))  # tied levels 0 and 2
+@example(([(0, 0), (3, 1), (1, 4)], (1, 1)))
+def test_max_chord_matches_line_interval_oracle(case):
+    points, v = _case(case, random_points_and_direction)
     assert_longest_chord(RatPolygon.from_vertices(points), v)
 
 
 @settings(max_examples=120, derandomize=True)
-@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), PRIMITIVE_8)
-@example([(0, 0)], (2, 3))  # a point
-@example([(0, 0), (0, 3)], (1, 0))  # a segment on one level
-@example([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0))  # edges on both extreme levels
-def test_vertex_level_chords_match_line_interval_oracle(points, v):
+@given(SEED)
+@example(([(0, 0)], (2, 3)))  # a point
+@example(([(0, 0), (0, 3)], (1, 0)))  # a segment on one level
+@example(([(0, 0), (2, 0), (2, 1), (0, 1)], (1, 0)))  # edges on both extreme levels
+def test_vertex_level_chords_match_line_interval_oracle(case):
+    points, v = _case(case, random_points_and_direction)
     p = RatPolygon.from_vertices(points)
     assert ChordWalk(p, v).chords() == line_interval_chords(p, v)
 
@@ -574,12 +604,13 @@ FAR = (2**40 + 15, -2**43)
 
 
 @settings(max_examples=150, derandomize=True)
-@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7))
+@given(SEED)
 @example([(F(1, 2), F(-7, 3)), (F(1, 2), 4)])  # a vertical segment
 @example([(-2, F(1, 2)), (-2, 3), (F(5, 2), F(-1, 3)), (F(5, 2), 2)])  # vertical edges at both ends
 @example([(F(1, 2), 0), (F(1, 2), 3), (2, 1)])  # a vertical edge left of the first column
-def test_lattice_points_match_naive_oracle_under_translation(points):
+def test_lattice_points_match_naive_oracle_under_translation(case):
     # the oracle scans a bounding box, so it is shifted rather than run far out
+    points = _case(case, lambda rng: random_rational_points(rng, 1))
     p = RatPolygon.from_vertices(points)
     expected = naive_lattice_points(p)
     assert list(lattice_points(p)) == expected
@@ -587,22 +618,31 @@ def test_lattice_points_match_naive_oracle_under_translation(points):
     assert list(lattice_points(moved)) == [(x + FAR[0], y + FAR[1]) for x, y in expected]
 
 
-# primitive directions with entries up to 10**3; (0, 0) stands for (1, 0)
-LEVEL_DIRECTION = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).map(
-    lambda u: (u[0] // gcd(*u), u[1] // gcd(*u)) if u != (0, 0) else (1, 0))
+def random_level_case(rng):
+    """(points, scale, v): 0 to 7 rational points, a scale of 1 or 7/3
+    and a primitive direction with entries up to 1, 10 or 10**3 (a third
+    of the draws each), where (0, 0) stands for (1, 0)."""
+    bound = rng.choice((1, 10, 1000))
+    a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    g = gcd(a, b)
+    return (random_rational_points(rng), rng.choice((1, F(7, 3))),
+            (a // g, b // g) if g else (1, 0))
 
 
 @settings(max_examples=150, derandomize=True)
-@given(st.lists(RATIONAL_POINT, max_size=7), st.sampled_from((1, F(7, 3))), LEVEL_DIRECTION)
-@example([], 1, (2, -5))  # no points
-@example([(F(1, 2), F(-7, 3)), (F(1, 2), 4)], 1, (1, 0))  # no column
-@example([(F(1, 3), 1), (F(2, 3), 1)], 1, (0, 1))  # a chord with no point
-@example([(0, 0), (0, 6), (4, 1)], 1, (3, -2))  # columns of two residue classes
-@example([(0, 0), (7, 0), (7, 3), (0, 3)], 1, (1, 7))  # progressions that overlap
-@example([(0, 0), (6, 1), (5, 2)], F(7, 3), (997, -1000))  # thin chords, long v
-def test_level_count_is_the_number_of_distinct_levels(points, scale, v):
+@given(SEED)
+@example(([], 1, (2, -5)))  # no points
+@example(([(F(1, 2), F(-7, 3)), (F(1, 2), 4)], 1, (1, 0)))  # no column
+@example(([(F(1, 3), 1), (F(2, 3), 1)], 1, (0, 1)))  # a chord with no point
+@example(([(0, 0), (0, 6), (4, 1)], 1, (3, -2)))  # columns of two residue classes
+@example(([(0, 0), (7, 0), (7, 3), (0, 3)], 1, (1, 7)))  # progressions that overlap
+@example(([(0, 0), (6, 1), (5, 2)], F(7, 3), (997, -1000)))  # thin chords, long v
+@example(([(0, 3), (2, 3)], F(7, 3), (0, 1)))  # one level, 7, at scale 7/3
+@example(([(0, 0), (2, 1), (1, 3)], 1, (0, 1)))  # the top vertex on the integer level 3
+def test_level_count_is_the_number_of_distinct_levels(case):
     # the floor sums against the column oracle and the bounding-box points,
     # on polygons of dim -1 to 2, and on their translates far out
+    points, scale, v = _case(case, random_level_case)
     p = RatPolygon.from_vertices([(scale * x, scale * y) for x, y in points]) \
         if points else RatPolygon.empty()
     expected = naive_lattice_points(p)
@@ -646,12 +686,13 @@ def test_first_point_of_a_wide_triangle_reads_one_column():
 
 
 @settings(max_examples=120, derandomize=True)
-@given(st.lists(RATIONAL_POINT, max_size=7))
+@given(SEED)
 @example([])  # empty
 @example([(0, 0), (2, 1)])  # a segment that misses the column x = 1
 @example([(0, 0), (2, 1), (0, F(1, 3))])  # a triangle that misses it
 @example([(F(1, 3), 0), (F(2, 3), 5)])  # no column at all
-def test_lattice_point_columns_match_naive_oracle(points):
+def test_lattice_point_columns_match_naive_oracle(case):
+    points = _case(case, random_rational_points)
     p = RatPolygon.from_vertices(points) if points else RatPolygon.empty()
     found, expected = lattice_points(p), naive_lattice_points(p)
     columns = list(geometry._column_walk(p))

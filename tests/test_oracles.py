@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricfg.cones import NotInInterior, cone
 from toricfg.fans import ToricDivisor
+from toricfg.geometry import floor_frac
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search
 from toricfg.semigroup import e_bar, make_context, newton_okounkov_body, q_hat
 from toricfg.criterion import vertex_lifts
@@ -81,12 +82,24 @@ def test_brute_e_bar_matches_fixtures():
     assert brute_e_bar(CTX, 1, 10**6) == 0
 
 
-def test_brute_e_bar_agrees_with_fast_path():
+def _random_cells(ctx):
     rng = random.Random(20240817)
-    for _ in range(100):
-        l = rng.randint(1, 12)
-        k = rng.randint(0, 12)
-        assert brute_e_bar(CTX, l, k) == e_bar(CTX, l, k), (l, k)
+    return [(rng.randint(1, 12), rng.randint(0, 12)) for _ in range(100)]
+
+
+def _every_cell_to_level_4(ctx):
+    return [(l, k) for l in range(1, 5) for k in range(floor_frac(l * q_hat(ctx)) + 1)]
+
+
+@pytest.mark.parametrize("name, cells", [
+    ("slanted_quad", _random_cells),
+    # a non-smooth fan: its colon polygons have meets that are not integral
+    ("sevengon", _every_cell_to_level_4),
+], ids=["slanted_quad", "sevengon"])
+def test_brute_e_bar_agrees_with_fast_path(name, cells):
+    ctx = load_example(name).context
+    for l, k in cells(ctx):
+        assert brute_e_bar(ctx, l, k) == e_bar(ctx, l, k), (l, k)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

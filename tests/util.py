@@ -68,17 +68,23 @@ def p2_fan() -> Fan2:
     return Fan2.from_rays([(1, 0), (0, 1), (-1, -1)])
 
 
-def rationals(bound: int, max_denominator: int):
-    """The values of st.fractions(-bound, bound, max_denominator=...),
-    every p/q with q <= max_denominator in [-bound, bound], sampled from
-    precomputed lists, which is much cheaper to draw.  Half the draws
-    pick an integer and half any value, so integers come at least as
-    often as from st.fractions, and examples shrink towards 0."""
+def rational_pools(bound: int, max_denominator: int):
+    """(the integers, every value) of st.fractions(-bound, bound,
+    max_denominator=...), that is of every p/q with q <= max_denominator
+    in [-bound, bound], as lists that start with the values nearest 0."""
     values = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
                      for p in range(-bound * q, bound * q + 1)},
                     key=lambda x: (x.denominator, abs(x), x))
-    return st.one_of(st.sampled_from([x for x in values if x.denominator == 1]),
-                     st.sampled_from(values))
+    return [x for x in values if x.denominator == 1], values
+
+
+def rationals(bound: int, max_denominator: int):
+    """The values of st.fractions(-bound, bound, max_denominator=...),
+    sampled from the lists of ``rational_pools``, which is much cheaper to
+    draw.  Half the draws pick an integer and half any value, so integers
+    come at least as often as from st.fractions, and examples shrink
+    towards 0."""
+    return st.one_of(*map(st.sampled_from, rational_pools(bound, max_denominator)))
 
 
 def random_smooth_fan(rng: random.Random, max_subdivisions: int = 4) -> Fan2:
