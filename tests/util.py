@@ -71,7 +71,8 @@ def p2_fan() -> Fan2:
 def rational_pools(bound: int, max_denominator: int):
     """(the integers, every value) of st.fractions(-bound, bound,
     max_denominator=...), that is of every p/q with q <= max_denominator
-    in [-bound, bound], as lists that start with the values nearest 0."""
+    in [-bound, bound], as lists sorted by denominator and then by
+    distance from 0."""
     values = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
                      for p in range(-bound * q, bound * q + 1)},
                     key=lambda x: (x.denominator, abs(x), x))
