@@ -4,6 +4,8 @@ Input is a single JSON document giving either a fan (rays) plus divisor
 coefficients, or a polytope (vertices, the fan then being its normal
 fan), a direction, and optional (l, k) pairs, scan bound and lambda cap.
 Rationals are written as integers or [numerator, denominator] pairs.
+JSON output uses the same exact forms: every rational an integer or a
+[numerator, denominator] pair in lowest terms, and every vector an array.
 
 Subcommands: analyze, semigroup, nobody, fg, fg-all, scan,
 construct-bad, plot.  Validation failures exit with code 2 and a
@@ -38,38 +40,37 @@ class InputError(Exception):
     """Invalid input; the message is the reason reported on stderr."""
 
 
-def _frac_in(x) -> Fraction:
+def _is_int_pair(x) -> bool:
+    """x is a list of two JSON integers (a bool is no integer here)."""
+    return isinstance(x, list) and len(x) == 2 and all(type(t) is int for t in x)
+
+
+def _frac_in(x):
+    """An integer or [num, den] literal in the int normal form: an int
+    when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise InputError("bad rational literal")
-    if isinstance(x, int):
-        return Fraction(x)
-    if (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(t, int) and not isinstance(t, bool) for t in x)
-        and x[1] != 0
-    ):
-        return Fraction(x[0], x[1])
+    if _is_int_pair(x) and x[1] != 0:
+        f = Fraction(x[0], x[1])
+        return f.numerator if f.denominator == 1 else f
     raise InputError(f"bad rational literal {x!r}: use an integer or [num, den]")
 
 
-def _frac_out(x):
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else [f.numerator, f.denominator]
-
-
-def _point_out(p):
-    return [_frac_out(p[0]), _frac_out(p[1])]
-
-
 def _int_pair(x, what):
-    if (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(t, int) and not isinstance(t, bool) for t in x)
-    ):
+    if _is_int_pair(x):
         return (x[0], x[1])
     raise InputError(f"{what} must be a pair of integers")
+
+
+def _exact(x):
+    """The ``default`` hook of the output's ``json.dumps``: a Fraction as
+    an int, or as [num, den] when it is not integral.  Tuples need no hook,
+    since json writes them as arrays."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 class Problem(NamedTuple):
@@ -188,13 +189,7 @@ def load_problem(args) -> Problem:
 def _cone_out(c):
     if c is None:
         return None
-    return {"kind": c.kind, "generators": [list(g) for g in c.generators]}
-
-
-def _witness_out(w):
-    if w is None:
-        return None
-    return [list(w[0]), list(w[1])]
+    return {"kind": c.kind, "generators": c.generators}
 
 
 def _verdict_out(v):
@@ -203,8 +198,8 @@ def _verdict_out(v):
         "degenerate_side": v.degenerate_side,
         "sigma_plus": _cone_out(v.sigma_plus),
         "sigma_minus": _cone_out(v.sigma_minus),
-        "witness_plus": _witness_out(v.witness_plus),
-        "witness_minus": _witness_out(v.witness_minus),
+        "witness_plus": v.witness_plus,
+        "witness_minus": v.witness_minus,
     }
 
 
@@ -218,33 +213,31 @@ def cmd_analyze(problem: Problem, args) -> dict:
     for q, d in body.breakpoints:
         lifts = crit.vertex_lifts(ctx, q)
         lam = oracles.lift_search(ctx, q, lam_max)
-        lifting.append(
-            {"q": _frac_out(q), "d": _frac_out(d), "lifts": lifts, "lambda": lam}
-        )
+        lifting.append({"q": q, "d": d, "lifts": lifts, "lambda": lam})
     return {
-        "fan": {"rays": [list(r) for r in ctx.fan.rays], "smooth": ctx.fan.is_smooth},
-        "divisor": [_frac_out(a) for a in ctx.divisor.coeffs],
-        "direction": list(ctx.flag.v),
-        "m": list(ctx.flag.m),
-        "cprime": [[list(r), c] for r, c in zip(ctx.fan.rays, ctx.flag.cprime_coeffs)],
-        "nabla_prime": [_point_out(p) for p in ctx.flag.nabla_prime.vertices],
+        "fan": {"rays": ctx.fan.rays, "smooth": ctx.fan.is_smooth},
+        "divisor": ctx.divisor.coeffs,
+        "direction": ctx.flag.v,
+        "m": ctx.flag.m,
+        "cprime": [[r, c] for r, c in zip(ctx.fan.rays, ctx.flag.cprime_coeffs)],
+        "nabla_prime": ctx.flag.nabla_prime.vertices,
         "segment": {
-            "level": _frac_out(seg.level),
-            "v1": _point_out(seg.v1),
-            "v2": _point_out(seg.v2),
-            "q_hat": _frac_out(seg.q_hat),
+            "level": seg.level,
+            "v1": seg.v1,
+            "v2": seg.v2,
+            "q_hat": seg.q_hat,
         },
         "sigma_plus": _cone_out(verdict.sigma_plus),
         "sigma_minus": _cone_out(verdict.sigma_minus),
-        "q_hat": _frac_out(seg.q_hat),
+        "q_hat": seg.q_hat,
         "nobody": {
-            "vertices": [_point_out(p) for p in body.vertices],
-            "breakpoints": [_point_out(p) for p in body.breakpoints],
+            "vertices": body.vertices,
+            "breakpoints": body.breakpoints,
         },
         "finitely_generated": verdict.finitely_generated,
         "degenerate_side": verdict.degenerate_side,
-        "witness_plus": _witness_out(verdict.witness_plus),
-        "witness_minus": _witness_out(verdict.witness_minus),
+        "witness_plus": verdict.witness_plus,
+        "witness_minus": verdict.witness_minus,
         "lifting": lifting,
     }
 
@@ -272,10 +265,10 @@ def cmd_nobody(problem: Problem, args) -> dict:
     ctx = problem.context
     body = semigroup.newton_okounkov_body(ctx)
     return {
-        "q_hat": _frac_out(semigroup.q_hat(ctx)),
-        "vertices": [_point_out(p) for p in body.vertices],
-        "breakpoints": [_point_out(p) for p in body.breakpoints],
-        "area": _frac_out(body.polygon.area()),
+        "q_hat": semigroup.q_hat(ctx),
+        "vertices": body.vertices,
+        "breakpoints": body.breakpoints,
+        "area": body.polygon.area(),
     }
 
 
@@ -283,10 +276,7 @@ def cmd_fg(problem: Problem, args) -> dict:
     verdict = crit.is_finitely_generated(problem.context)
     out = _verdict_out(verdict)
     if verdict.degenerate_side:
-        out["lifting"] = [
-            {"q": _frac_out(q), "d": _frac_out(d), "lifts": ok}
-            for q, d, ok in verdict.lifting
-        ]
+        out["lifting"] = [{"q": q, "d": d, "lifts": ok} for q, d, ok in verdict.lifting]
     return out
 
 
@@ -295,8 +285,8 @@ def cmd_fg_all(problem: Problem, args) -> dict:
     return {
         "holds": res.holds,
         "failing_cone": _cone_out(res.failing_cone),
-        "failing_direction": list(res.failing_direction) if res.failing_direction else None,
-        "witness": _witness_out(res.witness),
+        "failing_direction": res.failing_direction,
+        "witness": res.witness,
     }
 
 
@@ -307,10 +297,10 @@ def cmd_scan(problem: Problem, args) -> list:
     results = crit.scan_directions(problem.divisor, bound)
     return [
         {
-            "direction": list(v),
+            "direction": v,
             "finitely_generated": verdict.finitely_generated,
-            "witness_plus": _witness_out(verdict.witness_plus),
-            "witness_minus": _witness_out(verdict.witness_minus),
+            "witness_plus": verdict.witness_plus,
+            "witness_minus": verdict.witness_minus,
             "degenerate_side": verdict.degenerate_side,
         }
         for v, verdict in results
@@ -334,13 +324,13 @@ def cmd_construct_bad(problem: Problem, args) -> dict:
     return {
         "constructed": True,
         "sigma": _cone_out(sigma),
-        "direction": list(direction),
-        "d_theta": [_frac_out(a) for a in out.d_theta.coeffs],
-        "d_prime": [_frac_out(a) for a in out.d_prime.coeffs],
-        "divisor": [_frac_out(a) for a in out.divisor.coeffs],
-        "rays": [list(r) for r in problem.fan.rays],
-        "p_d": [_point_out(p) for p in out.p_d.vertices],
-        "theta": [_point_out(p) for p in out.theta.vertices],
+        "direction": direction,
+        "d_theta": out.d_theta.coeffs,
+        "d_prime": out.d_prime.coeffs,
+        "divisor": out.divisor.coeffs,
+        "rays": problem.fan.rays,
+        "p_d": out.p_d.vertices,
+        "theta": out.theta.vertices,
         "finitely_generated": False,
     }
 
@@ -436,7 +426,7 @@ def main(argv=None) -> int:
                 raise InputError(f"--{dest.replace('_', '-')} must be a positive integer")
         out = handler(load_problem(args), args)
         if not isinstance(out, str):
-            out = json.dumps(out, indent=2) + "\n"
+            out = json.dumps(out, indent=2, default=_exact) + "\n"
         _write_output(out, args.output)
     except (InputError, svgfig.FigureTooLarge) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -11,6 +11,7 @@ decomposable cone exists."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,7 +38,6 @@ from .geometry import (
     RatPolygon,
     dot,
     det,
-    floor_frac,
     int_vector,
     neg,
     rational,
@@ -324,7 +324,7 @@ def _synthesize_d_theta(fan: Fan2, interior, outer) -> ToricDivisor:
 def _relaxation(theta_inf: RatPolygon, interior) -> int:
     """The least integer a >= 1 with support_min(r) > -a at every interior
     ray r, so that the halfplanes <u, r> >= -a cut nothing off theta_inf."""
-    return max([1] + [floor_frac(-theta_inf.support_min(r)) + 1 for r in interior])
+    return max([1] + [math.floor(-theta_inf.support_min(r)) + 1 for r in interior])
 
 
 def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
@@ -364,7 +364,7 @@ def _construct_bad_halfplane(fan: Fan2, sigma: Cone2, v) -> BadDivisorConstructi
     p_base = RatPolygon.from_halfplanes([(r, -b) for r, b in base.items()])
     levels = [[dot(p, v) for p in p_base.face(n)] for n in (g, neg(g))]
     gap = max(map(min, levels)) - min(map(max, levels))
-    weight = 1 << max(0, floor_frac(gap / (2 * abs(det(g, v))))).bit_length()
+    weight = 1 << max(0, math.floor(gap / (2 * abs(det(g, v))))).bit_length()
     divisor = ToricDivisor.make(fan, {r: base[r] + weight * abs(det(g, r)) for r in fan.rays})
     ctx = make_context(divisor, v)
     verdict = is_finitely_generated(ctx)

@@ -125,14 +125,6 @@ def primitivize(u):
     return (x // g, y // g)
 
 
-def ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def meet(ni, oi, nj, oj):
     """The point where <u, ni> = oi and <u, nj> = oj meet, by Cramer's rule
     in homogeneous form: (x, y, d) with d > 0 stands for (x/d, y/d).  None

@@ -17,15 +17,14 @@ projects every point, is its oracle.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cones import Cone2, NotInInterior
 from .geometry import (
     RatPolygon,
-    ceil_frac,
     dot,
     det,
-    floor_frac,
     int_vector,
     lattice_points,
     level_count,
@@ -59,7 +58,7 @@ def brute_decompose(w, c: Cone2):
         # slide along the boundary direction to sit nearest w/2
         t = Fraction(dot(g, w) - 2 * dot(g, target), 2 * dot(g, g))
         best = None
-        for tt in (floor_frac(t), ceil_frac(t)):
+        for tt in (math.floor(t), math.ceil(t)):
             cand = (target[0] + tt * g[0], target[1] + tt * g[1])
             d2 = (2 * cand[0] - w[0]) ** 2 + (2 * cand[1] - w[1]) ** 2
             key = (d2, cand)
@@ -89,14 +88,13 @@ def brute_e_bar(ctx, l, k) -> int:
     code with the fast version."""
     # <(x, y), n> is an int, so it is >= o exactly when it is >= ceil(o)
     halfplanes = [
-        (r, ceil_frac(Fraction(-l * a + k * c)))
+        (r, math.ceil(-l * a + k * c))
         for r, a, c in zip(ctx.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
     ]
     xs = [x for x, _ in ctx.p_d.vertices]
     a, b = ctx.flag.v
     seen = set()
-    lf = Fraction(l)
-    for x in range(ceil_frac(lf * min(xs)), floor_frac(lf * max(xs)) + 1):
+    for x in range(math.ceil(l * min(xs)), math.floor(l * max(xs)) + 1):
         # n0*x + n1*y >= o; a complete fan has rays with n1 > 0 and n1 < 0
         lo = max(-((n0 * x - o) // n1) for (n0, n1), o in halfplanes if n1 > 0)
         hi = min((n0 * x - o) // -n1 for (n0, n1), o in halfplanes if n1 < 0)

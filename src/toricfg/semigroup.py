@@ -9,6 +9,7 @@ the normalized polytope at slope q is just the (1, q) case.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -18,7 +19,6 @@ from .fans import FlagData, Fan2, ToricDivisor, ample_polytope, divisor_polytope
 from .geometry import (
     ChordWalk,
     RatPolygon,
-    floor_frac,
     lattice_points,
     level_count,
     neg,
@@ -143,7 +143,7 @@ class SemigroupSlice(NamedTuple):
 def semigroup_slice(ctx: FlagContext, l: int) -> SemigroupSlice:
     if l < 1:
         raise ValueError("level must be at least 1")
-    kmax = floor_frac(Fraction(l) * q_hat(ctx))
+    kmax = math.floor(l * q_hat(ctx))
     return SemigroupSlice(l, tuple((k, e_bar(ctx, l, k)) for k in range(kmax + 1)))
 
 

@@ -1,17 +1,29 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfg import cli, criterion, fans, semigroup
 from toricfg.geometry import RatPolygon
 from toricfg.semigroup import make_context
 from test_cli_golden import DOCS
-from util import load_example, run_main, src_env
+from util import (
+    JSON_COMMANDS,
+    input_documents,
+    load_example,
+    random_cli_call,
+    run_main,
+    src_env,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "inputs")
@@ -661,3 +673,61 @@ def test_construct_bad_searches_no_witness(monkeypatch, tmp_path):
     res = run_main("construct-bad", "--input", str(path))
     assert (res.returncode, res.stderr) == (0, "")
     assert json.loads(res.stdout)["constructed"] is True
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.one_of(st.integers(), st.fractions()))
+def test_exact_output_reads_back_in_int_normal_form(x):
+    back = cli._frac_in(json.loads(json.dumps(x, default=cli._exact)))
+    assert back == x
+    assert type(back) is (int if x.denominator == 1 else Fraction)
+
+
+def test_a_pair_reads_in_any_terms_and_is_written_in_lowest_terms():
+    x = cli._frac_in([3, -6])
+    assert x == Fraction(-1, 2)
+    assert json.dumps(x, default=cli._exact) == "[-1, 2]"
+    assert cli._frac_in([-4, -2]) == 2 and type(cli._frac_in([-4, -2])) is int
+
+
+def test_exact_output_refuses_other_types():
+    with pytest.raises(TypeError):
+        json.dumps(Decimal(1), default=cli._exact)
+    with pytest.raises(TypeError):
+        json.dumps([(1, Fraction(1, 2)), 1.5j], default=cli._exact)
+
+
+@pytest.mark.parametrize("literal, reason", [
+    (True, "bad rational literal"),
+    ([1, 0], "bad rational literal [1, 0]: use an integer or [num, den]"),
+    ([1, True], "bad rational literal [1, True]: use an integer or [num, den]"),
+    ([1, 2, 3], "bad rational literal [1, 2, 3]: use an integer or [num, den]"),
+    (1.5, "bad rational literal 1.5: use an integer or [num, den]"),
+])
+def test_bad_rational_literals_keep_their_reasons(literal, reason):
+    with pytest.raises(cli.InputError) as err:
+        cli._frac_in(literal)
+    assert str(err.value) == reason
+
+
+def _no_float(token):
+    raise AssertionError(f"float token {token} in JSON output")
+
+
+def test_random_cli_calls_exit_0_or_2_and_write_no_float(tmp_path):
+    # 200 calls, each drawn from random.Random(seed) for its own seed, on
+    # the worked examples whose coordinates stay small (up to 100)
+    docs = input_documents(100)
+    path = tmp_path / "doc.json"
+    exits = {0: 0, 2: 0}
+    for seed in range(200):
+        doc, argv = random_cli_call(random.Random(seed), docs)
+        path.write_text(json.dumps(doc))
+        res = run_main(*argv, "--input", str(path))
+        assert res.returncode in exits, (seed, argv, doc, res.stderr)
+        exits[res.returncode] += 1
+        if res.returncode == 2:
+            assert set(json.loads(res.stderr)) == {"error"}, (seed, argv, doc)
+        elif argv[0] in JSON_COMMANDS:
+            json.loads(res.stdout, parse_float=_no_float)
+    assert exits == {0: 120, 2: 80}

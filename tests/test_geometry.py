@@ -24,6 +24,7 @@ from toricfg.geometry import (
 
 from paper import colon, contains_polygon, minkowski_sum
 from util import (
+    SEED,
     column_level_count,
     fraction_from_halfplanes,
     fraction_polygon_of_points,
@@ -163,18 +164,20 @@ coord = st.integers(min_value=-8, max_value=8)
 point = st.tuples(coord, coord)
 
 
+def random_point(rng):
+    """A point drawn as ``point`` draws it: coordinates in [-8, 8]."""
+    return (rng.randint(-8, 8), rng.randint(-8, 8))
+
+
 @settings(max_examples=120, derandomize=True)
-@given(
-    st.lists(point, min_size=3, max_size=7),
-    st.lists(point, min_size=3, max_size=7),
-    point,
-    st.integers(min_value=1, max_value=3),
-)
-def test_colon_adjunction(ps, qs, u, den):
-    p = RatPolygon.from_vertices(ps)
-    q = RatPolygon.from_vertices(qs)
+@given(SEED)
+def test_colon_adjunction(seed):
+    rng = random.Random(seed)
+    p, q = (RatPolygon.from_vertices([random_point(rng) for _ in range(rng.randint(3, 7))])
+            for _ in range(2))
     c = colon(p, q)
-    u = (F(u[0], den), F(u[1], den))
+    (x, y), den = random_point(rng), rng.randint(1, 3)
+    u = (F(x, den), F(y, den))
     shifted_inside = all(
         polygon_contains(p, (u[0] + w[0], u[1] + w[1])) for w in q.vertices
     )
@@ -281,14 +284,13 @@ OFFSET_POOLS = [_offsets(1)] + [
     for values in (_offsets(den), [x for x in _offsets(den) if abs(x) <= 1])]
 NORMALS = sorted(((a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)),
                  key=lambda n: (max(map(abs, n)), n))
-# The halfplane, hull, chord and lattice-point properties draw one seed
+
+
+# The halfplane, hull, chord and lattice-point properties draw one SEED
 # per example and build the case with random.Random(seed) from the pools
 # above and below: hypothesis prints the seed of a failing case, and
 # drawing one integer costs far less than drawing every normal, offset
 # and coordinate through hypothesis.
-SEED = st.integers(0, 2**64 - 1)
-
-
 def _case(case, build):
     """The case of one example: an @example's own value, or what build
     draws from random.Random(case) for a drawn seed."""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from toricfg.cones import NotInInterior, cone
 from toricfg.fans import ToricDivisor
-from toricfg.geometry import floor_frac
 from toricfg.oracles import brute_decompose, brute_e_bar, lift_search
 from toricfg.semigroup import e_bar, make_context, newton_okounkov_body, q_hat
 from toricfg.criterion import vertex_lifts
@@ -88,7 +88,7 @@ def _random_cells(ctx):
 
 
 def _every_cell_to_level_4(ctx):
-    return [(l, k) for l in range(1, 5) for k in range(floor_frac(l * q_hat(ctx)) + 1)]
+    return [(l, k) for l in range(1, 5) for k in range(math.floor(l * q_hat(ctx)) + 1)]
 
 
 @pytest.mark.parametrize("name, cells", [

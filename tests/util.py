@@ -5,13 +5,15 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import json
 import os
 import random
+import re
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd
 
 from hypothesis import strategies as st
 from toricfg import cli
@@ -21,11 +23,9 @@ from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
     UnboundedRegion,
-    ceil_frac,
     convex_hull,
     det,
     dot,
-    floor_frac,
     int_vector,
     lattice_points,
     meet,
@@ -86,6 +86,12 @@ def rationals(bound: int, max_denominator: int):
     come at least as often as from st.fractions, and examples shrink
     towards 0."""
     return st.one_of(*map(st.sampled_from, rational_pools(bound, max_denominator)))
+
+
+# One seed per example, for the properties that build their case with
+# random.Random(seed) from such lists in place of drawing every value
+# through hypothesis
+SEED = st.integers(0, 2**64 - 1)
 
 
 def random_smooth_fan(rng: random.Random, max_subdivisions: int = 4) -> Fan2:
@@ -190,8 +196,8 @@ def naive_lattice_points(p: RatPolygon):
     xs = [q[0] for q in p.vertices]
     ys = [q[1] for q in p.vertices]
     out = []
-    for x in range(ceil_frac(Fraction(min(xs))), floor_frac(Fraction(max(xs))) + 1):
-        for y in range(ceil_frac(Fraction(min(ys))), floor_frac(Fraction(max(ys))) + 1):
+    for x in range(ceil(min(xs)), floor(max(xs)) + 1):
+        for y in range(ceil(min(ys)), floor(max(ys)) + 1):
             if all(x * n[0] + y * n[1] >= o for n, o in p.halfplanes):
                 out.append((x, y))
     return out
@@ -595,3 +601,65 @@ def run_main(*argv) -> CliRun:
     with redirect_stdout(out), redirect_stderr(err):
         rc = cli.main(list(argv))
     return CliRun(rc, out.getvalue(), err.getvalue())
+
+
+# The CLI fuzz: each call takes one of the worked examples, moves it and
+# runs it under a random subcommand.  Coordinates stay small, so it does
+# not reach the large-coordinate witness searches.
+JSON_COMMANDS = ("analyze", "nobody", "fg", "fg-all", "scan", "construct-bad")
+PLOT_TARGETS = ("polytope", "fan", "nobody", "theta", "theta(1,1)", "theta(2,1)", "theta(0,0)")
+
+
+def input_documents(bound: int) -> list:
+    """The documents of inputs/*.json, in file name order, whose integers
+    are all at most bound in absolute value."""
+    folder = os.path.join(ROOT, "inputs")
+    docs = []
+    for name in sorted(os.listdir(folder)):
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            text = fh.read()
+        if all(abs(int(t)) <= bound for t in re.findall(r"-?\d+", text)):
+            docs.append(json.loads(text))
+    return docs
+
+
+def _scaled_literal(x, num, den) -> list:
+    """The rational literal x (an int or [n, d]) times num/den, as an
+    [n, d] pair left out of lowest terms."""
+    n, d = (x, 1) if isinstance(x, int) else x
+    return [n * num, d * den]
+
+
+def random_cli_call(rng: random.Random, docs) -> tuple:
+    """(document, argv without --input) of one CLI call drawn from the
+    documents ``docs``: the divisor coefficients or the polytope vertices
+    scaled by num/den with num in [-1, 4] and den in [1, 3] (so zero and
+    negative scales come too), a direction of max-norm <= 9 (one in four
+    drawn from every pair, so zero or not primitive, the rest primitive)
+    in the document or in --direction, and a random subcommand with
+    small flags; plot draws its target from PLOT_TARGETS."""
+    doc = json.loads(json.dumps(rng.choice(docs)))
+    num, den = rng.randint(-1, 4), rng.randint(1, 3)
+    if "divisor" in doc:
+        doc["divisor"]["coefficients"] = [
+            _scaled_literal(c, num, den) for c in doc["divisor"]["coefficients"]]
+    if "polytope" in doc:
+        doc["polytope"]["vertices"] = [
+            [_scaled_literal(c, num, den) for c in p] for p in doc["polytope"]["vertices"]]
+    direction = random_direction(rng, 9)
+    if rng.random() < 0.25:
+        direction = (rng.randint(-9, 9), rng.randint(-9, 9))
+    command = rng.choice(JSON_COMMANDS + ("semigroup", "plot"))
+    argv = [command]
+    if rng.random() < 0.5:
+        doc["direction"] = list(direction)
+    else:
+        argv.append("--direction=%d,%d" % direction)
+    if command == "scan":
+        argv += ["--bound", str(rng.randint(1, 3))]
+    elif command == "semigroup":
+        # --expand lists every element, so it comes at level 1 only
+        argv += rng.choice((["--lmax", str(rng.randint(1, 3))], ["--expand", "--lmax", "1"]))
+    elif command == "plot":
+        argv += ["--what", rng.choice(PLOT_TARGETS)] + ["--flip-axes"] * rng.randint(0, 1)
+    return doc, argv
