@@ -164,17 +164,23 @@ coord = st.integers(min_value=-8, max_value=8)
 point = st.tuples(coord, coord)
 
 
-def random_point(rng):
-    """A point drawn as ``point`` draws it: coordinates in [-8, 8]."""
-    return (rng.randint(-8, 8), rng.randint(-8, 8))
+def random_point(rng, bound=8):
+    return (rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+def random_lattice_polygon(rng, bounds):
+    """The hull of 3 to 7 points with coordinates in [-b, b], for b drawn
+    from bounds: small bounds give degenerate and nested polygons."""
+    b = rng.choice(bounds)
+    return RatPolygon.from_vertices([random_point(rng, b) for _ in range(rng.randint(3, 7))])
 
 
 @settings(max_examples=120, derandomize=True)
 @given(SEED)
 def test_colon_adjunction(seed):
     rng = random.Random(seed)
-    p, q = (RatPolygon.from_vertices([random_point(rng) for _ in range(rng.randint(3, 7))])
-            for _ in range(2))
+    # q is a point for bound 0, so p : q is p moved
+    p, q = random_lattice_polygon(rng, (1, 8)), random_lattice_polygon(rng, (0, 1, 8))
     c = colon(p, q)
     (x, y), den = random_point(rng), rng.randint(1, 3)
     u = (F(x, den), F(y, den))
