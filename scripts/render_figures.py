@@ -29,7 +29,7 @@ def main():
     sym16gon = load("sym16gon", "scan").p_d
     figures = {
         "slanted_quad_polytope.svg": polygon_svg(ctx.p_d, title="P_D"),
-        "slanted_quad_fan.svg": fan_svg(ctx.fan, title="normal fan"),
+        "slanted_quad_fan.svg": fan_svg(ctx.divisor.fan, title="normal fan"),
         "slanted_quad_nabla_prime.svg": polygon_svg(
             ctx.flag.nabla_prime, title="nef polytope of the flag curve"
         ),

@@ -32,8 +32,13 @@ from .fans import (
     divisor_from_polytope,
     flag_data,
 )
-from .geometry import RatPolygon, is_primitive
+from .geometry import RatPolygon, floor_sum, is_primitive
 from .semigroup import FlagContext
+
+# the most CSV rows semigroup writes, (l, k) cells or --expand triples; a
+# run with more cells is refused before any e_bar, and one with more
+# triples before any triple is built
+MAX_SEMIGROUP_ROWS = 10**6
 
 
 class InputError(Exception):
@@ -215,11 +220,11 @@ def cmd_analyze(problem: Problem, args) -> dict:
         lam = oracles.lift_search(ctx, q, lam_max)
         lifting.append({"q": q, "d": d, "lifts": lifts, "lambda": lam})
     return {
-        "fan": {"rays": ctx.fan.rays, "smooth": ctx.fan.is_smooth},
+        "fan": {"rays": problem.fan.rays, "smooth": problem.fan.is_smooth},
         "divisor": ctx.divisor.coeffs,
         "direction": ctx.flag.v,
         "m": ctx.flag.m,
-        "cprime": [[r, c] for r, c in zip(ctx.fan.rays, ctx.flag.cprime_coeffs)],
+        "cprime": [[r, c] for r, c in zip(problem.fan.rays, ctx.flag.cprime_coeffs)],
         "nabla_prime": ctx.flag.nabla_prime.vertices,
         "segment": {
             "level": seg.level,
@@ -231,7 +236,7 @@ def cmd_analyze(problem: Problem, args) -> dict:
         "sigma_minus": _cone_out(verdict.sigma_minus),
         "q_hat": seg.q_hat,
         "nobody": {
-            "vertices": body.vertices,
+            "vertices": body.polygon.vertices,
             "breakpoints": body.breakpoints,
         },
         "finitely_generated": verdict.finitely_generated,
@@ -244,6 +249,15 @@ def cmd_analyze(problem: Problem, args) -> dict:
 
 def cmd_semigroup(problem: Problem, args) -> str:
     ctx = problem.context
+    qh = ctx.q_hat
+    # levels 1..lmax hold floor(l * q_hat) + 1 cells each
+    count = args.lmax + floor_sum(args.lmax + 1, qh.denominator, qh.numerator, 0)
+    if count <= MAX_SEMIGROUP_ROWS:
+        slices = [semigroup.semigroup_slice(ctx, l) for l in range(1, args.lmax + 1)]
+        if args.expand:
+            count = sum(e for s in slices for _, e in s.entries)
+    if count > MAX_SEMIGROUP_ROWS:
+        raise InputError(f"semigroup would write {count} rows, over the cap of {MAX_SEMIGROUP_ROWS}")
     lines = []
     if args.expand:
         lines.append("# columns: l,k,delta -- all semigroup elements up to level lmax")
@@ -254,9 +268,8 @@ def cmd_semigroup(problem: Problem, args) -> str:
             " (l,k,delta) for 0 <= delta <= e_bar-1"
         )
         lines.append("l,k,e_bar")
-    for l in range(1, args.lmax + 1):
-        s = semigroup.semigroup_slice(ctx, l)
-        rows = s.triples() if args.expand else ((l, k, e) for k, e in s.entries)
+    for s in slices:
+        rows = s.triples() if args.expand else ((s.level, k, e) for k, e in s.entries)
         lines.extend(f"{a},{b},{c}" for a, b, c in rows)
     return "\n".join(lines) + "\n"
 
@@ -266,7 +279,7 @@ def cmd_nobody(problem: Problem, args) -> dict:
     body = semigroup.newton_okounkov_body(ctx)
     return {
         "q_hat": semigroup.q_hat(ctx),
-        "vertices": body.vertices,
+        "vertices": body.polygon.vertices,
         "breakpoints": body.breakpoints,
         "area": body.polygon.area(),
     }

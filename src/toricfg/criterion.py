@@ -258,7 +258,10 @@ def construct_bad_divisor(
     floor below it; there is none when the floor is at least top.  The
     accepted set only shrinks as a_r falls, so when that midpoint costs
     an earlier ray its edge no lower value helps either, and the
-    ampleness check at the end fails.
+    ampleness check at the end fails.  The floors need no check of their
+    own: theta(1, 1) is cut out by <u, r> >= c'_r - a_r, so a_r below its
+    floor puts a vertex of theta outside theta(1, 1), and the check that
+    theta(1, 1) is still theta raises.
     A halfplane sigma on (g, -g) instead stretches the antiparallel edge
     pair of P_base, the polygon of b_r = sum_t max(0, det(r, t)), so that
     the maximal cross-section ends on both edge interiors and the
@@ -302,8 +305,6 @@ def construct_bad_divisor(
     p_d = ample_polytope(divisor)
     if p_d is None:
         raise ConstructionFailed("lowering did not reach an ample divisor")
-    if any(a < b for a, b in zip(coeffs, floors)):
-        raise ConstructionFailed("a coefficient fell below its floor while lowering")
     ctx = FlagContext(divisor, flag, p_d)
     if theta(ctx, 1, 1) != theta0:
         raise ConstructionFailed("colon polytope drifted from the prescribed one")
@@ -328,10 +329,10 @@ def _relaxation(theta_inf: RatPolygon, interior) -> int:
 
 
 def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
-    face = theta0.face(v)
-    if len(face) != 1:
+    tangent = tangent_cone(theta0, v)
+    if tangent.kind == "halfplane":
         raise ConstructionFailed("v-minimal face of the model polytope is not a vertex")
-    if tangent_cone(theta0, face) != dual_cone(sigma):
+    if tangent != dual_cone(sigma):
         raise ConstructionFailed(
             "model polytope does not have the dual cone as tangent cone"
         )

@@ -7,7 +7,9 @@ offsets times L.  That form is canonical (counterclockwise vertices
 starting at the lexicographic minimum, irredundant halfplanes when
 full-dimensional), so equality is plain tuple comparison and fixtures are
 deterministic.  The Fraction vertices and halfplanes are views built on
-first read, for output and the oracles; the kernels read the ints.
+first read, for output and the oracles; the kernels read the ints, and so
+do the tangent cones at a polygon's extremal faces (``semigroup``), read
+off ``ring`` and the int vertex levels of ``_levels``.
 
 Degenerate polygons (point, segment, empty set) are first-class values.
 
@@ -436,14 +438,6 @@ class RatPolygon(_PolygonFields):
         low = min(levels)
         return [p for p, h in zip(self.vertices, levels) if h == low]
 
-    def vertex_directions(self, r) -> tuple:
-        """Primitive directions from vertex r along the edges before and
-        after it; they span the tangent cone at r."""
-        ring = self.ring
-        i = self.vertices.index(r)
-        after = ring[(i + 1) % len(ring)]
-        return primitivize(vsub(ring[i - 1], ring[i])), primitivize(vsub(after, ring[i]))
-
     def dilate(self, factor) -> "RatPolygon":
         """Scale about the origin by a nonnegative rational factor p/q: the
         int ring and offsets times p, over the scale times q."""
@@ -500,14 +494,10 @@ def _reduced(scale, ring, lines, dim) -> RatPolygon:
 
 
 def _halfplanes_of_hull(hull):
-    if len(hull) == 1:
-        (x, y) = hull[0]
-        return (
-            ((-1, 0), -x), ((0, -1), -y), ((0, 1), y), ((1, 0), x),
-        )
-    if len(hull) == 2:
-        a, b = hull
-        d = primitivize(vsub(b, a))
+    if len(hull) <= 2:
+        # a point is the segment case with d = (1, 0)
+        a, b = hull[0], hull[-1]
+        d = primitivize(vsub(b, a)) if a != b else (1, 0)
         n = rot90(d)
         return tuple(sorted([
             (n, dot(a, n)),

@@ -89,7 +89,7 @@ def brute_e_bar(ctx, l, k) -> int:
     # <(x, y), n> is an int, so it is >= o exactly when it is >= ceil(o)
     halfplanes = [
         (r, math.ceil(-l * a + k * c))
-        for r, a, c in zip(ctx.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
+        for r, a, c in zip(ctx.divisor.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
     ]
     xs = [x for x, _ in ctx.p_d.vertices]
     a, b = ctx.flag.v

@@ -1,6 +1,7 @@
 """The valuation-semigroup layer: colon polytopes of an ample divisor
 against the flag's nef segment polytope, section counts by level, semigroup
-slices, tangent cones at the extremal faces of a colon polytope, and the
+slices, tangent cones at the extremal faces of a colon polytope (read
+on its int ring, like every kernel of ``geometry``), and the
 Newton-Okounkov body in (q, t)-coordinates.
 
 All (l, k) arguments may be rational; integral callers are unaffected and
@@ -15,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cones import Cone2, cone, halfplane
-from .fans import FlagData, Fan2, ToricDivisor, ample_polytope, divisor_polytope, flag_data
+from .fans import FlagData, ToricDivisor, ample_polytope, divisor_polytope, flag_data
 from .geometry import (
     ChordWalk,
     RatPolygon,
@@ -50,10 +51,6 @@ class FlagContext(_ContextFields):
     (d_of_q at slope 0), so the record holds nothing derived but the
     cached chord walk of P_D and its q_hat, kept in the instance dict that
     this class has over its named-tuple base."""
-
-    @property
-    def fan(self) -> Fan2:
-        return self.divisor.fan
 
     @cached_property
     def chord_walk(self) -> ChordWalk:
@@ -95,7 +92,7 @@ def theta(ctx: FlagContext, l, k) -> RatPolygon:
     return RatPolygon.from_halfplanes(
         [
             (r, -l * a + k * c)
-            for r, a, c in zip(ctx.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
+            for r, a, c in zip(ctx.divisor.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
         ]
     )
 
@@ -157,17 +154,25 @@ def theta_extremal(ctx: FlagContext, l, k) -> tuple:
     v = ctx.flag.v
     if t.is_empty or width(t, v) == 0:
         raise DegenerateTheta("no extremal data for an empty or zero-width colon polytope")
-    return tangent_cone(t, t.face(v)), tangent_cone(t, t.face(neg(v)))
+    return tangent_cone(t, v), tangent_cone(t, neg(v))
 
 
-def tangent_cone(t: RatPolygon, face) -> Cone2:
-    """The tangent cone of t at a face given by its vertices: the cone
-    spanned by the edge directions at a vertex, the halfplane on t's side
-    of an edge."""
-    if len(face) > 1:
-        other = next(p for p in t.vertices if p not in face)
-        return halfplane(vsub(face[1], face[0]), vsub(other, face[0]))
-    return cone(*t.vertex_directions(face[0]))
+def tangent_cone(t: RatPolygon, v) -> Cone2:
+    """The tangent cone of t at its face minimising <p, v>, read on the
+    int ring: at a vertex p the cone on before - p and after - p, its
+    neighbours on the ring (a ray at the end of a segment); along an edge
+    the halfplane bounded by the edge on the side of the vertex after
+    it, for the edge from the last ring vertex to the first as well.  t
+    must have positive width along v: a point or a segment on one level
+    raises ValueError."""
+    ring, levels = t.ring, t._levels(v)
+    i = levels.index(min(levels))
+    if levels[i - 1] == levels[i]:
+        i -= 1  # the edge that closes the ring
+    p, after = ring[i], ring[(i + 1) % len(ring)]
+    if levels[(i + 1) % len(ring)] == levels[i]:
+        return halfplane(vsub(after, p), vsub(ring[(i + 2) % len(ring)], p))
+    return cone(vsub(ring[i - 1], p), vsub(after, p))
 
 
 class NOBody(NamedTuple):
@@ -178,10 +183,6 @@ class NOBody(NamedTuple):
 
     polygon: RatPolygon
     breakpoints: tuple
-
-    @property
-    def vertices(self):
-        return self.polygon.vertices
 
 
 def newton_okounkov_body(ctx: FlagContext) -> NOBody:

@@ -21,7 +21,9 @@ from toricfg.geometry import (
     RatPolygon,
     det,
     neg,
+    primitivize,
     rational,
+    vsub,
     width,
 )
 from toricfg.semigroup import DegenerateTheta, FlagContext, theta
@@ -74,7 +76,10 @@ def glued_nef_polytope(p_d: RatPolygon, flag: FlagData) -> RatPolygon:
         face = p_d.face(direction)
         if len(face) != 1:
             continue  # extremal edge: this side degenerates onto nabla
-        d1, d2 = p_d.vertex_directions(face[0])
+        verts = p_d.vertices
+        i = verts.index(face[0])
+        # primitive directions along the edges before and after the vertex
+        d1, d2 = (primitivize(vsub(verts[j], face[0])) for j in (i - 1, (i + 1) % len(verts)))
         dd = det(d1, d2)
         # t*d2 - s*d1 = m  (base corner on the d1-ray goes to the origin)
         s = Fraction(-det(m, d2), dd)

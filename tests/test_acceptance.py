@@ -62,7 +62,7 @@ def _ok(n, text):
 
 
 def test_criterion_1_running_example_exact_values():
-    fan = CTX.fan
+    fan = CTX.divisor.fan
     fd = flag_data(fan, V)
     assert dict(zip(fan.rays, fd.cprime_coeffs)) == {
         (1, 2): 7, (0, 1): 2, (-1, 0): 0, (0, -1): 0,
@@ -83,7 +83,7 @@ def test_criterion_1_running_example_exact_values():
 
 def test_criterion_2_newton_okounkov_body_exact():
     body = newton_okounkov_body(CTX)
-    assert set(body.vertices) == {
+    assert set(body.polygon.vertices) == {
         (0, 0), (0, 25), (F(2, 3), F(35, 3)), (F(8, 7), 0),
     }
     _ok(2, "Newton-Okounkov body equals conv((0,0),(0,25),(2/3,35/3),(8/7,0))")

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -151,6 +152,48 @@ def test_semigroup_expand():
     lines = [l for l in res.stdout.splitlines() if l and not l.startswith("#")]
     rows = {tuple(map(int, l.split(","))) for l in lines[1:]}
     assert (1, 1, 0) in rows and (1, 1, 1) in rows and (1, 1, 2) not in rows
+
+
+def _refused_in_time(*argv):
+    """``toricfg`` with argv exits 2 with the row cap as its reason, in
+    under 1 s; a child process, so that a run the cap misses is killed
+    after 5 s in place of hanging the suite."""
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "toricfg.cli", *argv], env=src_env(),
+                         capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - start < 1
+    assert res.returncode == 2 and res.stdout == ""
+    assert "over the cap of 1000000" in json.loads(res.stderr)["error"]
+
+
+def test_semigroup_refuses_too_many_cells():
+    # q_hat is about 1.7e12, so level 1 alone has that many cells
+    _refused_in_time("semigroup", "--input", inp("big_rational_zonotope.json"), "--lmax", "1")
+
+
+def test_semigroup_refuses_too_many_triples(tmp_path):
+    # two cells whose e_bar sum to 2e15 + 2 triples; the counts alone print
+    path = tmp_path / "long_rectangle.json"
+    w = 10**15
+    path.write_text(json.dumps(
+        {"polytope": {"vertices": [[0, 0], [w, 0], [w, 1], [0, 1]]}, "direction": [1, 0]}))
+    res = run_main("semigroup", "--input", str(path), "--lmax", "1")
+    assert res.returncode == 0 and res.stdout.endswith(f"1,0,{w + 1}\n1,1,{w + 1}\n")
+    _refused_in_time("semigroup", "--input", str(path), "--lmax", "1", "--expand")
+
+
+@pytest.mark.parametrize("name", ["slanted_quad.json", "sevengon.json", "rational_quad.json"])
+@pytest.mark.parametrize("expand", [False, True])
+def test_semigroup_row_count_is_exact(monkeypatch, name, expand):
+    # with the cap at the number of rows a run writes it still writes
+    # them, and one below it refuses
+    argv = ["semigroup", "--input", inp(name), "--lmax", "4"] + ["--expand"] * expand
+    res = run_main(*argv)
+    rows = sum(1 for line in res.stdout.splitlines() if line[:1].isdigit())
+    monkeypatch.setattr(cli, "MAX_SEMIGROUP_ROWS", rows)
+    assert run_main(*argv) == res
+    monkeypatch.setattr(cli, "MAX_SEMIGROUP_ROWS", rows - 1)
+    assert run_main(*argv).returncode == 2
 
 
 def test_nobody_json():

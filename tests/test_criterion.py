@@ -46,6 +46,7 @@ from util import (
     helly_q_hat,
     line_interval_max_chord,
     load_example,
+    one_sided_verdict,
     p1p1_fan,
     p2_fan,
     random_ample_divisor,
@@ -187,6 +188,40 @@ def test_degenerate_side_fallback():
     assert verdict.finitely_generated  # saturated simplex semigroup
 
 
+def random_divisor_for_rays(rng):
+    """An ample divisor on a smooth fan (zonotope offsets) or on the normal
+    fan of a lattice polygon with coordinates up to 40, which may be
+    singular, half and half, and a third of them scaled by 7/3."""
+    if rng.randrange(2):
+        fan = random_smooth_fan(rng)
+        d = random_ample_divisor(rng, fan)
+    else:
+        p = RatPolygon.empty()
+        while p.dim < 2:
+            p = RatPolygon.from_vertices(
+                [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(rng.randint(3, 7))])
+        d = divisor_from_polytope(p)
+    return ToricDivisor(d.fan, tuple(F(7, 3) * a for a in d.coeffs)) if rng.randrange(3) == 0 else d
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(SEED)
+def test_one_sided_verdict_matches_lifting_at_ray_directions(seed):
+    # at v = +-rho for a ray rho the edge of rho lies on an extreme level,
+    # and where it is the longest chord one side cone is None; there +-v
+    # is interior to the other side cone, and that cone alone gives the
+    # verdict that lifting every Newton-Okounkov breakpoint gives
+    divisor = random_divisor_for_rays(random.Random(seed))
+    for v in [w for r in divisor.fan.rays for w in (r, neg(r))]:
+        ctx = make_context(divisor, v)
+        seg = max_segment(ctx.chord_walk)
+        if (seg.sigma_plus is None) == (seg.sigma_minus is None):
+            continue
+        side, w = (seg.sigma_plus, v) if seg.sigma_minus is None else (seg.sigma_minus, neg(v))
+        assert side.strictly_contains(w)
+        assert one_sided_verdict(ctx) == all(ok for *_, ok in lifting_table(ctx)), (divisor, v)
+
+
 def test_sigma_dual_contained_in_theta_tangents():
     # the side cones' duals sit inside the extremal tangent cones for all
     # slopes below the top one; at an extremal edge the tangent cone is a
@@ -223,7 +258,7 @@ def test_sigma_dual_contained_in_theta_tangents():
 
 
 def test_fg_for_all_divisors_fixtures():
-    res = fg_for_all_divisors(CTX.fan, (-2, 3))
+    res = fg_for_all_divisors(CTX.divisor.fan, (-2, 3))
     assert not res.holds
     assert res.failing_cone == cone((-1, 0), (1, 2))
     assert res.failing_direction == (-2, 3)

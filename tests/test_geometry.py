@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricfg import geometry
 from toricfg.fans import ToricDivisor, divisor_polytope
@@ -233,20 +233,24 @@ def _positively_spanning(normals) -> bool:
     )
 
 
+def random_helly_case(rng):
+    """3 to 6 halfplanes whose normals, drawn from PRIMITIVE, positively
+    span the plane, with offsets a/den, -6 <= a <= 6 and 1 <= den <= 3."""
+    while True:
+        normals = [rng.choice(PRIMITIVE) for _ in range(rng.randint(3, 6))]
+        if _positively_spanning(normals):
+            return [(n, F(rng.randint(-6, 6), rng.randint(1, 3))) for n in normals]
+
+
 @settings(max_examples=150, derandomize=True)
-@given(st.lists(
-    st.tuples(st.sampled_from(PRIMITIVE), st.integers(-6, 6), st.integers(1, 3)),
-    min_size=3, max_size=6,
-))
-def test_helly_certificates_decide_emptiness(data):
-    normals = [n for n, _, _ in data]
-    assume(_positively_spanning(normals))
-    offsets = [F(o, den) for _, o, den in data]
+@given(SEED)
+def test_helly_certificates_decide_emptiness(seed):
+    hps = random_helly_case(random.Random(seed))
+    normals, offsets = [n for n, _ in hps], [o for _, o in hps]
     certified = any(
         sum(w * offsets[i] for i, w in zip(idx, weights)) > 0
         for idx, weights in helly_certificates(normals)
     )
-    hps = list(zip(normals, offsets))
     assert RatPolygon.from_halfplanes(hps).is_empty == certified
 
 
@@ -513,11 +517,15 @@ RATIONAL_POOLS = rational_pools(6, 7)
 PRIMITIVES_8 = [(a, b) for a in range(-8, 9) for b in range(-8, 9) if gcd(a, b) == 1]
 
 
+def random_rational_point(rng):
+    """A point whose coordinates are drawn as SMALL_RATIONAL draws them:
+    an integer or any value, half and half."""
+    return (rng.choice(rng.choice(RATIONAL_POOLS)), rng.choice(rng.choice(RATIONAL_POOLS)))
+
+
 def random_rational_points(rng, min_size=0):
-    """min_size to 7 points whose coordinates are drawn as SMALL_RATIONAL
-    draws them: an integer or any value, half and half."""
-    return [(rng.choice(rng.choice(RATIONAL_POOLS)), rng.choice(rng.choice(RATIONAL_POOLS)))
-            for _ in range(rng.randint(min_size, 7))]
+    """min_size to 7 points drawn by random_rational_point."""
+    return [random_rational_point(rng) for _ in range(rng.randint(min_size, 7))]
 
 
 def random_points_and_direction(rng):
@@ -526,10 +534,12 @@ def random_points_and_direction(rng):
 
 
 @settings(max_examples=80, derandomize=True)
-@given(st.lists(RATIONAL_POINT, min_size=1, max_size=7), st.tuples(
-    st.integers(-9, 9), st.integers(-9, 9)))
-def test_support_values_are_fraction_dot_extremes(points, d):
-    p = RatPolygon.from_vertices(points)
+@given(SEED)
+def test_support_values_are_fraction_dot_extremes(seed):
+    # any d with entries up to 9, zero and non-primitive ones too
+    rng = random.Random(seed)
+    p = RatPolygon.from_vertices(random_rational_points(rng, 1))
+    d = (rng.randint(-9, 9), rng.randint(-9, 9))
     dots = [dot(q, d) for q in p.vertices]
     assert p.support_min(d) == min(dots) and p.support_max(d) == max(dots)
     assert p.face(d) == [q for q, h in zip(p.vertices, dots) if h == min(dots)]
@@ -580,22 +590,26 @@ def test_max_chord_on_segments_orthogonal_to_v(a, t, v):
 
 
 @settings(max_examples=80, derandomize=True)
-@given(st.lists(RATIONAL_POINT, min_size=3, max_size=7), st.integers(0, 20), st.booleans())
-def test_max_chord_at_edge_normals(points, i, flip):
+@given(SEED)
+def test_max_chord_at_edge_normals(seed):
     # v orthogonal to an edge puts that edge on an extreme level
-    p = RatPolygon.from_vertices(points)
-    assume(p.dim == 2)
-    v = p.halfplanes[i % len(p.halfplanes)][0]
-    assert_longest_chord(p, neg(v) if flip else v)
+    rng, p = random.Random(seed), RatPolygon.empty()
+    while p.dim < 2:
+        p = RatPolygon.from_vertices(random_rational_points(rng, 3))
+    v = rng.choice(p.halfplanes)[0]
+    assert_longest_chord(p, neg(v) if rng.randrange(2) else v)
 
 
 @settings(max_examples=80, derandomize=True)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4),
-       RATIONAL_POINT, PRIMITIVE_8)
-def test_max_chord_on_zonotopes(generators, shift, v):
-    # parallel edge pairs make runs of equally long chords (tied levels)
-    p = RatPolygon.from_vertices([shift])
-    for g in generators:
+@given(SEED)
+def test_max_chord_on_zonotopes(seed):
+    # parallel edge pairs make runs of equally long chords (tied levels);
+    # 2 to 4 generators with entries up to 3, shifted by a rational point
+    rng = random.Random(seed)
+    p = RatPolygon.from_vertices([random_rational_point(rng)])
+    v = rng.choice(PRIMITIVES_8)
+    for _ in range(rng.randint(2, 4)):
+        g = (rng.randint(-3, 3), rng.randint(-3, 3))
         p = minkowski_sum(p, RatPolygon.from_vertices([(0, 0), g]))
     assert_longest_chord(p, v)
 

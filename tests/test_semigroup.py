@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricfg.cones import cone, dual_cone
 from toricfg.fans import ToricDivisor
@@ -23,6 +23,7 @@ from toricfg.semigroup import (
     newton_okounkov_body,
     q_hat,
     semigroup_slice,
+    tangent_cone,
     theta,
     theta_extremal,
 )
@@ -30,7 +31,9 @@ from toricfg.semigroup import (
 import paper
 from paper import contains_polygon, cut_construction, d_bar, minkowski_sum, newton_segment, xi_interval
 from util import (
+    SEED,
     load_example,
+    normal_cone,
     p1p1_fan,
     polygon_contains,
     random_ample_divisor,
@@ -110,7 +113,7 @@ def test_q_hat_fixtures():
     sq_ctx = load_example("unit_square").context
     assert q_hat(sq_ctx) == 1
     doubled = make_context(
-        ToricDivisor.make(CTX.fan, {(1, 2): 16, (0, 1): 6}), (-2, 3)
+        ToricDivisor.make(CTX.divisor.fan, {(1, 2): 16, (0, 1): 6}), (-2, 3)
     )
     assert q_hat(doubled) == 2 * q_hat(CTX)
 
@@ -127,7 +130,7 @@ def test_semigroup_slice_fixtures():
 
 def test_semigroup_slice_lists_sectionless_slopes():
     # rational coefficients: theta(1, 1) is non-empty without lattice points
-    fan = CTX.fan
+    fan = CTX.divisor.fan
     d = ToricDivisor.make(fan, {(-1, 0): F(5, 2), (0, -1): F(7, 3)})
     ctx = make_context(d, (-2, 3))
     s1 = semigroup_slice(ctx, 1)
@@ -205,7 +208,7 @@ def test_theta_extremal_degenerate_point():
 
 def test_newton_okounkov_body_fixture():
     body = newton_okounkov_body(CTX)
-    assert set(body.vertices) == {(0, 0), (0, 25), (F(2, 3), F(35, 3)), (F(8, 7), 0)}
+    assert set(body.polygon.vertices) == {(0, 0), (0, 25), (F(2, 3), F(35, 3)), (F(8, 7), 0)}
     assert body.breakpoints == ((0, 25), (F(2, 3), F(35, 3)), (F(8, 7), 0))
 
 
@@ -224,14 +227,14 @@ def test_no_body_matches_triple_meet_oracle(seed, kind, v, shift):
     ctx = make_context(ToricDivisor(fan, coeffs), v)
     body = newton_okounkov_body(ctx)
     oracle = triple_meet_body(ctx)
-    assert body.vertices == oracle.vertices and body.breakpoints == oracle.breakpoints
+    assert body.polygon.vertices == oracle.polygon.vertices and body.breakpoints == oracle.breakpoints
 
 
 def test_newton_okounkov_square():
     ctx = load_example("unit_square").context
     body = newton_okounkov_body(ctx)
     assert d_of_q(ctx, 0) == 1 and q_hat(ctx) == 1
-    assert set(body.vertices) == {(0, 0), (0, 1), (1, 1), (1, 0)}
+    assert set(body.polygon.vertices) == {(0, 0), (0, 1), (1, 1), (1, 0)}
     # sampling oracle: every sampled graph point is in the body
     for i in range(11):
         q = F(i, 10)
@@ -316,6 +319,28 @@ def test_theta_extremal_edge_faces_are_halfplanes():
     top_minus, top_plus = theta_extremal(sq_ctx, 1, 1)
     assert top_minus.kind == "ray"
     assert top_plus.kind == "ray"
+
+
+def random_tangent_case(rng):
+    """A segment or a polygon on up to 6 points with coordinates up to 6,
+    scaled by 1 or 7/3, and a primitive direction of positive width."""
+    while True:
+        points = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.choice((2, 6)))]
+        p = RatPolygon.from_vertices(points).dilate(rng.choice((1, F(7, 3))))
+        v = random_direction(rng)
+        if p.dim > 0 and width(p, v) > 0:
+            return p, v
+
+
+@settings(max_examples=150, derandomize=True)
+@given(SEED)
+@example((RatPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), (1, 0)))  # the closing edge
+@example((RatPolygon.from_vertices([(0, 0), (2, 1)]), (1, 0)))  # the ends of a segment
+@example((RatPolygon.from_vertices([(0, 0), (3, 0), (0, 3)]), (1, 1)))  # an edge, then a vertex
+def test_tangent_cone_is_dual_to_normal_cone(case):
+    p, v = random_tangent_case(random.Random(case)) if isinstance(case, int) else case
+    for w in (v, neg(v)):
+        assert tangent_cone(p, w) == dual_cone(normal_cone(p, w)), (p, w)
 
 
 def _vertex_lifts(ctx, x):

@@ -17,8 +17,13 @@ from math import ceil, floor, gcd
 
 from hypothesis import strategies as st
 from toricfg import cli
-from toricfg.cones import cone
-from toricfg.criterion import ConstructionFailed, SegmentData, is_finitely_generated
+from toricfg.cones import cone, halfplane, is_strongly_decomposable, ray
+from toricfg.criterion import (
+    ConstructionFailed,
+    SegmentData,
+    is_finitely_generated,
+    max_segment,
+)
 from toricfg.fans import Fan2, ToricDivisor
 from toricfg.geometry import (
     RatPolygon,
@@ -249,6 +254,34 @@ def random_full_polygon(rng: random.Random, bound: int = 6) -> RatPolygon:
             return p
 
 
+def normal_cone(p: RatPolygon, v):
+    """The cone of inner normals of p at its face minimising <x, v>, on the
+    normals of p's halfplanes that are tight at every vertex of that face:
+    a ray along an edge, the cone of the two edge normals at a vertex, and
+    at the end of a segment the halfplane bounded by its two normals on the
+    side of the segment's own direction.  The tangent cone there is its
+    dual."""
+    face = p.face(v)
+    tight = [n for n, o in p.halfplanes if all(dot(q, n) == o for q in face)]
+    if len(tight) == 1:
+        return ray(tight[0])
+    walls = [n for n in tight if neg(n) in tight]
+    if walls:
+        return halfplane(walls[0], next(n for n in tight if n not in walls))
+    return cone(*tight)
+
+
+def one_sided_verdict(ctx) -> bool:
+    """Finite generation read off the one side cone of a degenerate
+    maximal segment (an extreme level, so the other side cone is None): v
+    not strongly decomposable in sigma_plus, or -v not strongly
+    decomposable in sigma_minus, whichever exists."""
+    seg, v = max_segment(ctx.chord_walk), ctx.flag.v
+    if seg.sigma_plus is not None:
+        return not is_strongly_decomposable(v, seg.sigma_plus)
+    return not is_strongly_decomposable(neg(v), seg.sigma_minus)
+
+
 def edges(p: RatPolygon):
     """The counterclockwise (start, end) vertex pairs of p, edge i on
     halfplane i; the one pair of a segment, none for a point."""
@@ -303,7 +336,7 @@ def triple_meet_body(ctx) -> NOBody:
     change only there, so d kinks only there.  The O(n^3) oracle for the
     chord-length candidates of ``semigroup.newton_okounkov_body``."""
     qh = ctx.q_hat
-    rays = ctx.fan.rays
+    rays = ctx.divisor.fan.rays
     offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
     candidates = {Fraction(0), qh}
     for i, j in combinations(range(len(rays)), 2):
@@ -487,7 +520,7 @@ def helly_q_hat(ctx) -> Fraction:
     triple) bounds q linearly.  The independent oracle for q_hat."""
     offs = [(-a, c) for a, c in zip(ctx.divisor.coeffs, ctx.flag.cprime_coeffs)]
     bounds = []
-    for idx, weights in helly_certificates(ctx.fan.rays):
+    for idx, weights in helly_certificates(ctx.divisor.fan.rays):
         base = sum(w * offs[i][0] for i, w in zip(idx, weights))
         slope = sum(w * offs[i][1] for i, w in zip(idx, weights))
         # feasible iff base + q * slope <= 0
