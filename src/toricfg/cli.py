@@ -197,17 +197,6 @@ def _cone_out(c):
     return {"kind": c.kind, "generators": c.generators}
 
 
-def _verdict_out(v):
-    return {
-        "finitely_generated": v.finitely_generated,
-        "degenerate_side": v.degenerate_side,
-        "sigma_plus": _cone_out(v.sigma_plus),
-        "sigma_minus": _cone_out(v.sigma_minus),
-        "witness_plus": v.witness_plus,
-        "witness_minus": v.witness_minus,
-    }
-
-
 def cmd_analyze(problem: Problem, args) -> dict:
     ctx = problem.context
     verdict = crit.is_finitely_generated(ctx)
@@ -287,7 +276,14 @@ def cmd_nobody(problem: Problem, args) -> dict:
 
 def cmd_fg(problem: Problem, args) -> dict:
     verdict = crit.is_finitely_generated(problem.context)
-    out = _verdict_out(verdict)
+    out = {
+        "finitely_generated": verdict.finitely_generated,
+        "degenerate_side": verdict.degenerate_side,
+        "sigma_plus": _cone_out(verdict.sigma_plus),
+        "sigma_minus": _cone_out(verdict.sigma_minus),
+        "witness_plus": verdict.witness_plus,
+        "witness_minus": verdict.witness_minus,
+    }
     if verdict.degenerate_side:
         out["lifting"] = [{"q": q, "d": d, "lifts": ok} for q, d, ok in verdict.lifting]
     return out

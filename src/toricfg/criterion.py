@@ -40,7 +40,6 @@ from .geometry import (
     det,
     int_vector,
     neg,
-    rational,
     width,
 )
 from .oracles import brute_decompose
@@ -132,7 +131,6 @@ def vertex_lifts(ctx: FlagContext, q) -> bool:
     v-maximal face a point pairing to -1.  At an extremal edge the
     tangent cone is a halfplane containing the whole line <u, +-v> = 1,
     so the search says yes there."""
-    q = rational(q)
     t = theta(ctx, 1, q)
     if t.is_empty:
         raise ValueError("slope outside [0, q_hat]")
@@ -163,34 +161,30 @@ def lifting_table(ctx: FlagContext) -> tuple:
 
 def is_finitely_generated(ctx: FlagContext) -> FGVerdict:
     """Finitely generated iff v is not strongly decomposable in sigma_plus
-    and -v is not strongly decomposable in sigma_minus.  When the maximal
-    cross-section sits at an extreme level (a side cone of the segment
-    is None) the verdict falls back to lifting every Newton-Okounkov
-    breakpoint.  The segment is read off the context's chord walk."""
+    and -v is not strongly decomposable in sigma_minus.  The segment is
+    read off the context's chord walk.
+
+    The one decision point is ``degenerate``: the maximal cross-section
+    sits at an extreme level, so a side cone of the segment is None.  The
+    verdict then falls back to lifting every Newton-Okounkov breakpoint,
+    and its record is fixed: both sigmas None, splits (None, None),
+    degenerate_side True and the lifting table in lifting.  Otherwise
+    lifting is None and the splits come from the two side cones."""
     v = ctx.flag.v
     seg = max_segment(ctx.chord_walk)
-    if seg.sigma_plus is None or seg.sigma_minus is None:
-        table = lifting_table(ctx)
-        return FGVerdict(
-            finitely_generated=all(ok for _, _, ok in table),
-            sigma_plus=None,
-            sigma_minus=None,
-            splits=(None, None),
-            degenerate_side=True,
-            lifting=table,
-            segment=seg,
-        )
-    splits = tuple(
+    degenerate = seg.sigma_plus is None or seg.sigma_minus is None
+    table = lifting_table(ctx) if degenerate else None
+    splits = (None, None) if degenerate else tuple(
         (w, c) if is_strongly_decomposable(w, c) else None
         for w, c in ((v, seg.sigma_plus), (neg(v), seg.sigma_minus))
     )
     return FGVerdict(
-        finitely_generated=splits == (None, None),
-        sigma_plus=seg.sigma_plus,
-        sigma_minus=seg.sigma_minus,
+        finitely_generated=all(ok for _, _, ok in table) if degenerate else splits == (None, None),
+        sigma_plus=None if degenerate else seg.sigma_plus,
+        sigma_minus=None if degenerate else seg.sigma_minus,
         splits=splits,
-        degenerate_side=False,
-        lifting=None,
+        degenerate_side=degenerate,
+        lifting=table,
         segment=seg,
     )
 
@@ -329,6 +323,8 @@ def _relaxation(theta_inf: RatPolygon, interior) -> int:
 
 
 def _check_tangent(theta0: RatPolygon, sigma: Cone2, v):
+    if theta0.is_empty or width(theta0, v) == 0:
+        raise ConstructionFailed("model polytope is empty or has width 0 along v")
     tangent = tangent_cone(theta0, v)
     if tangent.kind == "halfplane":
         raise ConstructionFailed("v-minimal face of the model polytope is not a vertex")

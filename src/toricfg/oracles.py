@@ -29,7 +29,6 @@ from .geometry import (
     lattice_points,
     level_count,
     neg,
-    rational,
     rot90,
     solve_pairing_one,
 )
@@ -57,14 +56,8 @@ def brute_decompose(w, c: Cone2):
         target = solve_pairing_one(rot90(g))  # det(g, target) == 1
         # slide along the boundary direction to sit nearest w/2
         t = Fraction(dot(g, w) - 2 * dot(g, target), 2 * dot(g, g))
-        best = None
-        for tt in (math.floor(t), math.ceil(t)):
-            cand = (target[0] + tt * g[0], target[1] + tt * g[1])
-            d2 = (2 * cand[0] - w[0]) ** 2 + (2 * cand[1] - w[1]) ** 2
-            key = (d2, cand)
-            if best is None or key < best:
-                best = key
-        wp = best[1]
+        cands = [(target[0] + tt * g[0], target[1] + tt * g[1]) for tt in (math.floor(t), math.ceil(t))]
+        wp = min(cands, key=lambda p: ((2 * p[0] - w[0]) ** 2 + (2 * p[1] - w[1]) ** 2, p))
         return (wp, (w[0] - wp[0], w[1] - wp[1]))
     g1, g2 = c.generators
     region = RatPolygon.from_halfplanes([
@@ -117,18 +110,17 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     ``level_count`` counts by floor sums in O(n log size) steps, so a
     dilate costs the same however wide it is and no point or column is
     read.  ``tests/util.projection_lift_search`` is its oracle."""
-    q = rational(q)
     base = theta(ctx, 1, q)
     if base.is_empty:
         raise ValueError("colon polytope is empty at this slope")
-    a, b = ctx.flag.v
+    v = ctx.flag.v
     for lam in range(1, lambda_max + 1):
         poly = base.dilate(lam)
         # the extreme levels <p, v> times L, on the int ring
-        levels = [x * a + y * b for x, y in poly.ring]
+        levels = poly._levels(v)
         lo, hi = min(levels), max(levels)
         if lo % poly.scale or hi % poly.scale:
             continue
-        if level_count(lattice_points(poly), (a, b)) == (hi - lo) // poly.scale + 1:
+        if level_count(lattice_points(poly), v) == (hi - lo) // poly.scale + 1:
             return lam
     return None

@@ -139,6 +139,26 @@ def random_direction(rng: random.Random, bound: int = 4):
             return (a, b)
 
 
+def random_unimodular(rng: random.Random, digits: int) -> tuple:
+    """A matrix ((a, b), (c, d)) of GL2(Z): a product of the shears
+    [[1, t], [0, 1]] and [[1, 0], [t, 1]], 1 <= |t| <= 3, with the swap
+    [[0, 1], [1, 0]] after about a quarter of them, stopped once an entry
+    has ``digits`` digits.  A step grows the largest entry at most
+    fourfold, so that entry has exactly ``digits`` digits; det is -1 after
+    an odd number of swaps."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    while True:
+        t = rng.choice((-3, -2, -1, 1, 2, 3))
+        if rng.random() < 0.5:
+            a, b = a + t * c, b + t * d
+        else:
+            c, d = c + t * a, d + t * b
+        if rng.random() < 0.25:
+            a, b, c, d = c, d, a, b
+        if max(abs(a), abs(b), abs(c), abs(d)) >= 10 ** (digits - 1):
+            return (a, b), (c, d)
+
+
 def random_cone(rng: random.Random, bound: int = 6):
     from math import gcd
 
