@@ -40,6 +40,8 @@ from .geometry import (
     det,
     int_vector,
     neg,
+    rot90,
+    vsub,
     width,
 )
 from .oracles import brute_decompose
@@ -81,17 +83,20 @@ def max_segment(walk: ChordWalk) -> SegmentData:
     An interval of maximizing levels is resolved to its midpoint (the
     endpoints then lie in edge interiors and the side cones do not
     depend on the choice).  Both ends and the boundary edges continuing
-    them above and below the level come from ``walk.ends()``; the
-    halfplane of ring edge i is ``walk.polygon.lines[i]``.  Antiparallel
-    normals span the halfplane containing v below the level and -v
-    above it."""
+    them above and below the level come from ``walk.ends()``; ring edge i
+    runs from ring[i] to the next vertex, so its inner normal points the
+    way of rot90 of that edge, which ``cone`` makes primitive.
+    Antiparallel normals span the halfplane containing v below the level
+    and -v above it."""
     p_d, v = walk.polygon, walk.v
     if p_d.dim != 2:
         raise DegeneratePolygon("cross-sections need a two-dimensional polytope")
     c, (v1, n1b, n1a), (v2, n2b, n2a) = walk.ends()
+    ring = p_d.ring
+    normals = [rot90(vsub(b, a)) for a, b in zip(ring, ring[1:] + ring[:1])]
 
     def side(i, j, inside):
-        return None if i is None or j is None else cone(p_d.lines[i][0], p_d.lines[j][0], inside)
+        return None if i is None or j is None else cone(normals[i], normals[j], inside)
 
     return SegmentData(c, v1, v2, walk.length, side(n1b, n2b, v), side(n1a, n2a, neg(v)))
 

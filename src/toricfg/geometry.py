@@ -1,15 +1,17 @@
 """Exact rational geometry for convex polygons in a rank-2 lattice.
 
 Coordinates are ``int`` or ``fractions.Fraction`` throughout; nothing here
-touches floating point.  A polygon is stored on ints: a scale L (the lcm of
-its vertex denominators), the vertex ring times L and its halfplanes with
-offsets times L.  That form is canonical (counterclockwise vertices
-starting at the lexicographic minimum, irredundant halfplanes when
-full-dimensional), so equality is plain tuple comparison and fixtures are
-deterministic.  The Fraction vertices and halfplanes are views built on
-first read, for output and the oracles; the kernels read the ints, and so
-do the tangent cones at a polygon's extremal faces (``semigroup``), read
-off ``ring`` and the int vertex levels of ``_levels``.
+touches floating point.  A polygon is stored on ints as the record (L,
+ring): a scale L (the lcm of its vertex denominators) and the vertex ring
+times L.  That form is canonical (counterclockwise vertices starting at
+the lexicographic minimum), so equality is plain tuple comparison and
+fixtures are deterministic.  Its dimension, its halfplanes on the ints
+(irredundant when full-dimensional, one per ring edge) and the Fraction
+vertices and halfplanes are read off the ring, the views on first read,
+for P_D's ampleness and normal fan, output and the oracles; the kernels
+read the ring, and so do the side cones of the maximal cross-section
+(``criterion``) and the tangent cones at a polygon's extremal faces
+(``semigroup``), with the int vertex levels of ``_levels``.
 
 Degenerate polygons (point, segment, empty set) are first-class values.
 
@@ -44,7 +46,7 @@ columns, the pieces' integer levels for v = (1, 0), one at a time.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
@@ -141,24 +143,13 @@ def meet(ni, oi, nj, oj):
     return x, y, d
 
 
-def _angle_class(r):
-    # 0 for angles in [0, pi), 1 for [pi, 2pi); within a class the exact
-    # order is by cross product.
-    return 0 if (r[1] > 0 or (r[1] == 0 and r[0] > 0)) else 1
-
-
-def _angular_cmp(a, b):
-    ca, cb = _angle_class(a), _angle_class(b)
-    if ca != cb:
-        return ca - cb
-    d = det(a, b)
-    return 0 if d == 0 else (-1 if d > 0 else 1)
-
-
 def angular_sorted(vectors) -> list:
     """Nonzero vectors by their angle in [0, 2pi) from the positive x-axis,
-    compared exactly (half-plane class, then det)."""
-    return sorted(vectors, key=cmp_to_key(_angular_cmp))
+    by an exact key: the half-plane [0, pi) or [pi, 2pi), then the vector
+    on the x-axis first, then -x/y, which grows with the angle inside
+    either half."""
+    return sorted(vectors, key=lambda r: (
+        r[1] < 0 or (r[1] == 0 and r[0] < 0), r[1] != 0, r[1] and Fraction(-r[0], r[1])))
 
 
 def wide_turn(vectors):
@@ -235,29 +226,27 @@ def _normal_set(*coords):
 class _PolygonFields(NamedTuple):
     scale: int
     ring: tuple
-    lines: tuple
-    dim: int
 
 
 class RatPolygon(_PolygonFields):
-    """Rational convex polygon stored on ints, with paired V- and
-    H-representations.
+    """Rational convex polygon stored on ints: the record (scale, ring).
 
     scale is L, the lcm of the vertex denominators (1 when empty).  ring
     holds the vertices times L as int pairs, counterclockwise from the
-    lexicographic minimum; lines holds the halfplanes as (primitive
-    integer normal, offset times L), meaning <u, normal> >= offset / L.
-    dim is -1 (empty), 0 (point), 1 (segment) or 2.  ``vertices`` and
-    ``halfplanes`` give the same data as Fractions, built on first read
+    lexicographic minimum.  Everything else is read off the ring: ``dim``
+    is -1 (empty), 0 (point), 1 (segment) or 2; ``lines`` holds the
+    halfplanes as (primitive integer normal, offset times L), meaning
+    <u, normal> >= offset / L; ``vertices`` and ``halfplanes`` give the
+    vertices and lines as Fractions.  The views are built on first read
     and kept in the instance dict that this class has over its named-tuple
-    base.
+    base, so equality and hash stay those of (scale, ring).
     """
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def empty() -> "RatPolygon":
-        return RatPolygon(1, (), (), -1)
+        return RatPolygon(1, ())
 
     @staticmethod
     def from_vertices(points) -> "RatPolygon":
@@ -265,7 +254,9 @@ class RatPolygon(_PolygonFields):
         if not coords:
             return RatPolygon.empty()
         scale, coords = _over_common_denominator(coords)
-        return _hull_polygon(list(zip(coords[::2], coords[1::2])), scale)
+        # a positive scale keeps the lexicographic order and the
+        # orientation, so the hull is taken on the ints
+        return _reduced(scale, convex_hull(zip(coords[::2], coords[1::2])))
 
     @staticmethod
     def from_halfplanes(halfplanes) -> "RatPolygon":
@@ -309,9 +300,9 @@ class RatPolygon(_PolygonFields):
         into a convex polygon (maybe a segment or a point) that lies in
         every kept halfplane and equals their intersection.  When three or
         more edges have positive length, their ends are its vertices in
-        counterclockwise order and their lines its halfplanes, since two
-        such edges in a row lie on lines of different normals; a segment
-        or a point is the hull of the meets.  Each line is pushed and
+        counterclockwise order; a segment or a point is the hull of the
+        meets.  Only the ring is kept: the halfplanes of the polygon are
+        read off it (``lines``).  Each line is pushed and
         dropped at most once, so the walk takes O(n) integer steps and n
         meets; only a normal tuple not seen before pays the O(n log n)
         sort.
@@ -380,29 +371,25 @@ class RatPolygon(_PolygonFields):
                 lo += 1
                 continue
             break
-        lines, meets = lines[lo:], meets[lo:]
-        meets.append(meet(*lines[-1], *lines[0]))
+        meets = meets[lo:] + [meet(*lines[-1], *lines[lo])]
         den = lcm(*[d for _, _, d in meets])
         if den == 1:
             ring = [(x, y) for x, y, _ in meets]
         else:
             den = lcm(*[d // gcd(x, y, d) for x, y, d in meets])
             ring = [(x * den // d, y * den // d) for x, y, d in meets]
-            lines = [(n, o * den) for n, o in lines]
-        # the edge of lines[j] runs from ring[j - 1] to ring[j]; with no
+        # ring[j - 1] to ring[j] is the edge of a kept line; with no
         # repeated point every edge has positive length
         if len(set(ring)) < len(ring):
-            keep = [j for j, p in enumerate(ring) if ring[j - 1] != p]
-            if len(keep) < 3:
-                return _hull_polygon(ring, den * scale)
-            ring, lines = [ring[j] for j in keep], [lines[j] for j in keep]
+            kept = [p for j, p in enumerate(ring) if ring[j - 1] != p]
+            ring = kept if len(kept) >= 3 else convex_hull(ring)
         k = ring.index(min(ring))
-        ring, lines = tuple(ring[k:] + ring[:k]), tuple(lines[k + 1:] + lines[:k + 1])
+        ring = tuple(ring[k:] + ring[:k])
         if scale == 1:
-            return RatPolygon(den, ring, lines, 2)
-        return _reduced(den * scale, ring, lines, 2)
+            return RatPolygon(den, ring)
+        return _reduced(den * scale, ring)
 
-    # -- Fraction views, for output and the oracles ------------------------
+    # -- views read off the ring --------------------------------------------
 
     @cached_property
     def vertices(self) -> tuple:
@@ -410,11 +397,22 @@ class RatPolygon(_PolygonFields):
         return tuple((Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.ring)
 
     @cached_property
+    def lines(self) -> tuple:
+        """The halfplanes on the ints, as (primitive integer normal, offset
+        times L); the one of ring edge i, from vertex i to the next, at i
+        when two-dimensional."""
+        return _halfplanes_of_hull(self.ring) if self.ring else ()
+
+    @cached_property
     def halfplanes(self) -> tuple:
         """The halfplanes as (primitive integer normal, Fraction offset)."""
         return tuple((n, Fraction(o, self.scale)) for n, o in self.lines)
 
     # -- basic queries ------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return min(len(self.ring), 3) - 1
 
     @property
     def is_empty(self) -> bool:
@@ -440,7 +438,7 @@ class RatPolygon(_PolygonFields):
 
     def dilate(self, factor) -> "RatPolygon":
         """Scale about the origin by a nonnegative rational factor p/q: the
-        int ring and offsets times p, over the scale times q."""
+        int ring times p, over the scale times q."""
         c = rational(factor)
         if c < 0:
             raise ValueError("dilation factor must be nonnegative")
@@ -449,12 +447,7 @@ class RatPolygon(_PolygonFields):
         if c == 0:
             return RatPolygon.from_vertices([(0, 0)])
         p = c.numerator
-        return _reduced(
-            self.scale * c.denominator,
-            [(x * p, y * p) for x, y in self.ring],
-            [(n, o * p) for n, o in self.lines],
-            self.dim,
-        )
+        return _reduced(self.scale * c.denominator, [(x * p, y * p) for x, y in self.ring])
 
     def area(self) -> Fraction:
         if self.dim < 2:
@@ -471,26 +464,15 @@ def _over_common_denominator(values):
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _hull_polygon(points, scale) -> RatPolygon:
-    """The canonical polygon of conv(points) / scale, for int points and an
-    int scale > 0.  A positive scale keeps the lexicographic order, the
-    orientation and the primitive normals, so the hull and its halfplanes
-    are taken on the ints."""
-    hull = convex_hull(points)
-    return _reduced(scale, hull, _halfplanes_of_hull(hull), min(len(hull), 3) - 1)
-
-
-def _reduced(scale, ring, lines, dim) -> RatPolygon:
-    """The polygon of an int ring and int lines over scale, all divided by
-    the gcd of the scale and the ring's coordinates, which makes the scale
-    the lcm of the vertex denominators.  Every offset is <vertex, normal>
-    for some vertex, so the gcd divides it too."""
+def _reduced(scale, ring) -> RatPolygon:
+    """The polygon of an int ring over scale, both divided by the gcd of
+    the scale and the ring's coordinates, which makes the scale the lcm of
+    the vertex denominators."""
     g = gcd(scale, *(c for p in ring for c in p)) if scale > 1 else 1
     if g > 1:
         scale //= g
         ring = [(x // g, y // g) for x, y in ring]
-        lines = [(n, o // g) for n, o in lines]
-    return RatPolygon(scale, tuple(ring), tuple(lines), dim)
+    return RatPolygon(scale, tuple(ring))
 
 
 def _halfplanes_of_hull(hull):

@@ -52,16 +52,14 @@ class _Canvas:
         y = MARGIN + (self.ymax - float(p[1])) * SCALE
         return x, y
 
-    def add(self, s: str):
-        self.parts.append(s)
-
-    def render(self) -> str:
+    def render(self, title: str) -> str:
         head = (
             '<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{_fmt(self.width)}" height="{_fmt(self.height)}" '
             f'viewBox="0 0 {_fmt(self.width)} {_fmt(self.height)}">\n'
         )
-        return head + "\n".join(self.parts) + "\n</svg>\n"
+        title = f'<text x="8" y="16" font-size="13" font-family="monospace">{title}</text>'
+        return head + "\n".join(self.parts + [title]) + "\n</svg>\n"
 
 
 def _grid(cv: _Canvas):
@@ -71,7 +69,7 @@ def _grid(cv: _Canvas):
     for x in range(cv.xmin, cv.xmax + 1):
         for y in range(cv.ymin, cv.ymax + 1):
             px, py = cv.to_px((x, y))
-            cv.add(
+            cv.parts.append(
                 f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{DOT}" fill="#c8c8c8"/>'
             )
 
@@ -87,7 +85,7 @@ def _bounds(points, pad=1):
     )
 
 
-def polygon_svg(p: RatPolygon, title: str = "") -> str:
+def polygon_svg(p: RatPolygon, title: str) -> str:
     if p.is_empty:
         raise ValueError("cannot draw the empty polygon")
     cv = _Canvas(*_bounds(p.vertices))
@@ -96,29 +94,27 @@ def polygon_svg(p: RatPolygon, title: str = "") -> str:
         f"{_fmt(x)},{_fmt(y)}" for x, y in (cv.to_px(q) for q in p.vertices)
     )
     if p.dim == 2:
-        cv.add(f'<polygon points="{pts}" fill="#ffd54d" fill-opacity="0.6" stroke="#202020" stroke-width="1.5"/>')
+        cv.parts.append(f'<polygon points="{pts}" fill="#ffd54d" fill-opacity="0.6" stroke="#202020" stroke-width="1.5"/>')
     else:
-        cv.add(f'<polyline points="{pts}" fill="none" stroke="#202020" stroke-width="2"/>')
+        cv.parts.append(f'<polyline points="{pts}" fill="none" stroke="#202020" stroke-width="2"/>')
     for q in p.vertices:
         px, py = cv.to_px(q)
-        cv.add(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#b3001b"/>')
-        cv.add(
+        cv.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#b3001b"/>')
+        cv.parts.append(
             f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" font-size="11" '
             f'font-family="monospace">{_label(q)}</text>'
         )
-    if title:
-        cv.add(f'<text x="8" y="16" font-size="13" font-family="monospace">{title}</text>')
-    return cv.render()
+    return cv.render(title)
 
 
-def fan_svg(fan: Fan2, title: str = "") -> str:
+def fan_svg(fan: Fan2, title: str) -> str:
     pts = list(fan.rays) + [(0, 0)]
     cv = _Canvas(*_bounds(pts))
     _grid(cv)
     ox, oy = cv.to_px((0, 0))
     for r in fan.rays:
         px, py = cv.to_px(r)
-        cv.add(
+        cv.parts.append(
             f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(px)}" y2="{_fmt(py)}" '
             'stroke="#1a4f8b" stroke-width="2"/>'
         )
@@ -128,23 +124,21 @@ def fan_svg(fan: Fan2, title: str = "") -> str:
         for sgn in (1, -1):
             wx = px - 8 * ux + sgn * 4 * -uy
             wy = py - 8 * uy + sgn * 4 * ux
-            cv.add(
+            cv.parts.append(
                 f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" x2="{_fmt(wx)}" y2="{_fmt(wy)}" '
                 'stroke="#1a4f8b" stroke-width="2"/>'
             )
-        cv.add(
+        cv.parts.append(
             f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" font-size="11" '
             f'font-family="monospace">{_label(r)}</text>'
         )
-    if title:
-        cv.add(f'<text x="8" y="16" font-size="13" font-family="monospace">{title}</text>')
-    return cv.render()
+    return cv.render(title)
 
 
-def nobody_svg(body, flip_axes: bool = False, title: str = "") -> str:
+def nobody_svg(body, title: str, flip_axes: bool = False) -> str:
     """Newton-Okounkov body in (q, t)-axes; flip_axes swaps the two."""
     verts = body.polygon.vertices
     if flip_axes:
         verts = tuple((t, q) for q, t in verts)
     poly = RatPolygon.from_vertices(verts)
-    return polygon_svg(poly, title=title)
+    return polygon_svg(poly, title)

@@ -26,7 +26,7 @@ from toricfg.geometry import (
     vsub,
     width,
 )
-from toricfg.semigroup import DegenerateTheta, FlagContext, theta
+from toricfg.semigroup import DegenerateTheta, FlagContext, semigroup_slice, theta
 from util import polygon_contains
 
 
@@ -154,6 +154,34 @@ def cut_construction(ctx: FlagContext, l, k) -> CutPieces:
     if summed != band:
         raise ArithmeticError("cut identity failed: theta + k*nabla != middle piece")
     return CutPieces(box_max, band, box_min, min(t.face(neg(v))), min(t.face(v)))
+
+
+def generator_profile(ctx: FlagContext, L: int) -> list:
+    """[G(1), ..., G(L)]: the number of new minimal generators of the
+    valuation semigroup at each level l.
+
+    The semigroup is {(l, k, delta) : 0 <= delta < e(l, k)}, e = e_bar.
+    An element at (l1, k1) plus one at (l2, k2) gives every delta in
+    [0, e1 + e2 - 2], so the new minimal generators at (l, k) number
+    max(0, e(l, k) - 1 - M(l, k)), where M is the largest e1 + e2 - 2
+    over the splits of (l, k) with both parts non-empty (-1 with none),
+    and G(l) sums them over k.  Given the e table (``semigroup_slice``)
+    this takes O(L^3 q_hat^2) int steps.
+
+    Statement checked: by definition, the semigroup is finitely generated
+    iff G(l) = 0 for every l past some level."""
+    e = [{}] + [dict(semigroup_slice(ctx, l).entries) for l in range(1, L + 1)]
+    profile = []
+    for l in range(1, L + 1):
+        best = {}  # k -> the largest e1 + e2 over the splits of (l, k)
+        for a in range(1, l // 2 + 1):
+            row = [(j, e2) for j, e2 in e[l - a].items() if e2]
+            for i, e1 in e[a].items():
+                for j, e2 in row if e1 else ():
+                    if best.get(i + j, 0) < e1 + e2:
+                        best[i + j] = e1 + e2
+        profile.append(sum(max(0, ek + 1 - best.get(k, 1)) for k, ek in e[l].items()))
+    return profile
 
 
 def vanishing_orders(support, c) -> set:

@@ -339,6 +339,9 @@ def test_theta_plot_rejects_invalid_levels():
         res = run_main("plot", "--input", inp("slanted_quad.json"), "--what", what)
         assert res.returncode == 2 and res.stdout == ""
         assert json.loads(res.stderr)["error"].endswith("needs l, k >= 0, not both zero")
+    res = run_main("plot", "--input", inp("slanted_quad.json"), "--what", "theta(0,1)")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert json.loads(res.stderr) == {"error": "theta(0,1) is empty; nothing to draw"}
 
 
 def test_plot_rejects_coordinates_too_large_to_draw(tmp_path):

@@ -42,7 +42,7 @@ from toricfg.geometry import (
 from toricfg.oracles import lift_search
 from toricfg.semigroup import e_bar, make_context, newton_okounkov_body
 
-from paper import colon, contains_polygon, minkowski_sum
+from paper import colon, contains_polygon, generator_profile, minkowski_sum
 from util import (
     SEED,
     cone_contains,
@@ -224,6 +224,37 @@ def test_one_sided_verdict_matches_lifting_at_ray_directions(seed):
         side, w = (seg.sigma_plus, v) if seg.sigma_minus is None else (seg.sigma_minus, neg(v))
         assert side.strictly_contains(w)
         assert one_sided_verdict(ctx) == all(ok for *_, ok in lifting_table(ctx)), (divisor, v)
+
+
+def test_generator_profiles_of_the_worked_examples():
+    # new minimal generators per level: every level of the non-FG
+    # slanted_quad has some, the FG unit_square only level 1
+    slanted = load_example("slanted_quad").context
+    assert generator_profile(slanted, 16) == [
+        24, 8, 12, 16, 20, 24, 28, 29, 32, 35, 37, 40, 43, 45, 48, 51]
+    assert not is_finitely_generated(slanted).finitely_generated
+    square = load_example("unit_square").context
+    assert generator_profile(square, 16) == [4] + [0] * 15
+    assert is_finitely_generated(square).finitely_generated
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(SEED)
+def test_verdict_matches_the_definition_of_finite_generation(seed):
+    # the verdict against the definition: FG iff no new minimal generator
+    # of the semigroup appears in levels L/2..L, L = 16, on smooth fans; v
+    # is +-a ray a third of the time, and q_hat * L <= 120 bounds the cost
+    rng = random.Random(seed)
+    while True:
+        fan = random_smooth_fan(rng)
+        d = random_ample_divisor(rng, fan)
+        rays = [w for r in fan.rays for w in (r, neg(r))]
+        v = rng.choice(rays) if rng.randrange(3) == 0 else random_direction(rng)
+        ctx = make_context(d, v)
+        if ctx.q_hat * 16 <= 120:
+            break
+    profile = generator_profile(ctx, 16)
+    assert is_finitely_generated(ctx).finitely_generated == (sum(profile[7:]) == 0), (d, v, profile)
 
 
 def test_sigma_dual_contained_in_theta_tangents():

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from functools import cmp_to_key
 from math import gcd, lcm
 
 import pytest
@@ -35,6 +36,7 @@ from util import (
     naive_lattice_points,
     polygon_contains,
     random_ample_divisor,
+    random_direction,
     random_polygon,
     random_smooth_fan,
     rational_pools,
@@ -205,17 +207,14 @@ def test_colon_of_minkowski_sum_recovers_summand(ps, qs):
 
 
 @settings(max_examples=60, derandomize=True)
-@given(
-    st.lists(point, min_size=3, max_size=6),
-    st.lists(point, min_size=3, max_size=6),
-    st.tuples(coord, coord),
-    st.integers(min_value=0, max_value=5),
-)
-def test_width_additive_and_linear(ps, qs, v, lam):
-    p = RatPolygon.from_vertices(ps)
-    q = RatPolygon.from_vertices(qs)
-    if p.is_empty or q.is_empty:
-        return
+@given(SEED)
+def test_width_additive_and_linear(seed):
+    # p and q are each a point a quarter of the time; any v with entries up
+    # to 8, zero and non-primitive ones too, a quarter of them of max-norm
+    # at most 1
+    rng = random.Random(seed)
+    p, q = (random_lattice_polygon(rng, (0, 1, 8, 8)) for _ in range(2))
+    v, lam = random_point(rng, rng.choice((1, 8, 8, 8))), rng.randint(0, 5)
     assert width(minkowski_sum(p, q), v) == width(p, v) + width(q, v)
     assert width(p.dilate(lam), v) == lam * width(p, v)
 
@@ -451,6 +450,24 @@ def test_from_halfplanes_meets_each_line_a_bounded_number_of_times(polygon, monk
     assert 0 < len(calls) <= 2 * len(hps)
 
 
+def _half_plane_then_det(a, b):
+    # angles in [0, pi) before [pi, 2pi); inside a half, a before b iff
+    # det(a, b) > 0
+    ha, hb = (0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1 for u in (a, b))
+    d = a[0] * b[1] - a[1] * b[0]
+    return ha - hb if ha != hb else (d < 0) - (d > 0)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(SEED)
+def test_angular_sorted_matches_the_half_plane_and_det_comparison(seed):
+    # parallel and repeated vectors keep their input order in both sorts
+    rng = random.Random(seed)
+    vectors = [random_point(rng, rng.choice((1, 3, 8))) for _ in range(rng.randint(1, 12))]
+    vectors = [u for u in vectors if u != (0, 0)]
+    assert geometry.angular_sorted(vectors) == sorted(vectors, key=cmp_to_key(_half_plane_then_det))
+
+
 def test_primitivize_ints_and_rationals_agree():
     for u in [(6, -4), (0, -5), (7, 0), (-3, -9), (2**70, 3 * 2**70)]:
         assert primitivize(u) == primitivize((F(u[0]), F(u[1]))) == primitivize((F(u[0], 5), F(u[1], 5)))
@@ -510,9 +527,6 @@ def test_float_and_fractional_normals_are_rejected():
 
 SMALL_RATIONAL = rationals(6, 7)
 RATIONAL_POINT = st.tuples(SMALL_RATIONAL, SMALL_RATIONAL)
-PRIMITIVE_8 = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
-    lambda u: gcd(*u) == 1
-)
 RATIONAL_POOLS = rational_pools(6, 7)
 PRIMITIVES_8 = [(a, b) for a in range(-8, 9) for b in range(-8, 9) if gcd(a, b) == 1]
 
@@ -581,8 +595,13 @@ def test_vertex_level_chords_match_line_interval_oracle(case):
 
 
 @settings(max_examples=60, derandomize=True)
-@given(RATIONAL_POINT, SMALL_RATIONAL, PRIMITIVE_8)
-def test_max_chord_on_segments_orthogonal_to_v(a, t, v):
+@given(SEED)
+def test_max_chord_on_segments_orthogonal_to_v(seed):
+    # a and t drawn as SMALL_RATIONAL draws them; a quarter of the
+    # directions have max-norm 1
+    rng = random.Random(seed)
+    a, t = random_rational_point(rng), rng.choice(rng.choice(RATIONAL_POOLS))
+    v = random_direction(rng, rng.choice((1, 8, 8, 8)))
     m = rot90(v)
     p = RatPolygon.from_vertices([a, (a[0] + t * m[0], a[1] + t * m[1])])
     assert_longest_chord(p, v)

@@ -78,9 +78,11 @@ def test_record_fields_are_read_only():
 def test_cached_views_leave_equality_and_hash_alone():
     # a read view sits in the instance dict, outside the compared fields
     p = load_example("slanted_quad").context.p_d
-    assert p.vertices and p.halfplanes and {"vertices", "halfplanes"} <= set(vars(p))
+    assert p.vertices and p.halfplanes and {"vertices", "lines", "halfplanes"} <= set(vars(p))
     fresh = RatPolygon.from_vertices(p.vertices)
-    assert "vertices" not in vars(fresh) and p == fresh and hash(p) == hash(fresh)
+    assert not {"vertices", "lines"} & set(vars(fresh)) and p == fresh and hash(p) == hash(fresh)
+    # the record is (scale, ring): lines and dim are read off the ring
+    assert tuple(p) == (p.scale, p.ring) and fresh.lines == p.lines and fresh.dim == p.dim == 2
     ctx, fresh_ctx = load_example("slanted_quad").context, load_example("slanted_quad").context
     assert ctx.q_hat and "q_hat" in vars(ctx) and "q_hat" not in vars(fresh_ctx)
     assert ctx == fresh_ctx and hash(ctx) == hash(fresh_ctx)
@@ -140,7 +142,7 @@ def test_every_definition_of_the_package_has_a_program_caller():
                     own.add(item.name)
                     defined.add((module, f"{stmt.name}.{item.name}"))
                 referenced.update(_referenced_names(item, own))
-    assert len(defined) > 147
+    assert len(defined) > 145
     unused = {d for d in defined if d[1].rpartition(".")[2] not in referenced}
     assert sorted(unused - TRACED_BY_NAME) == []
 

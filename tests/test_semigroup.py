@@ -1,9 +1,8 @@
 import random
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from toricfg.cones import cone, dual_cone
 from toricfg.fans import ToricDivisor
@@ -40,12 +39,10 @@ from util import (
     random_direction,
     random_smooth_fan,
     rational_pools,
-    rationals,
     triple_meet_body,
 )
 
 CTX = load_example("slanted_quad").context
-PRIMITIVE_6 = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda u: gcd(*u) == 1)
 
 
 def test_context_requires_ample():
@@ -63,17 +60,38 @@ def test_theta_fixtures():
     assert theta(CTX, 1, F(8, 7) + F(1, 1000)).is_empty
 
 
+def test_theta_at_level_zero_is_empty_and_the_domain_is_checked():
+    # (0*P_D : k*nabla') holds the u with u + k*nabla' inside the point 0,
+    # none for k > 0 since nabla' has positive width along v; l, k < 0 and
+    # l = k = 0 are refused, on every shipped input with a divisor
+    contexts = [load_example(name).context for name in (
+        "big_rational_zonotope", "rational_quad", "sevengon", "slanted_quad", "unit_square")]
+    contexts.append(make_context(load_example("sym16gon", "scan").divisor, (3, 7)))
+    for ctx in contexts:
+        assert all(theta(ctx, 0, k).is_empty for k in (1, 2, 5))
+        for l, k in ((0, 0), (-1, 2), (1, -5)):
+            with pytest.raises(ValueError, match="need l, k >= 0"):
+                theta(ctx, l, k)
+
+
+DILATE_POOLS = rational_pools(4, 3), rational_pools(8, 3)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from([1, F(7, 3)]), PRIMITIVE_6,
-       rationals(4, 3), rationals(8, 3))
-def test_theta_is_the_colon_of_the_dilates(seed, scale, v, l, k):
+@given(SEED)
+def test_theta_is_the_colon_of_the_dilates(seed):
     # theta cuts (l*P_D : k*nabla') out of the fan's halfplanes; the oracle
-    # moves each halfplane of l*P_D in by the support of k*nabla'
+    # moves each halfplane of l*P_D in by the support of k*nabla'.  l - 1
+    # and k are drawn as rationals(4, 3) and rationals(8, 3) draw them, and
+    # a quarter of the directions have max-norm 1
     rng = random.Random(seed)
     fan = random_smooth_fan(rng)
     d = random_ample_divisor(rng, fan)
+    scale = rng.choice([1, F(7, 3)])
+    v = random_direction(rng, rng.choice((1, 6, 6, 6)))
     ctx = make_context(ToricDivisor(fan, tuple(scale * a for a in d.coeffs)), v)
-    l, k = 1 + abs(l), abs(k)
+    l, k = (abs(rng.choice(rng.choice(pools))) for pools in DILATE_POOLS)
+    l += 1
     expect = paper.colon(ctx.p_d.dilate(l), ctx.flag.nabla_prime.dilate(k))
     assert theta(ctx, l, k) == expect
 
