@@ -170,14 +170,14 @@ def generator_profile(ctx: FlagContext, L: int) -> list:
 
     Statement checked: by definition, the semigroup is finitely generated
     iff G(l) = 0 for every l past some level."""
-    e = [{}] + [dict(semigroup_slice(ctx, l).entries) for l in range(1, L + 1)]
+    # only the (l, k) that hold an element: a split needs one on each side
+    e = [{}] + [{k: n for k, n in semigroup_slice(ctx, l).entries if n} for l in range(1, L + 1)]
     profile = []
     for l in range(1, L + 1):
         best = {}  # k -> the largest e1 + e2 over the splits of (l, k)
         for a in range(1, l // 2 + 1):
-            row = [(j, e2) for j, e2 in e[l - a].items() if e2]
             for i, e1 in e[a].items():
-                for j, e2 in row if e1 else ():
+                for j, e2 in e[l - a].items():
                     if best.get(i + j, 0) < e1 + e2:
                         best[i + j] = e1 + e2
         profile.append(sum(max(0, ek + 1 - best.get(k, 1)) for k, ek in e[l].items()))
