@@ -253,7 +253,7 @@ class RatPolygon(_PolygonFields):
         coords = [rational(c) for x, y in points for c in (x, y)]
         if not coords:
             return RatPolygon.empty()
-        scale, coords = _over_common_denominator(coords)
+        scale, coords = over_common_denominator(coords)
         # a positive scale keeps the lexicographic order and the
         # orientation, so the hull is taken on the ints
         return _reduced(scale, convex_hull(zip(coords[::2], coords[1::2])))
@@ -305,15 +305,8 @@ class RatPolygon(_PolygonFields):
         read off it (``lines``).  Each line is pushed and
         dropped at most once, so the walk takes O(n) integer steps and n
         meets; only a normal tuple not seen before pays the O(n log n)
-        sort.
-
-        The vertices are the meets in lowest terms: divided by gcd(x, y,
-        d), a meet's d is the lcm of the denominators of x/d and y/d.  So
-        with int offsets the lcm of those d is already the lcm of the
-        vertex denominators, and the ring over it is the canonical one.
-        Only rational offsets, scaled by a common denominator that the
-        vertices need not keep, leave ``_reduced`` a gcd over the whole
-        ring to take.
+        sort.  The meets of the kept lines, in lowest terms, are the
+        stored ring (``polygon_of_meets``).
         """
         halfplanes = list(halfplanes)  # read twice, so a generator works too
         if not halfplanes:
@@ -332,7 +325,7 @@ class RatPolygon(_PolygonFields):
         # offsets and every vertex is an int triple from meet.
         scale = 1
         if not ints:
-            scale, best = _over_common_denominator(best)
+            scale, best = over_common_denominator(best)
 
         if turn is not None:
             if turn and best[turn[0]] + best[turn[1]] > 0:
@@ -371,23 +364,7 @@ class RatPolygon(_PolygonFields):
                 lo += 1
                 continue
             break
-        meets = meets[lo:] + [meet(*lines[-1], *lines[lo])]
-        den = lcm(*[d for _, _, d in meets])
-        if den == 1:
-            ring = [(x, y) for x, y, _ in meets]
-        else:
-            den = lcm(*[d // gcd(x, y, d) for x, y, d in meets])
-            ring = [(x * den // d, y * den // d) for x, y, d in meets]
-        # ring[j - 1] to ring[j] is the edge of a kept line; with no
-        # repeated point every edge has positive length
-        if len(set(ring)) < len(ring):
-            kept = [p for j, p in enumerate(ring) if ring[j - 1] != p]
-            ring = kept if len(kept) >= 3 else convex_hull(ring)
-        k = ring.index(min(ring))
-        ring = tuple(ring[k:] + ring[:k])
-        if scale == 1:
-            return RatPolygon(den, ring)
-        return _reduced(den * scale, ring)
+        return polygon_of_meets(meets[lo:] + [meet(*lines[-1], *lines[lo])], scale)
 
     # -- views read off the ring --------------------------------------------
 
@@ -457,11 +434,43 @@ class RatPolygon(_PolygonFields):
         return Fraction(total, 2 * self.scale ** 2)
 
 
-def _over_common_denominator(values):
+def over_common_denominator(values):
     """(L, [L*v for v in values]) for ints and Fractions v, where L is the
     lcm of their denominators, so the scaled values are ints."""
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def polygon_of_meets(meets, scale=1) -> RatPolygon:
+    """The canonical polygon whose ring runs through ``meets``, the
+    homogeneous meets (x, y, d) of ``meet`` of consecutive lines with int
+    offsets, counterclockwise, for the region scaled by the int ``scale``.
+
+    The one definition of the stored form for both ways of finding the
+    meets, the halfplane walk of ``RatPolygon.from_halfplanes`` and the
+    chambers of ``semigroup.theta``.  Divided by gcd(x, y, d), a meet's d
+    is the lcm of the denominators of x/d and y/d, so the lcm of those d
+    is the lcm of the vertex denominators, and the ring over it is the
+    canonical one when ``scale`` is 1.  A repeated point (an edge of
+    length 0) is dropped; fewer than three distinct points leave the hull
+    of the meets.  The ring starts at its lexicographic minimum, and only
+    rational offsets, scaled by a common denominator that the vertices
+    need not keep, leave ``_reduced`` a gcd over the whole ring to take.
+    """
+    den = lcm(*[d for _, _, d in meets])
+    if den == 1:
+        ring = [(x, y) for x, y, _ in meets]
+    else:
+        den = lcm(*[d // gcd(x, y, d) for x, y, d in meets])
+        ring = [(x * den // d, y * den // d) for x, y, d in meets]
+    if len(set(ring)) < len(ring):
+        kept = [p for j, p in enumerate(ring) if ring[j - 1] != p]
+        ring = kept if len(kept) >= 3 else convex_hull(ring)
+    k = ring.index(min(ring))
+    ring = tuple(ring[k:] + ring[:k])
+    if scale == 1:
+        return RatPolygon(den, ring)
+    return _reduced(den * scale, ring)
 
 
 def _reduced(scale, ring) -> RatPolygon:
@@ -701,16 +710,17 @@ class ChordWalk:
     sweep); no Fraction is built before a result.
 
     ``polygon`` and ``v`` are the walked polygon and direction;
-    ``length`` is the longest chord, in m-units (m = rot90(v)), and None
-    for the empty polygon; ``chords()`` lists the chord at every vertex
-    level and ``ends()`` the maximal cross-section.  The chord length is
+    ``length`` is the longest chord, in m-units (m = rot90(v)), built on
+    first read, and None for the empty polygon; ``chords()`` lists the
+    chord at every vertex level, ``int_lengths()`` their lengths on the
+    ints, and ``ends()`` the maximal cross-section.  The chord length is
     concave and piecewise linear in the level with kinks only at vertex
     levels, so the maximum is attained at one of those.
     """
 
     def __init__(self, p: RatPolygon, v):
         self.polygon, self.v, self._scale = p, v, p.scale
-        self.length, self._chords = None, []
+        self._chords = []
         if p.is_empty:
             return
         self._pieces = pieces = _chord_pieces(p, v)
@@ -728,13 +738,32 @@ class ChordWalk:
                 best, bden, first, last = n, den, k, k
             elif n * bden == best * den:
                 last = k
-        self.length, self._best = Fraction(best, bden * self._scale), (first, last)
+        self._longest, self._best = (best, bden), (first, last)
+
+    @cached_property
+    def length(self):
+        if not self._chords:
+            return None
+        best, bden = self._longest
+        return Fraction(best, bden * self._scale)
 
     def chords(self) -> list:
         """(level, length) at every vertex level, levels increasing, as
         Fractions, the length in m-units."""
         scale = self._scale
         return [(Fraction(s, scale), Fraction(n, den * scale)) for s, n, den in self._chords]
+
+    def int_lengths(self) -> tuple:
+        """(den, lengths): the length at every vertex level, levels
+        increasing, in m-units, as ints over one common denominator den;
+        no Fraction is built."""
+        lowest = []
+        for _, n, d in self._chords:
+            d *= self._scale
+            g = gcd(n, d)
+            lowest.append((n // g, d // g))
+        den = lcm(*(d for _, d in lowest))
+        return den, [n * (den // d) for n, d in lowest]
 
     def ends(self):
         """The maximal cross-section at the midpoint c of the maximizing

@@ -11,6 +11,7 @@ the normalized polytope at slope q is just the (1, q) case.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -20,9 +21,12 @@ from .fans import FlagData, ToricDivisor, ample_polytope, divisor_polytope, flag
 from .geometry import (
     ChordWalk,
     RatPolygon,
+    det,
     lattice_points,
     level_count,
     neg,
+    over_common_denominator,
+    polygon_of_meets,
     rational,
     vsub,
     width,
@@ -48,9 +52,10 @@ class FlagContext(_ContextFields):
     the direction and P_D.  Callers that have already validated D and v
     build it directly from the polygons they hold; make_context builds it
     from scratch.  Widths are computed where a formula needs them
-    (d_of_q at slope 0), so the record holds nothing derived but the
-    cached chord walk of P_D and its q_hat, kept in the instance dict that
-    this class has over its named-tuple base."""
+    (d_of_q at slope 0), so the record holds nothing derived but what is
+    read of P_D's chord walk (q_hat and the walls of the colon polygons)
+    and the chamber table that ``theta`` fills, kept in the instance dict
+    that this class has over its named-tuple base."""
 
     @cached_property
     def chord_walk(self) -> ChordWalk:
@@ -66,6 +71,22 @@ class FlagContext(_ContextFields):
         ray normals, so a translate of q*nabla' fits in P_D iff one of
         q*nabla does, that is iff P_D has a chord of m-length q."""
         return self.chord_walk.length
+
+    @cached_property
+    def walls(self) -> tuple:
+        """(den, walls): the slopes q at which the colon polygon theta(1, q)
+        can change its edges, times den, as sorted distinct ints.  They are
+        0 and the chord length of P_D orthogonal to v at each of its
+        vertex levels, q_hat the largest (see ``theta``)."""
+        den, lengths = self.chord_walk.int_lengths()
+        return den, tuple(sorted({0, *lengths}))
+
+    @cached_property
+    def chambers(self) -> dict:
+        """The chamber table: j maps the open slopes between walls j - 1
+        and j to the edges of the colon polygons there, once ``theta`` has
+        learnt them from the first cell it read in the chamber."""
+        return {}
 
 
 def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagContext:
@@ -84,17 +105,73 @@ def make_context(divisor: ToricDivisor, v, require_ample: bool = True) -> FlagCo
 
 
 def theta(ctx: FlagContext, l, k) -> RatPolygon:
-    """The colon polytope (l*P_D : k*nabla'), directly from the fan's
-    halfplane data; rational l, k are allowed."""
+    """The colon polytope (l*P_D : k*nabla'), cut out by the halfplanes
+    <u, r> >= -l*a_r + k*c'_r over the rays r; rational l, k are allowed.
+
+    theta(l, k) is l*theta(1, q) at the slope q = k/l, and theta(1, q) is
+    P_D intersected with P_D - q*m (see ``FlagContext.q_hat``): between
+    the levels where P_D's chord is at least q long, the lower chain of
+    P_D and the upper chain moved by -q*m.  Its edges change only where an
+    end of that interval of levels passes a vertex level, that is at the
+    walls of ``FlagContext.walls``.  So on a chamber, the open slopes
+    between two walls, every colon polygon has the same edges on the same
+    ray lines, and each vertex is the meet of two consecutive ones.
+
+    The first cell read in a chamber goes through the halfplane kernel
+    ``RatPolygon.from_halfplanes``, and the normals of its ring edges
+    name the chamber's rays in ring order.  Every later cell there takes
+    the homogeneous meets of those lines with its own offsets, scaled to
+    ints by their common denominator when rational, into the stored form
+    of ``polygon_of_meets``, which the kernel ends with too: no walk.
+    Cells on a wall, at l = 0 or past q_hat go through the kernel.
+    """
     l, k = rational(l), rational(k)
     if l < 0 or k < 0 or (l == 0 and k == 0):
         raise ValueError("need l, k >= 0 and not both zero")
-    return RatPolygon.from_halfplanes(
-        [
-            (r, -l * a + k * c)
-            for r, a, c in zip(ctx.divisor.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
-        ]
+    chamber = None
+    if l:
+        # q times den is f plus rem over its denominator; walls[0] = 0 <= f
+        den, walls = ctx.walls
+        f, rem = divmod(k.numerator * l.denominator * den, l.numerator * k.denominator)
+        j = bisect_right(walls, f)
+        if j < len(walls) and (rem or walls[j - 1] != f):
+            chamber = j
+    edges = ctx.chambers.get(chamber)
+    if edges is None:
+        t = RatPolygon.from_halfplanes(
+            [
+                (r, -l * a + k * c)
+                for r, a, c in zip(ctx.divisor.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
+            ]
+        )
+        if chamber is not None and t.dim == 2:
+            ctx.chambers[chamber] = _chamber_edges(ctx, t)
+        return t
+    coeffs, meets = edges
+    offsets = [k * c - l * a for a, c in coeffs]
+    scale = 1
+    if any(type(o) is not int for o in offsets):
+        scale, offsets = over_common_denominator(offsets)
+    # edge i runs from the meet of edges i - 1 and i (see geometry.meet)
+    return polygon_of_meets(
+        [(p * b - o * y, x * o - a * p, d)
+         for (x, y, a, b, d), p, o in zip(meets, offsets[-1:] + offsets[:-1], offsets)],
+        scale,
     )
+
+
+def _chamber_edges(ctx: FlagContext, t: RatPolygon) -> tuple:
+    """The edges of the two-dimensional colon polygon t, in ring order,
+    as ``theta`` reads them for every cell of t's chamber: the
+    coefficients (a_r, c'_r) of each edge's ray r, and for each vertex
+    the rays of the edges that meet there, before and after it, with
+    their determinant."""
+    rays = ctx.divisor.fan.rays
+    index = {r: i for i, r in enumerate(rays)}
+    kept = [index[n] for n, _ in t.lines]
+    coeffs = tuple((ctx.divisor.coeffs[i], ctx.flag.cprime_coeffs[i]) for i in kept)
+    meets = tuple((*rays[h], *rays[i], det(rays[h], rays[i])) for h, i in zip(kept[-1:] + kept[:-1], kept))
+    return coeffs, meets
 
 
 def e_bar(ctx: FlagContext, l: int, k: int) -> int:
