@@ -109,18 +109,19 @@ def lift_search(ctx, q, lambda_max: int = LAMBDA_MAX):
     when its lattice points take hi - lo + 1 distinct levels, which
     ``level_count`` counts by floor sums in O(n log size) steps, so a
     dilate costs the same however wide it is and no point or column is
-    read.  ``tests/util.projection_lift_search`` is its oracle."""
+    read.  With the extreme levels of the base polygon at lo / L and
+    hi / L (L its scale), those of the lambda-dilate are integers exactly
+    when lambda is a multiple of L / gcd(L, lo) and of L / gcd(L, hi), so
+    only those dilates are built.  ``tests/util.projection_lift_search``
+    is its oracle."""
     base = theta(ctx, 1, q)
     if base.is_empty:
         raise ValueError("colon polytope is empty at this slope")
     v = ctx.flag.v
-    for lam in range(1, lambda_max + 1):
-        poly = base.dilate(lam)
-        # the extreme levels <p, v> times L, on the int ring
-        levels = poly._levels(v)
-        lo, hi = min(levels), max(levels)
-        if lo % poly.scale or hi % poly.scale:
-            continue
-        if level_count(lattice_points(poly), v) == (hi - lo) // poly.scale + 1:
+    levels, scale = base._levels(v), base.scale
+    lo, hi = min(levels), max(levels)
+    step = math.lcm(scale // math.gcd(scale, lo), scale // math.gcd(scale, hi))
+    for lam in range(step, lambda_max + 1, step):
+        if level_count(lattice_points(base.dilate(lam)), v) == lam * (hi - lo) // scale + 1:
             return lam
     return None

@@ -4,6 +4,12 @@ slices, tangent cones at the extremal faces of a colon polytope (read
 on its int ring, like every kernel of ``geometry``), and the
 Newton-Okounkov body in (q, t)-coordinates.
 
+A colon polytope keeps its edges on each chamber, the open slopes between
+two walls where an end of its interval of levels passes a vertex level of
+P_D, so each context keeps a chamber table: ``theta`` learns a chamber's
+edges from the first cell it reads there and takes every later cell as
+the meets of those lines, without a halfplane walk.
+
 All (l, k) arguments may be rational; integral callers are unaffected and
 the normalized polytope at slope q is just the (1, q) case.
 """

@@ -238,6 +238,16 @@ def test_generator_profiles_of_the_worked_examples():
     assert is_finitely_generated(square).finitely_generated
 
 
+def test_generators_of_the_non_smooth_sevengon_stop_at_level_33():
+    # sevengon's normal fan is not smooth and its semigroup is FG: the
+    # last new minimal generator sits at l = 33, none in levels 34..40
+    ctx = SEVENGON.context
+    assert generator_profile(ctx, 40) == [
+        29, 7, 7, 3, 2, 5, 3, 2, 3, 2, 3, 1, 1, 1, 4, 1, 0, 0, 0, 1,
+        0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1] + [0] * 7
+    assert is_finitely_generated(ctx).finitely_generated
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(SEED)
 def test_verdict_matches_the_definition_of_finite_generation(seed):

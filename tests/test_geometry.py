@@ -40,7 +40,6 @@ from util import (
     random_polygon,
     random_smooth_fan,
     rational_pools,
-    rationals,
     views,
 )
 from toricfg.criterion import max_segment
@@ -525,15 +524,13 @@ def test_float_and_fractional_normals_are_rejected():
         int_vector(("1", 0))
 
 
-SMALL_RATIONAL = rationals(6, 7)
-RATIONAL_POINT = st.tuples(SMALL_RATIONAL, SMALL_RATIONAL)
 RATIONAL_POOLS = rational_pools(6, 7)
 PRIMITIVES_8 = [(a, b) for a in range(-8, 9) for b in range(-8, 9) if gcd(a, b) == 1]
 
 
 def random_rational_point(rng):
-    """A point whose coordinates are drawn as SMALL_RATIONAL draws them:
-    an integer or any value, half and half."""
+    """A point whose coordinates are drawn as ``rationals(6, 7)`` draws
+    them: an integer or any value, half and half."""
     return (rng.choice(rng.choice(RATIONAL_POOLS)), rng.choice(rng.choice(RATIONAL_POOLS)))
 
 
@@ -597,7 +594,7 @@ def test_vertex_level_chords_match_line_interval_oracle(case):
 @settings(max_examples=60, derandomize=True)
 @given(SEED)
 def test_max_chord_on_segments_orthogonal_to_v(seed):
-    # a and t drawn as SMALL_RATIONAL draws them; a quarter of the
+    # a and t drawn as rationals(6, 7) draws them; a quarter of the
     # directions have max-norm 1
     rng = random.Random(seed)
     a, t = random_rational_point(rng), rng.choice(rng.choice(RATIONAL_POOLS))
@@ -768,7 +765,7 @@ def polygon_and_oracle(draw):
     2**40 + 15."""
     kind = draw(st.sampled_from(("vertices", "halfplanes", "p_d")))
     if kind == "vertices":
-        points = draw(st.lists(RATIONAL_POINT, min_size=1, max_size=7))
+        points = random_rational_points(random.Random(draw(SEED)), 1)
         return RatPolygon.from_vertices(points), fraction_polygon_of_points(points)
     if kind == "halfplanes":
         hps = random_degenerate_halfplanes(random.Random(draw(SEED))) + BOX
@@ -811,10 +808,14 @@ def test_integral_input_builds_no_fraction(monkeypatch):
         monkeypatch.setattr(F, "_from_coprime_ints",
                             classmethod(lambda cls, n, d: built.append((n, d)) or real_coprime(n, d)))
     p_d = RatPolygon.from_halfplanes(hps)
-    t = theta(ctx, 2, 3)
+    # the slope 3/2 lies strictly between the walls 0 and 2: the first
+    # read goes through the kernel and learns the chamber, the second
+    # takes the meets of the chamber's edges
+    t, again = theta(ctx, 2, 3), theta(ctx, 2, 3)
     big = t.dilate(3)
     points = lattice_points(big)
     assert built == []
+    assert again == t and list(ctx.chambers) == [1]
     assert p_d == ctx.p_d and p_d.dim == t.dim == 2 and len(points) > 1000
     assert big.vertices and built
     # the maximal cross-section builds only its result: the level, the

@@ -96,6 +96,40 @@ def test_theta_is_the_colon_of_the_dilates(seed):
     assert theta(ctx, l, k) == expect
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(SEED)
+def test_theta_reads_each_chamber_as_the_kernel_cuts_it(seed):
+    # every cell up to l = 8, rational cells and every wall slope of a
+    # smooth fan's context, with the divisor scaled by 1 or 7/3, against
+    # the kernel on the same halfplanes; the kernel runs once per wall
+    # cell and once per chamber, whose walls are read here as Fractions
+    rng = random.Random(seed)
+    while True:
+        fan = random_smooth_fan(rng)
+        scale = rng.choice([1, F(7, 3)])
+        d = ToricDivisor(fan, tuple(scale * a for a in random_ample_divisor(rng, fan).coeffs))
+        ctx = make_context(d, random_direction(rng, rng.choice((1, 4, 8))))
+        if ctx.q_hat * 8 <= 24:
+            break
+    qh = ctx.q_hat
+    walls = sorted({F(0), *(length for _, length in ctx.chord_walk.chords())})
+    cells = [(l, k) for l in range(1, 9) for k in range(int(l * qh) + 2)]
+    cells += [(l, l * w) for w in walls for l in (1, 2, F(5, 3))]
+    for _ in range(20):
+        l = F(rng.randint(1, 40), rng.randint(1, 7))
+        cells.append((l, l * qh * F(rng.randint(1, 60), 50)))
+    kernel, calls = RatPolygon.from_halfplanes, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RatPolygon, "from_halfplanes", staticmethod(lambda hps: calls.append(hps) or kernel(hps)))
+        for l, k in cells:
+            hps = [(r, -l * a + k * c) for r, a, c in zip(fan.rays, d.coeffs, ctx.flag.cprime_coeffs)]
+            assert theta(ctx, l, k) == kernel(hps), (d, ctx.flag.v, l, k)
+    slopes = [F(k) / l for l, k in cells]
+    on_wall = sum(q in walls or q > qh for q in slopes)
+    chambers = {sum(w < q for w in walls) for q in slopes if q not in walls and q < qh}
+    assert len(calls) == on_wall + len(chambers)
+
+
 def test_e_bar_fixtures():
     assert e_bar(CTX, 1, 1) == 2
     assert e_bar(CTX, 3, 2) == 30
