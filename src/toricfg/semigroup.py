@@ -136,12 +136,11 @@ def theta(ctx: FlagContext, l, k) -> RatPolygon:
         raise ValueError("need l, k >= 0 and not both zero")
     chamber = None
     if l:
-        # q times den is f plus rem over its denominator; walls[0] = 0 <= f
+        # q times den is f plus rem over the denominator of q
         den, walls = ctx.walls
         f, rem = divmod(k.numerator * l.denominator * den, l.numerator * k.denominator)
-        j = bisect_right(walls, f)
-        if j < len(walls) and (rem or walls[j - 1] != f):
-            chamber = j
+        if rem or f not in walls:
+            chamber = bisect_right(walls, f)
     edges = ctx.chambers.get(chamber)
     if edges is None:
         t = RatPolygon.from_halfplanes(
@@ -150,6 +149,7 @@ def theta(ctx: FlagContext, l, k) -> RatPolygon:
                 for r, a, c in zip(ctx.divisor.fan.rays, ctx.divisor.coeffs, ctx.flag.cprime_coeffs)
             ]
         )
+        # past q_hat, in chamber len(walls), the cell is empty and names no edge
         if chamber is not None and t.dim == 2:
             ctx.chambers[chamber] = _chamber_edges(ctx, t)
         return t
@@ -277,11 +277,11 @@ def newton_okounkov_body(ctx: FlagContext) -> NOBody:
     concave and affine between vertex levels, so each end of that
     interval is affine in q between the chord lengths at vertex levels,
     and d kinks only there.  The body is the hull of d evaluated at those
-    lengths, 0 and q_hat.
+    lengths and 0, the walls of ``FlagContext.walls``; q_hat is the last.
     """
     qh = q_hat(ctx)
-    candidates = {Fraction(0), qh, *(length for _, length in ctx.chord_walk.chords())}
-    graph = [(q, d_of_q(ctx, q)) for q in sorted(candidates)]
+    den, walls = ctx.walls
+    graph = [(q, d_of_q(ctx, q)) for q in (Fraction(w, den) for w in walls)]
     poly = RatPolygon.from_vertices([(Fraction(0), Fraction(0)), (qh, Fraction(0))] + graph)
     breakpoints = tuple(
         sorted(p for p in poly.vertices if p[1] == d_of_q(ctx, p[0]))
