@@ -711,9 +711,9 @@ class ChordWalk:
 
     ``polygon`` and ``v`` are the walked polygon and direction;
     ``length`` is the longest chord, in m-units (m = rot90(v)), built on
-    first read, and None for the empty polygon; ``chords()`` lists the
-    chord at every vertex level, ``int_lengths()`` their lengths on the
-    ints, and ``ends()`` the maximal cross-section.  The chord length is
+    first read, and None for the empty polygon; ``int_lengths()`` lists
+    the chord length at every vertex level on the ints, and ``ends()``
+    the maximal cross-section.  The chord length is
     concave and piecewise linear in the level with kinks only at vertex
     levels, so the maximum is attained at one of those.
     """
@@ -746,12 +746,6 @@ class ChordWalk:
             return None
         best, bden = self._longest
         return Fraction(best, bden * self._scale)
-
-    def chords(self) -> list:
-        """(level, length) at every vertex level, levels increasing, as
-        Fractions, the length in m-units."""
-        scale = self._scale
-        return [(Fraction(s, scale), Fraction(n, den * scale)) for s, n, den in self._chords]
 
     def int_lengths(self) -> tuple:
         """(den, lengths): the length at every vertex level, levels

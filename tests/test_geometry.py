@@ -41,6 +41,7 @@ from util import (
     random_smooth_fan,
     rational_pools,
     views,
+    walked_chords,
 )
 from toricfg.criterion import max_segment
 from toricfg.semigroup import make_context, theta
@@ -588,7 +589,11 @@ def test_max_chord_matches_line_interval_oracle(case):
 def test_vertex_level_chords_match_line_interval_oracle(case):
     points, v = _case(case, random_points_and_direction)
     p = RatPolygon.from_vertices(points)
-    assert ChordWalk(p, v).chords() == line_interval_chords(p, v)
+    walk, chords = ChordWalk(p, v), line_interval_chords(p, v)
+    assert walked_chords(walk) == chords
+    if chords:
+        den, lengths = walk.int_lengths()
+        assert [F(n, den) for n in lengths] == [length for _, length in chords]
 
 
 @settings(max_examples=60, derandomize=True)

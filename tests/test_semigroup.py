@@ -31,6 +31,7 @@ import paper
 from paper import contains_polygon, cut_construction, d_bar, minkowski_sum, newton_segment, xi_interval
 from util import (
     SEED,
+    line_interval_chords,
     load_example,
     normal_cone,
     p1p1_fan,
@@ -102,7 +103,8 @@ def test_theta_reads_each_chamber_as_the_kernel_cuts_it(seed):
     # every cell up to l = 8, rational cells and every wall slope of a
     # smooth fan's context, with the divisor scaled by 1 or 7/3, against
     # the kernel on the same halfplanes; the kernel runs once per wall
-    # cell and once per chamber, whose walls are read here as Fractions
+    # cell and once per chamber, whose walls are read here off the
+    # line-interval oracle of the chords
     rng = random.Random(seed)
     while True:
         fan = random_smooth_fan(rng)
@@ -112,7 +114,7 @@ def test_theta_reads_each_chamber_as_the_kernel_cuts_it(seed):
         if ctx.q_hat * 8 <= 24:
             break
     qh = ctx.q_hat
-    walls = sorted({F(0), *(length for _, length in ctx.chord_walk.chords())})
+    walls = sorted({F(0), *(length for _, length in line_interval_chords(ctx.p_d, ctx.flag.v))})
     cells = [(l, k) for l in range(1, 9) for k in range(int(l * qh) + 2)]
     cells += [(l, l * w) for w in walls for l in (1, 2, F(5, 3))]
     for _ in range(20):

@@ -340,6 +340,15 @@ def line_interval_chords(p: RatPolygon, v) -> list:
     return out
 
 
+def walked_chords(walk) -> list:
+    """(level, length) at every vertex level of a ``geometry.ChordWalk``,
+    levels increasing, as Fractions read off its int chords (each level
+    and the length's numerator and denominator over the polygon's scale),
+    for comparison with ``line_interval_chords``."""
+    scale = walk._scale
+    return [(Fraction(s, scale), Fraction(n, den * scale)) for s, n, den in walk._chords]
+
+
 def line_interval_max_chord(p: RatPolygon, v):
     """The longest chord orthogonal to v, in rot90(v)-units, and the vertex
     levels where it is reached, from ``line_interval_chords``."""
